@@ -103,6 +103,8 @@ def _lambdas(cfg: RunConfig):
         raise ConfigError(f"cannot parse --lambdas {cfg.lambdas!r} as floats")
     if not lams:
         raise ConfigError("--lambdas must name at least one value")
+    if not all(math.isfinite(lam) for lam in lams):
+        raise ConfigError(f"--lambdas must be finite, got {cfg.lambdas!r}")
     return lams
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 __all__ = ["RunConfig", "ConfigError", "load_config_file", "merge_config"]
@@ -72,6 +73,9 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 _BOOL_KEYS = {"integer_mode", "profile"}
 _INT_KEYS = {"grid_count", "lambda_count", "u_count", "samples", "n", "max_evals"}
 _STR_KEYS = {"expr", "h_expr", "m_expr", "var", "lambdas", "claim", "out", "format"}
+_FLOAT_KEYS = tuple(
+    name for name in _FIELDS if name not in _BOOL_KEYS | _INT_KEYS | _STR_KEYS
+)
 
 
 def _coerce(key: str, value):
@@ -134,6 +138,10 @@ def merge_config(file_values: dict | None, flag_values: dict | None) -> RunConfi
 
 
 def _validate(cfg: RunConfig) -> None:
+    for key in _FLOAT_KEYS:
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     for key in ("abs_tol", "rel_tol", "classify_tol", "value_tol"):
         value = getattr(cfg, key)
         if value is not None and value <= 0:

@@ -5,8 +5,10 @@ The substitution ``t = e^u`` turns the weighted integral into a plain one,
 Panels are refined by bisection; each panel is measured with the nested
 Gauss(7)/Kronrod(15) pair and accepted once the Kronrod-vs-Gauss error
 estimate meets the tolerance share allocated proportionally to the panel's
-length.  All pending panels of a refinement wave are evaluated in one
-vectorized batch, so oscillatory integrands stay affordable.
+length.  All pending panels of a refinement wave are evaluated together,
+in fixed blocks of ``_BLOCK`` panels whose work arrays stay in cache, so
+oscillatory integrands stay affordable.  Every panel is measured on its own,
+so the results do not depend on the block size.
 
 If the evaluation budget runs out first, the best available value and an
 honest error estimate are returned with ``converged = False`` instead of
@@ -81,8 +83,9 @@ class QuadTolerance:
     max_evals: int = 1_000_000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise PreconditionError("tolerances must be positive")
+        for tol in (self.abs_tol, self.rel_tol):
+            if not (tol > 0) or not math.isfinite(tol):
+                raise PreconditionError("tolerances must be positive and finite")
         if self.max_evals < 15:
             raise PreconditionError("evaluation budget must allow one panel")
 
@@ -95,31 +98,79 @@ class QuadResult:
     converged: bool
 
 
+# Panels per block of a wave: a block's (_BLOCK, 15) arrays are 240 KiB each.
+_BLOCK = 2048
+# round-off floor of the error estimate, as a multiple of int |f|
+_FLOOR = 50.0 * np.finfo(float).eps
+
+
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod value, Gauss value and QUADPACK-style error per panel."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    points = mid[:, None] + half[:, None] * _NODES[None, :]
-    fx = f(points)
-    resk = (fx * _WEIGHTS_K[None, :]).sum(axis=1) * half
-    resg = (fx * _WEIGHTS_G[None, :]).sum(axis=1) * half
-    mean = resk / (hi - lo)
-    resasc = (np.abs(fx - mean[:, None]) * _WEIGHTS_K[None, :]).sum(axis=1) * half
-    err = np.abs(resk - resg)
-    scale = np.where(resasc > 0.0, resasc, 1.0)
-    err = np.where(
-        resasc > 0.0,
-        resasc * np.minimum(1.0, (200.0 * err / scale) ** 1.5),
-        err,
-    )
-    resabs = (np.abs(fx) * _WEIGHTS_K[None, :]).sum(axis=1) * half
-    floor = 50.0 * np.finfo(float).eps * resabs
-    err = np.maximum(err, floor)
+    """Kronrod value and QUADPACK-style error per panel.
+
+    A wave is measured ``_BLOCK`` panels at a time, so that the (panels, 15)
+    arrays of a block stay in cache."""
+    n = lo.size
+    if n <= _BLOCK:
+        return _rule_block(f, lo, hi)
+    resk = np.empty(n)
+    err = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        resk[b], err[b] = _rule_block(f, lo[b], hi[b])
     return resk, err
 
 
-def _adaptive(f, a: float, b: float, tol: QuadTolerance) -> QuadResult:
-    """Bisection-adaptive Gauss-Kronrod over [a, b], batched per wave."""
+def _rule_block(f, lo, hi):
+    """The rule on one block of panels; ``f`` must return a new array.
+
+    The weighted sums reuse the block's ``points`` array in place.  Each is
+    a multiply and a row sum per panel, so no result depends on the block
+    size."""
+    width = hi - lo
+    half = 0.5 * width
+    points = half[:, None] * _NODES
+    points += (0.5 * (lo + hi))[:, None]
+    fx = f(points)
+    resk = np.multiply(fx, _WEIGHTS_K, out=points).sum(axis=1) * half
+    resg = np.multiply(fx, _WEIGHTS_G, out=points).sum(axis=1) * half
+    np.subtract(fx, (resk / width)[:, None], out=points)
+    np.abs(points, out=points)
+    points *= _WEIGHTS_K
+    resasc = points.sum(axis=1) * half
+    np.abs(fx, out=points)
+    points *= _WEIGHTS_K
+    resabs = points.sum(axis=1) * half
+    err = np.abs(resk - resg)
+    measured = resasc > 0.0
+    scale = np.where(measured, resasc, 1.0)
+    err = np.where(measured, resasc * np.minimum(1.0, (200.0 * err / scale) ** 1.5), err)
+    return resk, np.maximum(err, _FLOOR * resabs)
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray):
+    """Halve sorted, disjoint panels; the children come out in ascending order.
+
+    Children interleave as lo_i, mid_i, lo_{i+1}, ...  Only when panels are a
+    few ulps wide can a midpoint equal the next panel's left end; a stable
+    sort of the left ends orders such ties differently, so they take the sort."""
+    mid = 0.5 * (lo + hi)
+    if (mid[:-1] == lo[1:]).any():
+        keys = np.concatenate([lo, mid])
+        order = np.argsort(keys, kind="stable")
+        return keys[order], np.concatenate([mid, hi])[order]
+    new_lo = np.empty(2 * lo.size)
+    new_hi = np.empty(2 * lo.size)
+    new_lo[0::2] = lo
+    new_lo[1::2] = mid
+    new_hi[0::2] = mid
+    new_hi[1::2] = hi
+    return new_lo, new_hi
+
+
+def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> QuadResult:
+    """Bisection-adaptive Gauss-Kronrod over [a, b], batched per wave.
+
+    ``max_evals`` (at least 15) caps the evaluations of this call."""
     if b <= a:
         return QuadResult(0.0, 0.0, 0, True)
     span = b - a
@@ -139,22 +190,18 @@ def _adaptive(f, a: float, b: float, tol: QuadTolerance) -> QuadResult:
         done_value += float(resk[ok].sum())
         done_error += float(err[ok].sum())
         keep = ~ok
-        lo, hi, resk, err = lo[keep], hi[keep], resk[keep], err[keep]
+        lo, hi = lo[keep], hi[keep]
         if not lo.size:
             break
-        if evals + 30 * lo.size > tol.max_evals:
+        if evals + 30 * lo.size > max_evals:
             # splitting the pending panels would blow the budget: keep their
             # current measurements and report non-convergence.  evaluations
             # never exceeds max_evals.
-            done_value += float(resk.sum())
-            done_error += float(err.sum())
+            done_value += float(resk[keep].sum())
+            done_error += float(err[keep].sum())
             converged = False
             break
-        mid = 0.5 * (lo + hi)
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-        order = np.argsort(lo, kind="stable")
-        lo, hi = lo[order], hi[order]
+        lo, hi = _bisect(lo, hi)
     return QuadResult(done_value, done_error, evals, converged)
 
 
@@ -176,7 +223,7 @@ def integrate_log(
     def f(points: np.ndarray) -> np.ndarray:
         return eval_array(h, {var: np.exp(points)})
 
-    return _adaptive(f, 0.0, math.log(x), tol)
+    return _adaptive(f, 0.0, math.log(x), tol, tol.max_evals)
 
 
 @dataclass
@@ -198,23 +245,32 @@ class IntegralCache:
 
     def extend(self, x_next: float) -> QuadResult:
         """Advance the frontier to ``x_next`` (non-decreasing) and return
-        the accumulated integral over [1, x_next]."""
+        the accumulated integral over [1, x_next].
+
+        ``tol.max_evals`` caps the whole sweep: each segment gets only the
+        budget the earlier ones left.  With less than one panel (15
+        evaluations) left, the frontier moves without integrating and the
+        cache is marked not converged."""
         if x_next < self.frontier:
             raise PreconditionError(
                 f"cache frontier is {self.frontier!r}, cannot move back to {x_next!r}"
             )
         if x_next > self.frontier:
-            a = math.log(self.frontier)
-            b = math.log(x_next)
+            remaining = self.tol.max_evals - self.evaluations
+            if remaining < 15:
+                self.converged = False
+            else:
+                a = math.log(self.frontier)
+                b = math.log(x_next)
 
-            def f(points: np.ndarray) -> np.ndarray:
-                return eval_array(self.integrand, {self.var: np.exp(points)})
+                def f(points: np.ndarray) -> np.ndarray:
+                    return eval_array(self.integrand, {self.var: np.exp(points)})
 
-            seg = _adaptive(f, a, b, self.tol)
-            self.value += seg.value
-            self.error_estimate += seg.error_estimate
-            self.evaluations += seg.evaluations
-            self.converged = self.converged and seg.converged
+                seg = _adaptive(f, a, b, self.tol, remaining)
+                self.value += seg.value
+                self.error_estimate += seg.error_estimate
+                self.evaluations += seg.evaluations
+                self.converged = self.converged and seg.converged
             self.frontier = x_next
         return QuadResult(
             self.value, self.error_estimate, self.evaluations, self.converged

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -74,6 +75,53 @@ def test_budget_exhaustion_exits_4_with_report(capsys):
     assert code == 4
     report = json.loads(out)  # report still written
     assert report["verdicts"]["budget"] == "exhausted"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply-l", "sin(x)", "--x", "nan"],
+        ["apply-l", "sin(x)", "--x", "inf"],
+        ["apply-l", "1/(1+ln(x))", "--x", "100", "--abs-tol", "nan"],
+        ["apply-l", "1/(1+ln(x))", "--x", "100", "--rel-tol", "inf"],
+        ["uct", "karamata", "--f", "ln(x)", "--a", "1", "--b", "nan"],
+    ],
+)
+def test_non_finite_number_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_non_finite_config_value_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"x": Infinity}')
+    code, _, err = run_cli(capsys, ["apply-l", "sin(x)", "--config", str(cfg)])
+    assert code == 2
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("lambdas", ["inf", "2,nan", "-inf,10"])
+def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        code, out, err = run_cli(capsys, ["classify", "x", f"--lambdas={lambdas}"])
+    assert code == 2
+    assert "nan" not in out
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "--lambdas" in err
+
+
+def test_budget_is_hard_across_a_grid_sweep(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["apply-l", "sin(x)", "--grid-start", "10", "--ratio", "10", "--count", "8",
+         "--max-evals", "3000"],
+    )
+    assert code == 4
+    points = json.loads(out)["results"]["points"]
+    assert max(p["quad"]["evaluations"] for p in points) <= 3000
 
 
 def test_unknown_command_exits_2(capsys):

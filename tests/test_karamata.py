@@ -130,6 +130,14 @@ def test_grid_sweep_shares_one_cache():
     assert evals[-1] < total_direct
 
 
+def test_sweep_budget_is_hard():
+    points = [float(x) for x in np.geomspace(10.0, 1e8, 8)]
+    detailed = apply_L_points(parse("sin(x)"), points, QuadTolerance(max_evals=3_000))
+    last = detailed[-1].quad
+    assert last.evaluations <= 3_000
+    assert not last.converged
+
+
 # ---------------------------------------------------------------------------
 # structural limit laws, measured numerically
 

@@ -19,6 +19,7 @@ from karamata_kit import (
     IntegralCache,
     PreconditionError,
     QuadTolerance,
+    eval_array,
     integrate_log,
     parse,
 )
@@ -95,6 +96,8 @@ def test_oscillatory_integrand_matches_sine_integral_oracle():
     res = integrate_log(parse("sin(x)"), 1e6, QuadTolerance(max_evals=50_000_000))
     assert res.converged
     assert res.value == pytest.approx(SI_1E6 - SI_1, abs=1e-9)
+    # perfbench/README.md quotes this count for `apply-l "sin(x)" --x 1e6`
+    assert res.evaluations == 9_054_825
 
 
 @given(
@@ -140,6 +143,11 @@ def test_tolerance_validation():
         QuadTolerance(rel_tol=-1.0)
     with pytest.raises(PreconditionError):
         QuadTolerance(max_evals=10)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            QuadTolerance(abs_tol=bad)
+        with pytest.raises(PreconditionError):
+            QuadTolerance(rel_tol=bad)
 
 
 def test_budget_exhaustion_reports_honestly():
@@ -190,3 +198,68 @@ def test_cache_accumulates_evaluation_counts():
     b = cache.extend(1e4)
     assert b.evaluations >= a.evaluations
     assert b.converged
+
+
+def test_cache_with_less_than_one_panel_left_evaluates_nothing():
+    cache = IntegralCache(parse("sin(x)"), tol=QuadTolerance(max_evals=20))
+    first = cache.extend(1e3)
+    assert first.evaluations == 15
+    assert not first.converged
+    second = cache.extend(1e4)
+    assert second == first
+    assert cache.frontier == 1e4
+
+
+# ---------------------------------------------------------------------------
+# the blocked panel rule and the sort-free bisection
+
+def _wave(rng, n, lo=0.0, hi=12.0):
+    # n sorted, disjoint panels with gaps, as a refinement wave leaves them
+    edges = np.sort(rng.uniform(lo, hi, 2 * n))
+    return edges[0::2], edges[1::2]
+
+
+def test_panel_rule_does_not_depend_on_block_size(monkeypatch):
+    rng = np.random.default_rng(2024)
+    n = 3 * quad_mod._BLOCK + 7
+    lo, hi = _wave(rng, n)
+    h = parse("sin(x) * ln(x) + 1/(1+x)")
+
+    def f(points):
+        return eval_array(h, {"x": np.exp(points)})
+
+    resk, err = quad_mod._panel_rule(f, lo, hi)
+    monkeypatch.setattr(quad_mod, "_BLOCK", n + 1)
+    ref_resk, ref_err = quad_mod._panel_rule(f, lo, hi)
+    assert np.array_equal(resk, ref_resk)
+    assert np.array_equal(err, ref_err)
+
+
+def _sorted_children(lo, hi):
+    # children ordered by a stable sort of their left ends
+    mid = 0.5 * (lo + hi)
+    lo2 = np.concatenate([lo, mid])
+    hi2 = np.concatenate([mid, hi])
+    order = np.argsort(lo2, kind="stable")
+    return lo2[order], hi2[order]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 1000])
+def test_bisect_matches_stable_sort_of_children(n):
+    lo, hi = _wave(np.random.default_rng(n), n)
+    got_lo, got_hi = quad_mod._bisect(lo, hi)
+    ref_lo, ref_hi = _sorted_children(lo, hi)
+    assert np.array_equal(got_lo, ref_lo)
+    assert np.array_equal(got_hi, ref_hi)
+
+
+def test_bisect_keeps_sorted_order_for_ulp_wide_panels():
+    # [1+u, 1+2u] halves to a midpoint equal to the next panel's left end
+    edges = 1.0 + np.array([0.0, 1.0, 2.0, 6.0]) * 2.0**-52
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    ref_lo, ref_hi = _sorted_children(lo, hi)
+    assert not np.array_equal(np.ravel(np.column_stack([mid, hi])), ref_hi)
+    got_lo, got_hi = quad_mod._bisect(lo, hi)
+    assert np.array_equal(got_lo, ref_lo)
+    assert np.array_equal(got_hi, ref_hi)
