@@ -74,6 +74,19 @@ class GeometricGrid:
             raise PreconditionError("grid count must be at least 1")
         if not self.integer_mode and not self.ratio > 1.0:
             raise PreconditionError(f"grid ratio must be > 1, got {self.ratio!r}")
+        k = self.count - 1
+        try:
+            if self.integer_mode:
+                last = float(round(self.start) + k)
+            else:
+                last = self.start * self.ratio**k
+        except OverflowError:
+            last = math.inf
+        if not math.isfinite(last):
+            raise PreconditionError(
+                f"grid points overflow: the last point is not finite "
+                f"(start {self.start!r}, ratio {self.ratio!r}, count {self.count!r})"
+            )
 
     def points(self) -> list[float]:
         if self.integer_mode:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 expression/config parse error, 3 precondition or
 domain error, 4 quadrature budget exhausted (report still written), 5
-unexpected internal error.  Set KARAMATA_KIT_THREADS to fan scan rows out
-over a thread pool; results are assembled in input order either way.
+unexpected internal error.  KARAMATA_KIT_THREADS must be an integer when
+set (exit 2 otherwise), but it selects nothing at present: uniformity scans
+run as one vectorized kernel over the whole (x, parameter) grid.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .asymptotics import (
     DEFAULT_INTEGER_GRID,
     DEFAULT_LAMBDAS,
+    RATIO_CLASSIFY_TOL,
+    VALUE_TOL,
     GeometricGrid,
     ClaimedClass,
     class_preservation_check,
@@ -46,22 +48,12 @@ from .uniformity import (
 __all__ = ["main"]
 
 
-def _mapper_from_env():
+def _check_threads_env() -> None:
     raw = os.environ.get("KARAMATA_KIT_THREADS", "").strip()
-    if not raw:
-        return None
     try:
-        n = int(raw)
+        int(raw or "0")
     except ValueError:
         raise ConfigError(f"KARAMATA_KIT_THREADS must be an integer, got {raw!r}")
-    if n <= 1:
-        return None
-
-    def mapper(fn, items):
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-
-    return mapper
 
 
 def _require(value, flag: str):
@@ -132,6 +124,14 @@ def _quad_tol(cfg: RunConfig) -> QuadTolerance:
     return QuadTolerance(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
 
 
+def _tols(cfg: RunConfig) -> tuple[float, float]:
+    """``(classify_tol, value_tol)``: the flags, else the library defaults."""
+    return (
+        RATIO_CLASSIFY_TOL if cfg.classify_tol is None else cfg.classify_tol,
+        VALUE_TOL if cfg.value_tol is None else cfg.value_tol,
+    )
+
+
 def _grid_inputs(grid: GeometricGrid) -> dict:
     return {
         "start": grid.start,
@@ -149,7 +149,7 @@ def _scan_rows(report) -> list:
     return rows
 
 
-def _run_apply_l(cfg: RunConfig, mapper):
+def _run_apply_l(cfg: RunConfig):
     h, canonical = _parse_expr(_require(cfg.expr, "the expression argument"))
     tol = _quad_tol(cfg)
     if cfg.x is not None:
@@ -168,7 +168,7 @@ def _run_apply_l(cfg: RunConfig, mapper):
     return inputs, results, {}, rows, budget_ok
 
 
-def _run_invert_l(cfg: RunConfig, mapper):
+def _run_invert_l(cfg: RunConfig):
     f, canonical = _parse_expr(_require(cfg.expr, "the expression argument"))
     g = invert_L(f, var=cfg.var)
     inputs = {"expr": cfg.expr, "canonical": canonical, "var": cfg.var}
@@ -176,27 +176,18 @@ def _run_invert_l(cfg: RunConfig, mapper):
     return inputs, results, {}, [], True
 
 
-def _run_classify(cfg: RunConfig, mapper):
+def _run_classify(cfg: RunConfig):
     F, canonical = _parse_expr(_require(cfg.expr, "the expression argument"))
     lams = _lambdas(cfg)
     grid = _classify_grid(cfg)
 
-    rv_kwargs = {"lambdas": lams, "var": cfg.var}
-    sv_kwargs = {"lambdas": lams, "var": cfg.var}
-    prof_kwargs = {"var": cfg.var}
+    classify_tol, value_tol = _tols(cfg)
+    kwargs = {"var": cfg.var, "classify_tol": classify_tol}
     if grid is not None:
-        rv_kwargs["grid"] = grid
-        sv_kwargs["grid"] = grid
-        prof_kwargs["grid"] = grid
-    if cfg.classify_tol is not None:
-        rv_kwargs["classify_tol"] = cfg.classify_tol
-        sv_kwargs["classify_tol"] = cfg.classify_tol
-        prof_kwargs["classify_tol"] = cfg.classify_tol
-    if cfg.value_tol is not None:
-        sv_kwargs["value_tol"] = cfg.value_tol
+        kwargs["grid"] = grid
 
-    index = rv_index(F, **rv_kwargs)
-    sv = sv_test(F, **sv_kwargs)
+    index = rv_index(F, lams, **kwargs)
+    sv = sv_test(F, lams, value_tol=value_tol, **kwargs)
     inputs = {
         "expr": cfg.expr,
         "canonical": canonical,
@@ -211,17 +202,14 @@ def _run_classify(cfg: RunConfig, mapper):
             rows.append((x, track.lam, est))
 
     if cfg.profile:
-        prof = exponent_profile(F, **prof_kwargs)
+        prof = exponent_profile(F, **kwargs)
         results["profile"] = prof
         verdicts["profile"] = prof.verdict.kind
     if cfg.claim is not None:
         claimed = _claimed_class(cfg.claim)
-        check_kwargs = {"lambdas": lams, "var": cfg.var, "tol": _quad_tol(cfg)}
-        if grid is not None:
-            check_kwargs["grid"] = grid
-        if cfg.classify_tol is not None:
-            check_kwargs["classify_tol"] = cfg.classify_tol
-        check = class_preservation_check(F, claimed, **check_kwargs)
+        check = class_preservation_check(
+            F, claimed, lambdas=lams, tol=_quad_tol(cfg), **kwargs
+        )
         results["preservation"] = check
         verdicts["preservation"] = (
             "holds" if (check.asserted and check.conclusion_holds) else "not_established"
@@ -229,17 +217,10 @@ def _run_classify(cfg: RunConfig, mapper):
     return inputs, results, verdicts, rows, True
 
 
-def _run_uct_scan(cfg: RunConfig, mapper):
+def _run_uct_scan(cfg: RunConfig):
     G, canonical = _parse_expr(_require(cfg.expr, "--g"))
     grid = _grid(cfg)
-    report = uct_scan(
-        G,
-        (cfg.u_lo, cfg.u_hi),
-        grid,
-        cfg.u_count,
-        **_scan_tols(cfg),
-        map_rows=mapper,
-    )
+    report = uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, *_tols(cfg))
     inputs = {
         "expr": cfg.expr,
         "canonical": canonical,
@@ -249,26 +230,11 @@ def _run_uct_scan(cfg: RunConfig, mapper):
     return inputs, {"scan": report}, {"scan": report.verdict}, _scan_rows(report), True
 
 
-def _scan_tols(cfg: RunConfig) -> dict:
-    out = {}
-    if cfg.classify_tol is not None:
-        out["classify_tol"] = cfg.classify_tol
-    if cfg.value_tol is not None:
-        out["value_tol"] = cfg.value_tol
-    return out
-
-
-def _run_uct_karamata(cfg: RunConfig, mapper):
+def _run_uct_karamata(cfg: RunConfig):
     F, canonical = _parse_expr(_require(cfg.expr, "--f"))
     grid = _grid(cfg)
     report = karamata_uct_check(
-        F,
-        (cfg.lambda_lo, cfg.lambda_hi),
-        grid,
-        cfg.lambda_count,
-        var=cfg.var,
-        **_scan_tols(cfg),
-        map_rows=mapper,
+        F, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, *_tols(cfg), var=cfg.var
     )
     inputs = {
         "expr": cfg.expr,
@@ -279,19 +245,12 @@ def _run_uct_karamata(cfg: RunConfig, mapper):
     return inputs, {"scan": report}, {"scan": report.verdict}, _scan_rows(report), True
 
 
-def _run_uct_guct(cfg: RunConfig, mapper):
+def _run_uct_guct(cfg: RunConfig):
     H, h_canonical = _parse_expr(_require(cfg.h_expr, "--h-expr"))
     m, m_canonical = _parse_expr(_require(cfg.m_expr, "--m-expr"))
     grid = _grid(cfg)
     report = guct_diagnose(
-        H,
-        m,
-        (cfg.u_lo, cfg.u_hi),
-        grid,
-        cfg.u_count,
-        cfg.samples,
-        **_scan_tols(cfg),
-        map_rows=mapper,
+        H, m, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, cfg.samples, *_tols(cfg)
     )
     inputs = {
         "h_expr": cfg.h_expr,
@@ -311,7 +270,7 @@ def _run_uct_guct(cfg: RunConfig, mapper):
     return inputs, {"diagnosis": report}, verdicts, _scan_rows(report.scan), True
 
 
-def _run_uct_hi(cfg: RunConfig, mapper):
+def _run_uct_hi(cfg: RunConfig):
     H, canonical = _parse_expr(_require(cfg.expr, "--h"))
     grid = _grid(cfg)
     xs = grid.points()
@@ -329,17 +288,12 @@ def _run_uct_hi(cfg: RunConfig, mapper):
     return inputs, {"hi": report}, {"hi": "ok" if report.ok else "violated"}, rows, True
 
 
-def _run_uct_cond310(cfg: RunConfig, mapper):
+def _run_uct_cond310(cfg: RunConfig):
     xi, canonical = _parse_expr(_require(cfg.expr, "--xi"))
     grid = _grid(cfg, start=1000.0, ratio=2.0, count=33) if cfg.integer_mode else _grid(cfg)
     report = condition_scan_310(
-        xi,
-        (cfg.lambda_lo, cfg.lambda_hi),
-        grid,
-        cfg.lambda_count,
-        var=cfg.var,
-        **_scan_tols(cfg),
-        map_rows=mapper,
+        xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, grid.integer_mode,
+        *_tols(cfg), var=cfg.var,
     )
     inputs = {
         "expr": cfg.expr,
@@ -350,15 +304,12 @@ def _run_uct_cond310(cfg: RunConfig, mapper):
     return inputs, {"scan": report}, {"scan": report.verdict}, _scan_rows(report), True
 
 
-def _run_uct_mult_closure(cfg: RunConfig, mapper):
+def _run_uct_mult_closure(cfg: RunConfig):
     f, canonical = _parse_expr(_require(cfg.expr, "--f"))
     lam = _require(cfg.lam, "--lambda")
     mu = _require(cfg.mu, "--mu")
     grid = _grid(cfg)
-    kwargs = {"var": cfg.var}
-    if cfg.classify_tol is not None:
-        kwargs["classify_tol"] = cfg.classify_tol
-    report = mult_closure_residual(f, lam, mu, grid, **kwargs)
+    report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, classify_tol=_tols(cfg)[0])
     inputs = {
         "expr": cfg.expr,
         "canonical": canonical,
@@ -379,7 +330,7 @@ def _run_uct_mult_closure(cfg: RunConfig, mapper):
     return inputs, {"closure": report}, verdicts, rows, True
 
 
-def _run_uct_expand_interval(cfg: RunConfig, mapper):
+def _run_uct_expand_interval(cfg: RunConfig):
     a = _require(cfg.a, "--a")
     b = _require(cfg.b, "--b")
     n = _require(cfg.n, "--n")
@@ -388,14 +339,13 @@ def _run_uct_expand_interval(cfg: RunConfig, mapper):
     return inputs, {"interval": {"lo": lo, "hi": hi}}, {}, [], True
 
 
-def _run_uct_asym(cfg: RunConfig, mapper):
+def _run_uct_asym(cfg: RunConfig):
     h, canonical = _parse_expr(_require(cfg.expr, "--h"))
     lam = _require(cfg.lam, "--lambda")
     grid = _grid(cfg, start=math.exp(9), ratio=math.e, count=8)
-    kwargs = {"var": cfg.var}
-    if cfg.classify_tol is not None:
-        kwargs["classify_tol"] = cfg.classify_tol
-    report = integral_asym_residual(h, lam, grid, cfg.bound, _quad_tol(cfg), **kwargs)
+    report = integral_asym_residual(
+        h, lam, grid, cfg.bound, _quad_tol(cfg), var=cfg.var, classify_tol=_tols(cfg)[0]
+    )
     inputs = {
         "expr": cfg.expr,
         "canonical": canonical,
@@ -576,10 +526,10 @@ def main(argv=None) -> int:
     try:
         file_values = load_config_file(args.config) if args.config else None
         cfg = merge_config(file_values, vars(args))
-        mapper = _mapper_from_env()
+        _check_threads_env()
         runner = _RUNNERS[command]
         t0 = time.perf_counter()
-        inputs, results, verdicts, rows, budget_ok = runner(cfg, mapper)
+        inputs, results, verdicts, rows, budget_ok = runner(cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         report = build_report(command, cfg, inputs, results, verdicts, elapsed_ms)
         if not budget_ok:

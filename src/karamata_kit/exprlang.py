@@ -433,7 +433,18 @@ def _eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"]):
     raise EvalError(f"not an expression node: {expr!r}")
 
 
+# np.power computes these powers exactly (x*x, sqrt(x), 1/x) when the exponent
+# is one value for a whole inner loop, as a scalar exponent is; otherwise it
+# calls the general pow, which can differ in the last bit
+_EXACT_POWERS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
+
+
 def _pow_array(base: np.ndarray, exponent: np.ndarray, node: Expr) -> np.ndarray:
+    # A column exponent holds one value per row, as the x-only terms of a
+    # scan grid do, so each row should get what a scalar exponent gets.
+    # Whether np.power's inner loop sees one value depends on numpy's
+    # buffering and the array sizes, so take the exact powers explicitly.
+    column = exponent.ndim >= 2 and exponent.shape[-1] == 1
     base, exponent = np.broadcast_arrays(base, exponent)
     negative = base < 0.0
     if np.any(negative):
@@ -446,6 +457,11 @@ def _pow_array(base: np.ndarray, exponent: np.ndarray, node: Expr) -> np.ndarray
     if np.any(zero & (exponent < 0.0)):
         raise DomainError(f"zero base with negative exponent in '{format_expr(node)}'")
     res = np.power(base, exponent)
+    if column:
+        for value, exact in _EXACT_POWERS:
+            hit = exponent == value
+            if np.any(hit):
+                res = np.where(hit, exact(base), res)
     if np.any(~np.isfinite(res)):
         raise DomainError(f"overflow in '{format_expr(node)}'")
     return res

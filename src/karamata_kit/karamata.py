@@ -68,6 +68,8 @@ def apply_L_detailed(
     var: str = "x",
 ) -> OperatorValue:
     """Like :func:`apply_L` but keeps the quadrature diagnostics."""
+    if not math.isfinite(x):
+        raise PreconditionError(f"apply_L needs a finite x, got {x!r}")
     if x < 1.0:
         raise PreconditionError(f"apply_L needs x >= 1, got {x!r}")
     if abs(x - 1.0) <= NEAR_ONE_DELTA:
@@ -99,6 +101,8 @@ def apply_L_points(
     """``L(h)`` along an ascending list of points with one shared cache."""
     previous = None
     for x in points:
+        if not math.isfinite(x):
+            raise PreconditionError(f"grid point {x!r} is not finite")
         if x < 1.0:
             raise PreconditionError(f"grid point {x!r} is below 1")
         if previous is not None and x < previous:

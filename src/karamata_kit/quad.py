@@ -215,6 +215,8 @@ def integrate_log(
 
     ``var`` names the integration variable inside ``h``.
     """
+    if not math.isfinite(x):
+        raise PreconditionError(f"integrate_log needs a finite x, got {x!r}")
     if x < 1.0:
         raise PreconditionError(f"integrate_log needs x >= 1, got {x!r}")
     if x == 1.0:

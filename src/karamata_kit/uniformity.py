@@ -1,9 +1,10 @@
 """Uniform-convergence scans and residual diagnostics.
 
-The scanners share one shape: evaluate a residual over an (x, parameter)
-grid, take per-x suprema (grid maximum plus one local refinement pass
-around the argmax, since interior peaks can fall between grid points), and
-classify the supremum sequence.  A Uniform verdict is grid-relative; a
+The scanners share one vectorized kernel: evaluate a residual once over the
+broadcast (x, parameter) grid, take per-x suprema (grid maximum plus one
+local refinement pass around the argmax, since interior peaks can fall
+between grid points; all rows are refined as one batch), and classify the
+supremum sequence.  A Uniform verdict is grid-relative; a
 NotUniform verdict exhibits a witness: the tail of the supremum sequence
 stays above a positive floor while no longer decreasing.
 
@@ -69,62 +70,62 @@ class ScanReport:
     note: str = ""
 
 
-def _refined_supremum(row_fn, params: np.ndarray, base_row: np.ndarray):
-    """Grid max of |base_row| improved by one refinement pass at the argmax."""
-    j = int(np.argmax(np.abs(base_row)))
-    lo = params[max(j - 1, 0)]
-    hi = params[min(j + 1, params.size - 1)]
-    sup = float(np.abs(base_row[j]))
-    arg = float(params[j])
-    if hi > lo:
-        fine = np.linspace(lo, hi, REFINE_COUNT)
-        fine_row = np.abs(row_fn(fine))
-        k = int(np.argmax(fine_row))
-        if float(fine_row[k]) > sup:
-            sup = float(fine_row[k])
-            arg = float(fine[k])
-    return sup, arg
+def _grid_suprema(grid_fn, xs: np.ndarray, params: np.ndarray):
+    """Residual matrix, and each row's max ``|residual|`` and its parameter,
+    refined once on ``REFINE_COUNT`` points around every argmax at once."""
+    rows = grid_fn(xs, params[None, :])
+    magnitude = np.abs(rows)
+    j = np.argmax(magnitude, axis=1)
+    suprema = magnitude[np.arange(xs.size), j]
+    sup_params = params[j]
+    lo = params[np.maximum(j - 1, 0)]
+    hi = params[np.minimum(j + 1, params.size - 1)]
+    refine = np.flatnonzero(hi > lo)
+    if refine.size:
+        fine = np.linspace(lo[refine], hi[refine], REFINE_COUNT, axis=1)
+        fine_rows = np.abs(grid_fn(xs[refine], fine))
+        k = np.argmax(fine_rows, axis=1)
+        best = fine_rows[np.arange(refine.size), k]
+        better = best > suprema[refine]
+        suprema[refine[better]] = best[better]
+        sup_params[refine[better]] = fine[better, k[better]]
+    return rows, suprema, sup_params
 
 
 def _scan(
-    row_fn,
+    grid_fn,
     xs: np.ndarray,
     params: np.ndarray,
     classify_tol: float,
     value_tol: float,
-    map_rows=None,
 ) -> ScanReport:
-    """Shared scan driver.  ``row_fn(x, params) -> signed residual row``."""
-    mapper = map_rows if map_rows is not None else (lambda fn, items: [fn(i) for i in items])
+    """Scan ``grid_fn`` over the (x, parameter) grid and classify the suprema.
 
-    def one_row(x: float):
-        try:
-            row = np.asarray(row_fn(x, params), dtype=float)
-            sup, arg = _refined_supremum(lambda p: row_fn(x, p), params, row)
-        except EvalError as exc:
-            raise type(exc)(f"{exc} (scan row x = {x!r})") from exc
-        return row, sup, arg
-
-    computed = mapper(one_row, [float(x) for x in xs])
-    rows = np.vstack([c[0] for c in computed])
-    suprema = np.array([c[1] for c in computed])
-    sup_params = np.array([c[2] for c in computed])
-
-    column_verdicts = None
-    if xs.size >= MIN_SAMPLES:
-        column_verdicts = tuple(
-            classify_limit(rows[:, j], classify_tol) for j in range(params.size)
-        )
+    ``grid_fn(xs, ps)`` returns the ``(n, m)`` signed residuals of ``n`` x
+    values against parameters of shape ``(1, m)`` or ``(n, m)``.  When the
+    grid fails, the rows are walked in order so the error names the first
+    failing x."""
+    try:
+        rows, suprema, sup_params = _grid_suprema(grid_fn, xs, params)
+    except (EvalError, PreconditionError):
+        for i, x in enumerate(xs.tolist()):
+            try:
+                _grid_suprema(grid_fn, xs[i : i + 1], params)
+            except EvalError as exc:
+                raise type(exc)(f"{exc} (scan row x = {x!r})") from exc
+        raise
 
     if xs.size < MIN_SAMPLES:
-        verdict, witness, floor, sup_verdict = (
+        verdict, witness, floor, sup_verdict, column_verdicts = (
             "inconclusive",
+            None,
             None,
             None,
             None,
         )
         note = f"fewer than {MIN_SAMPLES} x samples; suprema not classified"
     else:
+        column_verdicts = tuple(classify_limit(column, classify_tol) for column in rows.T)
         sup_verdict = classify_limit(suprema, classify_tol)
         tail = suprema[suprema.size // 2 :]
         floor = float(np.min(tail))
@@ -142,11 +143,11 @@ def _scan(
             note = "suprema neither settled below tolerance nor stabilized above it"
 
     return ScanReport(
-        xs=tuple(float(x) for x in xs),
-        params=tuple(float(p) for p in params),
-        residuals=tuple(tuple(float(v) for v in row) for row in rows),
-        suprema=tuple(float(s) for s in suprema),
-        sup_params=tuple(float(p) for p in sup_params),
+        xs=tuple(xs.tolist()),
+        params=tuple(params.tolist()),
+        residuals=tuple(map(tuple, rows.tolist())),
+        suprema=tuple(suprema.tolist()),
+        sup_params=tuple(sup_params.tolist()),
         verdict=verdict,
         witness_param=witness,
         floor=floor,
@@ -170,7 +171,6 @@ def uct_scan(
     u_count: int = REFINE_COUNT,
     classify_tol: float = RATIO_CLASSIFY_TOL,
     value_tol: float = VALUE_TOL,
-    map_rows=None,
 ) -> ScanReport:
     """Scan ``|G(x, u)|`` for uniform smallness in u as x grows."""
     a, b = _check_interval(u_interval, "u interval")
@@ -179,10 +179,11 @@ def uct_scan(
     xs = np.asarray(x_grid.points())
     params = np.linspace(a, b, u_count)
 
-    def row_fn(x: float, ps: np.ndarray) -> np.ndarray:
-        return np.abs(eval_array(G, {"x": x, "u": ps}))
+    def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        # x as a column keeps x-only terms at one value per row
+        return np.abs(eval_array(G, {"x": xs[:, None], "u": ps}))
 
-    return _scan(row_fn, xs, params, classify_tol, value_tol, map_rows)
+    return _scan(grid_fn, xs, params, classify_tol, value_tol)
 
 
 def karamata_uct_check(
@@ -193,7 +194,6 @@ def karamata_uct_check(
     classify_tol: float = RATIO_CLASSIFY_TOL,
     value_tol: float = VALUE_TOL,
     var: str = "x",
-    map_rows=None,
 ) -> ScanReport:
     """Scan the slow-variation residual ``F(lam x)/F(x) - 1`` over a compact
     lambda window.  Uniform decay of the suprema is the numerical face of
@@ -206,16 +206,22 @@ def karamata_uct_check(
     xs = np.asarray(x_grid.points())
     params = np.linspace(a, b, lambda_count)
 
-    def row_fn(x: float, ps: np.ndarray) -> np.ndarray:
-        base = eval_array(F, {var: np.asarray([x])})
-        if base[0] <= 0:
-            raise PreconditionError(f"F must be positive; failed at x = {x!r}")
-        shifted = eval_array(F, {var: ps * x})
-        if np.any(shifted <= 0):
-            raise PreconditionError(f"F must be positive on the lambda window at x = {x!r}")
-        return np.abs(shifted / base[0] - 1.0)
+    def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        # F(x) on the flat xs, not a column, takes the same pow path as
+        # F(lam x), so the residual at lam = 1 is exactly 0
+        base = eval_array(F, {var: xs})
+        bad = np.flatnonzero(base <= 0)
+        if bad.size:
+            raise PreconditionError(f"F must be positive; failed at x = {float(xs[bad[0]])!r}")
+        shifted = eval_array(F, {var: ps * xs[:, None]})
+        bad = np.flatnonzero(np.any(shifted <= 0, axis=1))
+        if bad.size:
+            raise PreconditionError(
+                f"F must be positive on the lambda window at x = {float(xs[bad[0]])!r}"
+            )
+        return np.abs(shifted / base[:, None] - 1.0)
 
-    return _scan(row_fn, xs, params, classify_tol, value_tol, map_rows)
+    return _scan(grid_fn, xs, params, classify_tol, value_tol)
 
 
 def condition_scan_310(
@@ -227,7 +233,6 @@ def condition_scan_310(
     classify_tol: float = RATIO_CLASSIFY_TOL,
     value_tol: float = VALUE_TOL,
     var: str = "x",
-    map_rows=None,
 ) -> ScanReport:
     """Scan ``(xi(lam x) - xi(x)) * ln x`` over a lambda window.
 
@@ -246,12 +251,13 @@ def condition_scan_310(
     xs = np.asarray(x_grid.points())
     params = np.linspace(a, b, lambda_count)
 
-    def row_fn(x: float, ps: np.ndarray) -> np.ndarray:
-        at_x = eval_array(xi, {var: np.asarray([x])})[0]
-        at_lx = eval_array(xi, {var: ps * x})
-        return (at_lx - at_x) * math.log(x)
+    def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        at_x = eval_array(xi, {var: xs})  # flat, as in karamata_uct_check
+        at_lx = eval_array(xi, {var: ps * xs[:, None]})
+        ln_x = np.array([math.log(x) for x in xs.tolist()])
+        return (at_lx - at_x[:, None]) * ln_x[:, None]
 
-    return _scan(row_fn, xs, params, classify_tol, value_tol, map_rows)
+    return _scan(grid_fn, xs, params, classify_tol, value_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +364,6 @@ def guct_diagnose(
     sample_count: int = 1000,
     classify_tol: float = RATIO_CLASSIFY_TOL,
     value_tol: float = VALUE_TOL,
-    map_rows=None,
 ) -> GuctReport:
     """Full diagnosis for the product form ``G = H * m``.
 
@@ -393,7 +398,7 @@ def guct_diagnose(
         if not (verdict.converges and abs(verdict.value) <= value_tol):
             pointwise_ok = False
 
-    scan = uct_scan(G, (a, b), x_grid, u_count, classify_tol, value_tol, map_rows)
+    scan = uct_scan(G, (a, b), x_grid, u_count, classify_tol, value_tol)
     return GuctReport(
         hi=hi,
         monotone_ok=monotone_ok,
@@ -477,7 +482,13 @@ def interval_expand(a: float, b: float, n: int) -> tuple[float, float]:
         raise PreconditionError(f"n must be nonnegative, got {n!r}")
     if n == 0:
         return (float(a), float(b))
-    return ((a / b) ** n, (b / a) ** n)
+    try:
+        hi = (b / a) ** n
+    except OverflowError:
+        hi = math.inf
+    if not math.isfinite(hi):
+        raise PreconditionError(f"(b/a)^n overflows for a={a!r}, b={b!r}, n={n!r}")
+    return ((a / b) ** n, hi)
 
 
 # ---------------------------------------------------------------------------

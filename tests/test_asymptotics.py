@@ -45,6 +45,20 @@ def test_grid_validation():
     GeometricGrid(10.0, 1.0, 8, integer_mode=True)
 
 
+@pytest.mark.parametrize(
+    "start, ratio, count, integer_mode",
+    [
+        (10.0, 1e300, 8, False),  # ratio**k overflows
+        (1e300, 1e10, 3, False),  # start * ratio**k overflows
+        (math.inf, 10.0, 8, False),
+        (math.inf, 2.0, 8, True),
+    ],
+)
+def test_grid_rejects_non_finite_last_point(start, ratio, count, integer_mode):
+    with pytest.raises(PreconditionError, match="finite"):
+        GeometricGrid(start, ratio, count, integer_mode)
+
+
 # ---------------------------------------------------------------------------
 # sequence classification
 

@@ -113,6 +113,22 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
     assert err.startswith("error: ") and "--lambdas" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uct", "expand-interval", "--a", "1", "--b", "2", "--n", "2000"],
+        ["classify", "ln(x)", "--ratio", "1e300"],
+        ["apply-l", "ln(x)", "--grid-start", "1e300", "--ratio", "1e10", "--count", "8"],
+    ],
+)
+def test_overflow_exits_3_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "overflow" in err
+
+
 def test_budget_is_hard_across_a_grid_sweep(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,6 +1,7 @@
 """Operator tests: fixed points, linearity, the symbolic inverse, grids."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def test_near_one_shortcut():
 def test_x_below_one_rejected():
     with pytest.raises(PreconditionError):
         apply_L(parse("1"), 0.999)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_is_rejected(x):
+    h = parse("sin(x)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        with pytest.raises(PreconditionError, match="finite"):
+            apply_L_detailed(h, x)
+        with pytest.raises(PreconditionError, match="finite"):
+            apply_L_points(h, [10.0, x])
 
 
 def test_quad_diagnostics_attached_away_from_one():

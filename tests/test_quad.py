@@ -9,6 +9,7 @@ The Si values were frozen from an independent scipy.special.sici run.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ def test_x_equal_one_is_zero_with_no_evaluations():
 def test_x_below_one_rejected():
     with pytest.raises(PreconditionError):
         integrate_log(parse("1"), 0.5)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_is_rejected(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        with pytest.raises(PreconditionError, match="finite"):
+            integrate_log(parse("sin(x)"), x)
 
 
 def test_tolerance_validation():

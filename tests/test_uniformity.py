@@ -23,7 +23,7 @@ from karamata_kit import (
     parse,
     uct_scan,
 )
-from karamata_kit.exprlang import EvalError
+from karamata_kit.exprlang import EvalError, eval_array
 from karamata_kit.uniformity import halton_points
 
 X_GRID = GeometricGrid(10.0, 10.0, 8)
@@ -85,11 +85,82 @@ def test_scan_reports_offending_x_on_evaluation_error():
     with pytest.raises(EvalError) as exc:
         uct_scan(parse("ln(u - 2)/x"), (0.0, 1.0), X_GRID)
     assert "scan row x" in str(exc.value)
+    assert str(exc.value).endswith("(scan row x = 10.0)")
+    # the first failing row is named, not the first row or the last one
+    for text, x in [("u/(x - 1000)", "1000.0"), ("sqrt(1000 - x)*u", "10000.0"),
+                    ("u/(x*u - 50)", "100.0")]:
+        with pytest.raises(EvalError) as exc:
+            uct_scan(parse(text), (0.0, 1.0), X_GRID)
+        assert str(exc.value).endswith(f"(scan row x = {x})")
 
 
 def test_scan_column_verdicts_cover_every_param():
     rep = uct_scan(parse("u/x"), (0.0, 1.0), X_GRID, u_count=9)
     assert len(rep.column_verdicts) == 9
+
+
+def _row_by_row(row_fn, xs, params):
+    """Reference scan: one x row at a time, refined once at each argmax."""
+    rows, suprema, sup_params = [], [], []
+    for x in xs:
+        row = row_fn(x, params)
+        j = int(np.argmax(np.abs(row)))
+        sup, arg = float(np.abs(row[j])), float(params[j])
+        lo, hi = params[max(j - 1, 0)], params[min(j + 1, params.size - 1)]
+        if hi > lo:
+            fine = np.linspace(lo, hi, 33)
+            fine_row = np.abs(row_fn(x, fine))
+            k = int(np.argmax(fine_row))
+            if float(fine_row[k]) > sup:
+                sup, arg = float(fine_row[k]), float(fine[k])
+        rows.append(tuple(float(v) for v in row))
+        suprema.append(sup)
+        sup_params.append(arg)
+    return tuple(rows), tuple(suprema), tuple(sup_params)
+
+
+def _f_at(expr, x):
+    return eval_array(expr, {"x": np.asarray([x])})[0]
+
+
+@pytest.mark.parametrize(
+    "kind, text, window, grid",
+    [
+        ("uct", "x*u*exp(-x*u)", (1e-3, 1.0), GeometricGrid(2.0, 2.0, 12)),
+        ("uct", "sin(x*u)/ln(x)", (-1.0, 2.0), GeometricGrid(3.0, 1.5, 20)),
+        # x-only exponents hit 2, 0.5 and -1 exactly, where np.power has a
+        # shortcut that the row scan took
+        ("uct", "u^x/2^x", (0.5, 1.9), GeometricGrid(2.0, 1.3, 10)),
+        ("uct", "(x*u)^(1/x) + u^(x - 3) + pow(x, 4 - x)", (0.5, 1.9), GeometricGrid(2.0, 1.5, 9)),
+        ("karamata", "exp(sin(x))", (0.5, 2.0), X_GRID),
+        ("karamata", "x^0.5*ln(x)", (1.0, 3.0), GeometricGrid(5.0, 1.7, 15)),
+        # F(x) keeps the general pow for exponents that depend on x
+        ("karamata", "x^(x/x + 1) + x^(x/x - 2)", (1.0, 2.0), GeometricGrid(3.0, 1.3, 20)),
+        ("cond310", "sin(x)/ln(x)", (0.5, 2.0), GeometricGrid(1000.0, 2.0, 33, True)),
+        ("cond310", "ln(ln(x))/ln(x)", (0.2, 5.0), GeometricGrid(10.0, 3.0, 9)),
+        ("cond310", "x^(x/x + 1)/x^2 + x^(x/x - 2)", (0.5, 2.0), GeometricGrid(3.0, 1.3, 20)),
+    ],
+)
+def test_scan_is_bit_identical_to_row_by_row_reference(kind, text, window, grid):
+    expr = parse(text)
+    params = np.linspace(window[0], window[1], 33)
+    if kind == "uct":
+        rep = uct_scan(expr, window, grid)
+        row_fn = lambda x, ps: np.abs(eval_array(expr, {"x": x, "u": ps}))  # noqa: E731
+    elif kind == "karamata":
+        rep = karamata_uct_check(expr, window, grid)
+        row_fn = lambda x, ps: np.abs(  # noqa: E731
+            eval_array(expr, {"x": ps * x}) / _f_at(expr, x) - 1.0
+        )
+    else:
+        rep = condition_scan_310(expr, window, grid)
+        row_fn = lambda x, ps: (  # noqa: E731
+            (eval_array(expr, {"x": ps * x}) - _f_at(expr, x)) * math.log(x)
+        )
+    rows, suprema, sup_params = _row_by_row(row_fn, grid.points(), params)
+    assert rep.residuals == rows
+    assert rep.suprema == suprema
+    assert rep.sup_params == sup_params
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +183,31 @@ def test_karamata_scan_flags_oscillating_function():
     rep = karamata_uct_check(parse("exp(sin(x))"), (1.0, 2.0), X_GRID)
     assert rep.verdict == "not_uniform"
     assert rep.floor > 0.5
+
+
+@pytest.mark.parametrize(
+    "text, window, grid, error, message",
+    [
+        ("x - 100", (1.0, 2.0), X_GRID, PreconditionError,
+         "F must be positive; failed at x = 10.0"),
+        # the window fails at x = 80 before the base value fails at x = 160
+        ("150 - x", (0.5, 2.0), GeometricGrid(10.0, 2.0, 8), PreconditionError,
+         "F must be positive on the lambda window at x = 80.0"),
+        # the base value fails at x = 100 before the window fails at x = 1e4
+        ("(x - 100)^2 * (5000 - x)", (0.5, 0.9), X_GRID, PreconditionError,
+         "F must be positive; failed at x = 100.0"),
+        ("(x - 500)^2", (1.0, 2.0), GeometricGrid(100.0, 2.0, 8), PreconditionError,
+         "F must be positive on the lambda window at x = 400.0"),
+        ("ln(x - 50)", (0.1, 1.0), GeometricGrid(60.0, 1.5, 8), EvalError,
+         "ln of non-positive value in 'ln(x - 50.0)' (scan row x = 60.0)"),
+        ("ln(x - 55)", (0.9, 1.0), GeometricGrid(40.0, 1.5, 8), EvalError,
+         "ln of non-positive value in 'ln(x - 55.0)' (scan row x = 40.0)"),
+    ],
+)
+def test_karamata_scan_names_the_first_failing_row(text, window, grid, error, message):
+    with pytest.raises(error) as exc:
+        karamata_uct_check(parse(text), window, grid)
+    assert str(exc.value) == message
 
 
 def test_karamata_scan_requires_positive_f():
@@ -301,6 +397,14 @@ def test_expand_dyadic_is_exact():
         if n:
             assert lo == 2.0**-n
             assert hi == 2.0**n
+
+
+def test_expand_rejects_overflow():
+    with pytest.raises(PreconditionError, match="overflow"):
+        interval_expand(1.0, 2.0, 2000)
+    with pytest.raises(PreconditionError, match="overflow"):
+        interval_expand(1e-300, 1e300, 1)
+    assert interval_expand(1.0, 2.0, 1023) == (2.0**-1023, 2.0**1023)
 
 
 def test_expand_validation():
