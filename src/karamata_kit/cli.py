@@ -5,11 +5,15 @@ domain error, 4 quadrature budget exhausted (report still written), 5
 unexpected internal error.  KARAMATA_KIT_THREADS must be an integer when
 set (exit 2 otherwise), but it selects nothing at present: uniformity scans
 run as one vectorized kernel over the whole (x, parameter) grid.
+
+``main`` may be called repeatedly in one process: each call parses only its
+own arguments, and the parser is built once, at the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -404,7 +408,11 @@ def _add_classify_tols(p):
     p.add_argument("--value-tol", type=float, default=None)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  ``parse_args`` returns a
+    fresh namespace on every call and every default is None, so reusing the
+    parser carries no state from one ``main`` call to the next."""
     top = argparse.ArgumentParser(
         prog="karamata-kit",
         description="Numerical toolkit for slow variation and log-averaged operators.",

@@ -253,6 +253,8 @@ class IntegralCache:
         budget the earlier ones left.  With less than one panel (15
         evaluations) left, the frontier moves without integrating and the
         cache is marked not converged."""
+        if not math.isfinite(x_next):
+            raise PreconditionError(f"cache extend needs a finite x, got {x_next!r}")
         if x_next < self.frontier:
             raise PreconditionError(
                 f"cache frontier is {self.frontier!r}, cannot move back to {x_next!r}"

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 REPORT_VERSION = 1
@@ -20,18 +21,26 @@ REPORT_VERSION = 1
 __all__ = ["REPORT_VERSION", "to_jsonable", "build_report", "render_json", "render_csv", "emit"]
 
 
+_LEAF_TYPES = (int, str, bool, type(None))
+
+
 def to_jsonable(obj):
     """Recursively convert dataclasses/arrays/tuples into JSON-ready data."""
+    # exact-type leaves first: reports are mostly plain floats and strings
+    kind = type(obj)
+    if kind is float:
+        if math.isfinite(obj):
+            return obj
+    elif kind in _LEAF_TYPES:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        # numpy scalar
-        return to_jsonable(obj.item())
     if hasattr(obj, "tolist"):
+        # numpy scalar or array of any shape
         return to_jsonable(obj.tolist())
     if isinstance(obj, float) and obj != obj:
         return "nan"

@@ -157,6 +157,15 @@ def _scan(
     )
 
 
+def _check_product(lam: float, x: float, what: str) -> None:
+    """Reject a scan whose largest shifted argument ``lam * x`` overflows.
+
+    Both factors are positive and the product is monotone in each, so
+    checking the largest pair covers the whole grid."""
+    if not math.isfinite(lam * x):
+        raise PreconditionError(f"{what} overflows: {lam!r} * {x!r} is not finite")
+
+
 def _check_interval(interval, what: str) -> tuple[float, float]:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -204,6 +213,7 @@ def karamata_uct_check(
     if lambda_count < MIN_PARAM_COUNT:
         raise PreconditionError(f"lambda_count must be >= {MIN_PARAM_COUNT}")
     xs = np.asarray(x_grid.points())
+    _check_product(b, float(xs.max()), "lam * x")
     params = np.linspace(a, b, lambda_count)
 
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -249,6 +259,7 @@ def condition_scan_310(
     if integer_mode and not x_grid.integer_mode:
         x_grid = GeometricGrid(x_grid.start, x_grid.ratio, x_grid.count, integer_mode=True)
     xs = np.asarray(x_grid.points())
+    _check_product(b, float(xs.max()), "lam * x")
     params = np.linspace(a, b, lambda_count)
 
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -263,19 +274,37 @@ def condition_scan_310(
 # ---------------------------------------------------------------------------
 # low-discrepancy inequality check
 
+_HALTON_BASES = (2, 3, 5, 7, 11, 13)
+_HALTON_BLOCK = 8192  # indices per pass; keeps the work arrays small
+
+
 def halton_points(count: int, dims: int, skip: int = 20) -> np.ndarray:
-    """Deterministic Halton sequence in (0, 1)^dims (bases 2, 3, 5, ...)."""
-    bases = (2, 3, 5, 7, 11, 13)[:dims]
+    """Deterministic Halton sequence in (0, 1)^dims (bases 2, 3, 5, ...).
+
+    Point ``i`` is the radical inverse of ``i + 1 + skip``.  The digits of
+    a block of indices are peeled off at once, in the order of the scalar
+    loop (``f /= base``, then ``value += digit * f``); indices that have run
+    out of digits add an exact 0.0, so every point is bit-identical to the
+    one-index-at-a-time result."""
+    if not 1 <= dims <= len(_HALTON_BASES):
+        raise PreconditionError(f"dims must be in 1..{len(_HALTON_BASES)}, got {dims!r}")
+    if count < 0 or skip < 0:
+        raise PreconditionError(f"count and skip must be >= 0, got {count!r}, {skip!r}")
+    if count + skip > np.iinfo(np.int64).max:
+        raise PreconditionError(f"count + skip must fit in int64, got {count + skip!r}")
     out = np.empty((count, dims))
-    for d, base in enumerate(bases):
-        for i in range(count):
-            n = i + 1 + skip
-            value, f = 0.0, 1.0
-            while n > 0:
+    for start in range(0, count, _HALTON_BLOCK):
+        stop = min(start + _HALTON_BLOCK, count)
+        indices = np.arange(start + 1 + skip, stop + 1 + skip, dtype=np.int64)
+        for d, base in enumerate(_HALTON_BASES[:dims]):
+            n, value, f = indices, np.zeros(stop - start), 1.0
+            # n is ascending, and stays so under floor division: the last
+            # index is the last to run out of digits
+            while n[-1] > 0:
                 f /= base
-                n, digit = divmod(n, base)
+                n, digit = np.divmod(n, base)
                 value += digit * f
-            out[i, d] = value
+            out[start:stop, d] = value
     return out
 
 
@@ -311,6 +340,18 @@ class HiReport:
     ok: bool
 
 
+def _finite_sum(a, b) -> np.ndarray:
+    """``a + b`` for hi_check's sample points, which must not overflow.
+
+    A factor in (0, 1) times a finite span cannot overflow, and an infinite
+    span gives an exact inf, so the sum is the only step to guard."""
+    with np.errstate(over="ignore"):
+        total = a + b
+    if not np.isfinite(total).all():
+        raise PreconditionError("hi_check overflows: a sample point, x + u or u + v is not finite")
+    return total
+
+
 def hi_check(H: Expr, sample_count: int, region: Region) -> HiReport:
     """Check ``H(x, u) <= H(x+u, v) + H(x, u+v)`` on Halton samples.
 
@@ -320,12 +361,14 @@ def hi_check(H: Expr, sample_count: int, region: Region) -> HiReport:
     if sample_count < 1:
         raise PreconditionError("sample_count must be positive")
     unit = halton_points(sample_count, 3)
-    xs = region.x[0] + unit[:, 0] * (region.x[1] - region.x[0])
-    us = region.u[0] + unit[:, 1] * (region.u[1] - region.u[0])
-    vs = region.v[0] + unit[:, 2] * (region.v[1] - region.v[0])
+    xs = _finite_sum(region.x[0], unit[:, 0] * (region.x[1] - region.x[0]))
+    us = _finite_sum(region.u[0], unit[:, 1] * (region.u[1] - region.u[0]))
+    vs = _finite_sum(region.v[0], unit[:, 2] * (region.v[1] - region.v[0]))
 
     lhs = eval_array(H, {"x": xs, "u": us})
-    rhs = eval_array(H, {"x": xs + us, "u": vs}) + eval_array(H, {"x": xs, "u": us + vs})
+    rhs = eval_array(H, {"x": _finite_sum(xs, us), "u": vs}) + eval_array(
+        H, {"x": xs, "u": _finite_sum(us, vs)}
+    )
     slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     bad = lhs > rhs + slack
     violations = tuple(
@@ -438,6 +481,9 @@ def mult_closure_residual(
     if lam <= 0 or mu <= 0:
         raise PreconditionError("lam and mu must be positive")
     xs = np.asarray(x_grid.points())
+    x_max = float(xs.max())
+    _check_product(lam, x_max, "lam * x")
+    _check_product(mu, lam * x_max, "mu * (lam * x)")
     lnx = np.log(xs)
     f_base = eval_array(f, {var: xs})
     f_lam = eval_array(f, {var: lam * xs})
@@ -536,6 +582,7 @@ def integral_asym_residual(
     xs = np.asarray(x_grid.points())
     if xs[0] <= 1.0:
         raise PreconditionError("x grid must start above 1")
+    _check_product(lam, float(xs.max()), "lam * x")
 
     sample = np.geomspace(1.0, lam * xs[-1], 512)
     h_vals = eval_array(h, {var: sample})

@@ -4,12 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import karamata_kit
+from karamata_kit.asymptotics import DEFAULT_LAMBDAS
 from karamata_kit.cli import main
 
 REPORT_KEYS = ["command", "config", "inputs", "results", "timing_ms", "verdicts", "version"]
@@ -119,6 +124,12 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
         ["uct", "expand-interval", "--a", "1", "--b", "2", "--n", "2000"],
         ["classify", "ln(x)", "--ratio", "1e300"],
         ["apply-l", "ln(x)", "--grid-start", "1e300", "--ratio", "1e10", "--count", "8"],
+        ["uct", "hi", "--h", "abs(ln(x+u)-ln(x))", "--grid-start", "1e307", "--ratio", "1.5",
+         "--count", "8", "--u-hi", "1e308"],
+        ["uct", "karamata", "--f", "ln(x)", "--a", "1", "--b", "1e308"],
+        ["uct", "cond310", "--xi", "1/ln(x)", "--lambda-lo", "1", "--lambda-hi", "1e308"],
+        ["uct", "mult-closure", "--f", "ln(x)", "--lambda", "1e300", "--mu", "1e300"],
+        ["uct", "asym", "--h", "1", "--lambda", "1e308"],
     ],
 )
 def test_overflow_exits_3_with_one_error_line(capsys, argv):
@@ -149,6 +160,55 @@ def test_version_flag(capsys):
     code, out, err = run_cli(capsys, ["--version"])
     assert code == 0
     assert "karamata-kit" in out + err
+
+
+def _fresh_process(argv):
+    src = str(Path(karamata_kit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "karamata_kit.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _without_timing(text):
+    return re.sub(r'"timing_ms": [^,\n]+', '"timing_ms": 0', text)
+
+
+def test_main_called_repeatedly_sees_only_its_own_flags(capsys, tmp_path):
+    target = tmp_path / "first.json"
+    code, out, _ = run_cli(
+        capsys, ["classify", "ln(x)", "--lambdas", "2,10", "--out", str(target)]
+    )
+    assert code == 0 and out == ""
+    first = target.read_text()
+    assert json.loads(first)["inputs"]["lambdas"] == [2.0, 10.0]
+
+    later = [
+        ["classify", "ln(x)"],
+        ["classify", "ln(x)", "--lambdas"],  # parse error: the flag needs a value
+        ["--version"],
+        ["invert-l", "ln(x)"],
+    ]
+    runs = [run_cli(capsys, argv) for argv in later]
+    assert target.read_text() == first  # the earlier --out is not reused
+
+    code, out, err = runs[0]
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["inputs"]["lambdas"] == list(DEFAULT_LAMBDAS)
+    assert report["config"]["lambdas"] is None and report["config"]["out"] is None
+    assert runs[1][0] == 2 and runs[1][1] == ""
+    assert runs[2][0] == 0 and "karamata-kit" in runs[2][1]
+    assert json.loads(runs[3][1])["results"]["inverse"] == "2.0 * ln(x)"
+
+    for argv, (code, out, err) in zip(later, runs):
+        fresh_code, fresh_out, fresh_err = _fresh_process(argv)
+        assert code == fresh_code, argv
+        assert _without_timing(out) == _without_timing(fresh_out), argv
+        assert err == fresh_err, argv
 
 
 def test_console_script_is_installed():

@@ -209,6 +209,17 @@ def test_cache_accumulates_evaluation_counts():
     assert b.converged
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_cache_rejects_non_finite_x(x):
+    cache = IntegralCache(parse("1"))
+    cache.extend(10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        with pytest.raises(PreconditionError, match="finite"):
+            cache.extend(x)
+    assert cache.frontier == 10.0
+
+
 def test_cache_with_less_than_one_panel_left_evaluates_nothing():
     cache = IntegralCache(parse("sin(x)"), tol=QuadTolerance(max_evals=20))
     first = cache.extend(1e3)

@@ -266,6 +266,42 @@ def test_halton_points_are_deterministic_and_in_unit_cube():
     assert np.all((a > 0.0) & (a < 1.0))
 
 
+def _halton_reference(count, dims, skip):
+    # the scalar radical-inverse loop, one index at a time
+    bases = (2, 3, 5, 7, 11, 13)[:dims]
+    out = np.empty((count, dims))
+    for d, base in enumerate(bases):
+        for i in range(count):
+            n = i + 1 + skip
+            value, f = 0.0, 1.0
+            while n > 0:
+                f /= base
+                n, digit = divmod(n, base)
+                value += digit * f
+            out[i, d] = value
+    return out
+
+
+@pytest.mark.parametrize("skip", [0, 20, 999, 10**9])
+@pytest.mark.parametrize("count", [0, 1, 7, 10_000])
+def test_halton_points_match_the_scalar_loop_bit_for_bit(count, skip):
+    got = halton_points(count, 6, skip=skip)
+    want = _halton_reference(count, 6, skip)
+    assert got.shape == want.shape == (count, 6)
+    assert got.tobytes() == want.tobytes()
+    for dims in range(1, 6):
+        assert halton_points(count, dims, skip=skip).tobytes() == want[:, :dims].tobytes()
+
+
+@pytest.mark.parametrize(
+    "count, dims, skip",
+    [(5, 0, 20), (5, 7, 20), (5, -1, 20), (-1, 3, 20), (5, 3, -1), (5, 3, 2**63)],
+)
+def test_halton_points_reject_bad_arguments(count, dims, skip):
+    with pytest.raises(PreconditionError):
+        halton_points(count, dims, skip=skip)
+
+
 def test_hi_holds_for_log_increment():
     rep = hi_check(
         parse("abs(ln(x+u) - ln(x))"),
