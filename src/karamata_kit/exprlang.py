@@ -8,8 +8,11 @@ exponent, and identifiers as free variables.  Precedence, tightest first:
 
 Expressions are immutable trees.  Evaluation is strict about domains:
 ``ln`` of a non-positive value, ``sqrt`` of a negative value, division by
-zero, and a non-positive base raised to a non-integer power all raise
-:class:`DomainError` instead of propagating NaN.
+zero, a non-positive base raised to a non-integer power, and a value that
+is not finite all raise :class:`DomainError` instead of propagating NaN or
+infinity.  Finiteness is checked on the result of each call, not on every
+node, so an intermediate infinity that ends finite (``1/(x*1e300)`` at
+large x) still gives its finite value.
 """
 
 from __future__ import annotations
@@ -307,6 +310,17 @@ def evaluate(expr: Expr, env: Env) -> float:
 
     Pure: same expression and environment always give the same float.
     """
+    value = _evaluate(expr, env)
+    if not math.isfinite(value):
+        raise _not_finite(expr)
+    return value
+
+
+def _not_finite(expr: Expr) -> DomainError:
+    return DomainError(f"non-finite value in '{format_expr(expr)}'")
+
+
+def _evaluate(expr: Expr, env: Env) -> float:
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Var):
@@ -315,10 +329,10 @@ def evaluate(expr: Expr, env: Env) -> float:
         except KeyError:
             raise UnboundVariableError(f"unbound variable {expr.name!r}") from None
     if isinstance(expr, Neg):
-        return -evaluate(expr.arg, env)
+        return -_evaluate(expr.arg, env)
     if isinstance(expr, Bin):
-        lhs = evaluate(expr.lhs, env)
-        rhs = evaluate(expr.rhs, env)
+        lhs = _evaluate(expr.lhs, env)
+        rhs = _evaluate(expr.rhs, env)
         op = expr.op
         if op == "+":
             return lhs + rhs
@@ -334,7 +348,7 @@ def evaluate(expr: Expr, env: Env) -> float:
             return _pow_scalar(lhs, rhs, lambda: f"'{format_expr(expr)}'")
         raise EvalError(f"unknown operator {op!r}")
     if isinstance(expr, Call):
-        args = [evaluate(a, env) for a in expr.args]
+        args = [_evaluate(a, env) for a in expr.args]
         name = expr.func
         if name == "ln":
             if args[0] <= 0.0:
@@ -347,10 +361,11 @@ def evaluate(expr: Expr, env: Env) -> float:
                 return math.exp(args[0])
             except OverflowError:
                 raise DomainError(f"overflow in '{format_expr(expr)}'") from None
+        # math.sin and math.cos raise on an infinity where numpy gives nan
         if name == "sin":
-            return math.sin(args[0])
+            return math.sin(args[0]) if math.isfinite(args[0]) else math.nan
         if name == "cos":
-            return math.cos(args[0])
+            return math.cos(args[0]) if math.isfinite(args[0]) else math.nan
         if name == "sqrt":
             if args[0] < 0.0:
                 raise DomainError(
@@ -372,6 +387,10 @@ def eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"]) -> np.ndarra
     expressions still come back with the sample shape."""
     with np.errstate(all="ignore"):
         out = np.asarray(_eval_array(expr, env), dtype=float)
+        # one sum, which is finite only if every value is; a sum of finite
+        # values that overflows takes the element-wise test
+        if not math.isfinite(np.add.reduce(out, axis=None)) and not np.isfinite(out).all():
+            raise _not_finite(expr)
     shape = np.broadcast_shapes(out.shape, *(np.shape(v) for v in env.values()))
     if out.shape != shape:
         out = np.broadcast_to(out, shape).copy()

@@ -365,10 +365,13 @@ def hi_check(H: Expr, sample_count: int, region: Region) -> HiReport:
     us = _finite_sum(region.u[0], unit[:, 1] * (region.u[1] - region.u[0]))
     vs = _finite_sum(region.v[0], unit[:, 2] * (region.v[1] - region.v[0]))
 
+    # x + u before H(x, u), which may hold x + u itself, so that an overflow
+    # is named as such; dropped once used, so large samples peak no higher
+    x_shift = _finite_sum(xs, us)
     lhs = eval_array(H, {"x": xs, "u": us})
-    rhs = eval_array(H, {"x": _finite_sum(xs, us), "u": vs}) + eval_array(
-        H, {"x": xs, "u": _finite_sum(us, vs)}
-    )
+    rhs = eval_array(H, {"x": x_shift, "u": vs})
+    del x_shift
+    rhs += eval_array(H, {"x": xs, "u": _finite_sum(us, vs)})
     slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     bad = lhs > rhs + slack
     violations = tuple(

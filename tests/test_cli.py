@@ -140,6 +140,40 @@ def test_overflow_exits_3_with_one_error_line(capsys, argv):
     assert err.startswith("error: ") and "overflow" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply-l", "x*1e300", "--x", "1e10"],
+        ["classify", "x*1e300"],
+        ["uct", "scan", "--g", "x*u", "--u-lo", "1", "--u-hi", "1e308"],
+    ],
+)
+def test_non_finite_expression_value_exits_3(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: non-finite value in 'x * ")
+
+
+def test_points_past_a_spent_budget_report_an_unbounded_error(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["apply-l", "sin(x)", "--grid-start", "10", "--ratio", "10", "--count", "8",
+         "--max-evals", "3000"],
+    )
+    assert code == 4
+    quads = [p["quad"] for p in json.loads(out)["results"]["points"]]
+    # a point whose segment was not integrated adds no evaluations
+    skipped = [b for a, b in zip(quads, quads[1:]) if b["evaluations"] == a["evaluations"]]
+    assert skipped and quads[-1] in skipped
+    assert all(q["error_estimate"] == "inf" for q in skipped)
+    integrated = [q for q in quads if q not in skipped]
+    assert all(isinstance(q["error_estimate"], float) for q in integrated)
+
+
 def test_budget_is_hard_across_a_grid_sweep(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -115,6 +115,33 @@ def test_domain_errors(text, env):
         evaluate(parse(text), env)
 
 
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("x*1e300", 1e10),
+        ("x+1e308", 1e308),
+        ("-x-1e308", 1e308),
+        ("x/1e-300", 1e10),
+        ("x*1e300 - x*1e300", 1e10),  # inf - inf is nan
+        ("sin(x*1e300)", 1e10),
+        ("cos(x*1e300)", 1e10),
+    ],
+)
+def test_non_finite_value_raises_in_both_evaluators(text, x):
+    expr = parse(text)
+    with pytest.raises(DomainError, match="non-finite value"):
+        evaluate(expr, {"x": x})
+    with pytest.raises(DomainError, match="non-finite value"):
+        eval_array(expr, {"x": np.array([2.0, x])})
+
+
+def test_intermediate_infinity_that_ends_finite_is_kept():
+    # finiteness is checked on the result only, not on every node
+    expr = parse("1/(x*1e300)")
+    assert evaluate(expr, {"x": 1e10}) == 0.0
+    assert eval_array(expr, {"x": np.array([1e10])}).tolist() == [0.0]
+
+
 def test_power_conventions():
     assert evaluate(parse("0^0"), {}) == 1.0
     assert evaluate(parse("x^3"), {"x": -2.0}) == -8.0

@@ -26,6 +26,8 @@ from karamata_kit import (
 )
 from karamata_kit import quad as quad_mod
 
+from expr_corpus import CORPUS
+
 SI_1 = 0.9460830703671831
 SI_1E6 = 1.570795390043119
 
@@ -226,8 +228,10 @@ def test_cache_with_less_than_one_panel_left_evaluates_nothing():
     assert first.evaluations == 15
     assert not first.converged
     second = cache.extend(1e4)
-    assert second == first
+    # nothing is evaluated, and nothing bounds the error of the skipped segment
+    assert second == quad_mod.QuadResult(first.value, math.inf, first.evaluations, False)
     assert cache.frontier == 1e4
+    assert cache.extend(1e5) == second
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +257,92 @@ def test_panel_rule_does_not_depend_on_block_size(monkeypatch):
     ref_resk, ref_err = quad_mod._panel_rule(f, lo, hi)
     assert np.array_equal(resk, ref_resk)
     assert np.array_equal(err, ref_err)
+
+
+def _reference_rule(f, lo, hi):
+    # the rule as a (panels, 15) array with one numpy row sum per panel;
+    # the blocked (15, panels) kernel must reproduce it bit for bit
+    width = hi - lo
+    half = 0.5 * width
+    points = half[:, None] * quad_mod._NODES
+    points += (0.5 * (lo + hi))[:, None]
+    fx = f(points)
+    resk = np.multiply(fx, quad_mod._WEIGHTS_K, out=points).sum(axis=1) * half
+    resg = np.multiply(fx, quad_mod._WEIGHTS_G, out=points).sum(axis=1) * half
+    np.subtract(fx, (resk / width)[:, None], out=points)
+    np.abs(points, out=points)
+    points *= quad_mod._WEIGHTS_K
+    resasc = points.sum(axis=1) * half
+    np.abs(fx, out=points)
+    points *= quad_mod._WEIGHTS_K
+    resabs = points.sum(axis=1) * half
+    err = np.abs(resk - resg)
+    measured = resasc > 0.0
+    scale = np.where(measured, resasc, 1.0)
+    err = np.where(measured, resasc * np.minimum(1.0, (200.0 * err / scale) ** 1.5), err)
+    return resk, np.maximum(err, quad_mod._FLOOR * resabs)
+
+
+def _wave_sizes():
+    small, block = quad_mod._SMALL_BLOCK, quad_mod._BLOCK
+    return [1, 2, 15, small, small + 1, block, block + 1, 3 * block + 7]
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def _log_integrand(text):
+    h = parse(text)
+    return lambda points: eval_array(h, {"x": np.exp(points)})
+
+
+@pytest.mark.parametrize("n", _wave_sizes())
+def test_panel_rule_matches_row_sums_bit_for_bit(n):
+    for k, (text, lo, hi) in enumerate(CORPUS):
+        f = _log_integrand(text)
+        a, b = _wave(np.random.default_rng(1000 * n + k), n, math.log(lo), math.log(hi))
+        _assert_same_bits(quad_mod._panel_rule(f, a, b), _reference_rule(f, a, b))
+
+
+@pytest.mark.parametrize("n", _wave_sizes())
+def test_negative_zero_integrand_sums_to_positive_zero(n):
+    # numpy's row sum starts from +0.0, so rows of -0.0 sum to +0.0
+    def f(points):
+        return np.full_like(points, -0.0)
+
+    lo, hi = _wave(np.random.default_rng(n), n)
+    resk, err = quad_mod._panel_rule(f, lo, hi)
+    _assert_same_bits((resk, err), _reference_rule(f, lo, hi))
+    assert not np.signbit(resk).any()
+
+
+@pytest.mark.parametrize("small_block", [1, quad_mod._SMALL_BLOCK, quad_mod._BLOCK])
+def test_both_node_sum_branches_agree(monkeypatch, small_block):
+    # 1: column ops for every block of two or more panels; _BLOCK: row sums only
+    monkeypatch.setattr(quad_mod, "_SMALL_BLOCK", small_block)
+    f = _log_integrand("sin(x) * ln(x) + 1/(1+x)")
+    for n in (2, 3, 15, 160, 161, 2048, 2049):
+        lo, hi = _wave(np.random.default_rng(n), n)
+        _assert_same_bits(quad_mod._panel_rule(f, lo, hi), _reference_rule(f, lo, hi))
+
+
+@pytest.mark.parametrize("text", ["sin(x)", "cos(3*x) * ln(x)"])
+def test_cache_sweep_matches_row_sum_kernel(monkeypatch, text):
+    grid = [10.0**k for k in range(1, 6)]
+
+    def sweep():
+        cache = IntegralCache(parse(text), tol=QuadTolerance(max_evals=5_000_000))
+        return [cache.extend(x) for x in grid]
+
+    got = sweep()
+    monkeypatch.setattr(quad_mod, "_rule_block", _reference_rule)
+    want = sweep()
+    assert got == want
+    assert [r.value.hex() for r in got] == [r.value.hex() for r in want]
+    assert [r.error_estimate.hex() for r in got] == [r.error_estimate.hex() for r in want]
 
 
 def _sorted_children(lo, hi):

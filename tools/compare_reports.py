@@ -1,0 +1,148 @@
+"""Compare the CLI reports of two karamata-kit source trees.
+
+    python3 tools/compare_reports.py PARENT CHANGE [--seeds 41,42,43] [--command "ARGV" ...]
+
+PARENT and CHANGE are checkouts (or their ``src`` directories).  Every
+command is run against both trees and its stdout, stderr and exit code are
+compared, with ``timing_ms`` masked.  The commands are:
+
+- the twelve ``karamata-kit ...`` lines of the README's CLI section, each as
+  JSON and as CSV (the README is read from CHANGE);
+- the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
+  ``perfbench/workloads.py``);
+- each ``--command``, split like a shell line.
+
+Each tree runs its commands in one fresh interpreter through
+``karamata_kit.cli.main``, as the benchmark does.  The script prints one
+line per command that differs, with a short diff, and a summary line.  It
+exits 0 when every command is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+_TIMING = re.compile(r'"timing_ms": [^,\n]+')
+
+
+def _tree(path: str) -> tuple[Path, Path]:
+    """The checkout root and the directory that holds ``karamata_kit``."""
+    p = Path(path).resolve()
+    if (p / "karamata_kit").is_dir():
+        return p.parent, p
+    if (p / "src" / "karamata_kit").is_dir():
+        return p, p / "src"
+    raise SystemExit(f"error: no karamata_kit package under {path}")
+
+
+def _readme_commands(root: Path) -> list[list[str]]:
+    text = (root / "README.md").read_text()
+    section = text.split("## CLI", 1)[1]
+    lines = [ln.strip() for ln in section.splitlines() if ln.strip().startswith("karamata-kit ")]
+    argvs = [shlex.split(ln)[1:] for ln in lines]
+    return [a for argv in argvs for a in (argv, argv + ["--format", "csv"])]
+
+
+def _desk_commands(root: Path, src: Path, seeds: list[int]) -> list[list[str]]:
+    code = (
+        "import json, sys\n"
+        "import workloads\n"
+        "print(json.dumps([list(op.args['argv']) for s in json.loads(sys.argv[1])\n"
+        "                  for op in workloads.build('desk_reports', s)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "perfbench"), str(src)])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(seeds)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def _worker() -> None:
+    """Run the argv lists read from stdin; print their results as JSON."""
+    from karamata_kit.cli import main
+
+    results = []
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        results.append([code, _TIMING.sub('"timing_ms": 0', out.getvalue()), err.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def _run(src: Path, argvs: list[list[str]]) -> list[list]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("KARAMATA_KIT_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker"],
+        input=json.dumps(argvs), env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"error: worker for {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _diff(a: str, b: str, what: str) -> list[str]:
+    lines = difflib.unified_diff(
+        a.splitlines(), b.splitlines(), f"parent {what}", f"change {what}", lineterm="", n=1
+    )
+    return list(lines)[:12]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--seeds", default="41,42,43",
+                        help="desk_reports seeds, comma-separated (default 41,42,43)")
+    parser.add_argument("--command", action="append", default=[],
+                        help="one more command, e.g. \"apply-l 'sin(x)' --x 10\"")
+    args = parser.parse_args(argv)
+
+    _, parent_src = _tree(args.parent)
+    change_root, change_src = _tree(args.change)
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+    argvs = _readme_commands(change_root)
+    n_readme = len(argvs)
+    argvs += _desk_commands(change_root, change_src, seeds)
+    argvs += [shlex.split(c) for c in args.command]
+
+    parent, change = _run(parent_src, argvs), _run(change_src, argvs)
+    differ = 0
+    for argv, (pc, po, pe), (cc, co, ce) in zip(argvs, parent, change):
+        if (pc, po, pe) == (cc, co, ce):
+            continue
+        differ += 1
+        print(f"DIFF karamata-kit {shlex.join(argv)}")
+        if pc != cc:
+            print(f"  exit code: parent {pc}, change {cc}")
+        for lines in (_diff(po, co, "stdout"), _diff(pe, ce, "stderr")):
+            if lines:
+                print("\n".join("  " + ln for ln in lines))
+    print(
+        f"{len(argvs) - differ} of {len(argvs)} commands identical apart from timing_ms "
+        f"({n_readme} README, {len(argvs) - n_readme - len(args.command)} desk_reports "
+        f"for seeds {args.seeds}, {len(args.command)} extra); {differ} differ"
+    )
+    return 0 if differ == 0 else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--worker"]:
+        _worker()
+    else:
+        sys.exit(main())
