@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 expression/config parse error, 3 precondition or
 domain error, 4 quadrature budget exhausted (report still written), 5
 unexpected internal error.  KARAMATA_KIT_THREADS must be an integer when
-set (exit 2 otherwise), but it selects nothing at present: uniformity scans
-run as one vectorized kernel over the whole (x, parameter) grid.
+set (exit 2 otherwise); it sets the quadrature's worker threads
+(``quad.thread_count``), which change no result.
 
 ``main`` may be called repeatedly in one process: each call parses only its
 own arguments, and the parser is built once, at the first call.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import time
 
@@ -35,7 +34,7 @@ from .asymptotics import (
 from .config import ConfigError, RunConfig, load_config_file, merge_config
 from .exprlang import EvalError, ExprSyntaxError, format_expr, parse
 from .karamata import apply_L_detailed, apply_L_points, invert_L
-from .quad import PreconditionError, QuadTolerance
+from .quad import PreconditionError, QuadTolerance, thread_count
 from .reporting import build_report, emit
 from .uniformity import (
     Region,
@@ -50,14 +49,6 @@ from .uniformity import (
 )
 
 __all__ = ["main"]
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("KARAMATA_KIT_THREADS", "").strip()
-    try:
-        int(raw or "0")
-    except ValueError:
-        raise ConfigError(f"KARAMATA_KIT_THREADS must be an integer, got {raw!r}")
 
 
 def _require(value, flag: str):
@@ -534,7 +525,7 @@ def main(argv=None) -> int:
     try:
         file_values = load_config_file(args.config) if args.config else None
         cfg = merge_config(file_values, vars(args))
-        _check_threads_env()
+        thread_count()  # validates KARAMATA_KIT_THREADS before any work
         runner = _RUNNERS[command]
         t0 = time.perf_counter()
         inputs, results, verdicts, rows, budget_ok = runner(cfg)

@@ -68,6 +68,14 @@ class RunConfig:
     format: str = "json"
 
 
+# Size caps.  A scan holds a (grid_count, u_count or lambda_count) residual
+# matrix and reports every cell, so these two caps bound it at 1e6 cells
+# (8 MB as float64, a few tens of MB once reported).  hi_check holds about
+# ten float64 arrays of ``samples`` values and reports every violating one.
+MAX_GRID_COUNT = 1_000
+MAX_PARAM_COUNT = 1_000
+MAX_SAMPLES = 100_000
+
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 _BOOL_KEYS = {"integer_mode", "profile"}
@@ -154,6 +162,15 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("u_count and lambda_count must be at least 9")
     if cfg.samples < 1:
         raise ConfigError(f"samples must be positive, got {cfg.samples!r}")
+    for key, cap in (
+        ("grid_count", MAX_GRID_COUNT),
+        ("u_count", MAX_PARAM_COUNT),
+        ("lambda_count", MAX_PARAM_COUNT),
+        ("samples", MAX_SAMPLES),
+    ):
+        value = getattr(cfg, key)
+        if value is not None and value > cap:
+            raise ConfigError(f"{key} must be at most {cap:,}, got {value!r}")
     if cfg.max_evals < 15:
         raise ConfigError(f"max_evals must be at least 15, got {cfg.max_evals!r}")
     if cfg.format not in ("json", "csv", "both"):

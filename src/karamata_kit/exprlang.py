@@ -225,8 +225,12 @@ class _Parser:
     def parse_primary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "num":
+            value = float(tok.text)
+            if math.isinf(value):
+                # an infinite constant would print as ``inf``, a variable name
+                self.fail(f"number {tok.text!r} is out of range", tok)
             self.advance()
-            return Const(float(tok.text))
+            return Const(value)
         if tok.kind == "ident":
             self.advance()
             if self.peek().kind == "lparen":
@@ -271,8 +275,9 @@ def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises :class:`ExprSyntaxError` (with the byte offset of the problem)
-    on malformed input and :class:`UnknownFunctionError` for a call to a
-    name outside the supported function set.
+    on malformed input or a number literal beyond the float range, and
+    :class:`UnknownFunctionError` for a call to a name outside the
+    supported function set.
     """
     parser = _Parser(text)
     expr = parser.parse_expression()

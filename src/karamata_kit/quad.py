@@ -8,7 +8,10 @@ estimate meets the tolerance share allocated proportionally to the panel's
 length.  All pending panels of a refinement wave are evaluated together,
 in fixed blocks of ``_BLOCK`` panels whose work arrays stay in cache, so
 oscillatory integrands stay affordable.  Every panel is measured on its own,
-so the results do not depend on the block size.
+so the results do not depend on the block size.  A wave of more than one
+block measures its blocks on a thread pool (numpy's ufuncs and reductions
+release the GIL), each block writing into its own slice of the wave, so the
+results do not depend on the worker count either.
 
 Within a block the integrand is evaluated as (panels, 15), one row of nodes
 per panel, and its values are then laid out as (15, panels), one row per
@@ -28,7 +31,9 @@ raising.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,19 +126,84 @@ _SMALL_BLOCK = 160
 _FLOOR = 50.0 * np.finfo(float).eps
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def thread_count() -> int:
+    """Worker threads for the blocks of a multi-block wave.
+
+    ``KARAMATA_KIT_THREADS`` capped at the usable cores; unset or blank
+    means all usable cores, and a value of 0 or less means serial.  Raises
+    :class:`ConfigError` when the variable is set but not an integer."""
+    raw = os.environ.get("KARAMATA_KIT_THREADS", "").strip()
+    cores = _usable_cores()
+    if not raw:
+        return cores
+    try:
+        wanted = int(raw)
+    except ValueError:
+        from .config import ConfigError  # not at import: config loads json
+
+        raise ConfigError(f"KARAMATA_KIT_THREADS must be an integer, got {raw!r}") from None
+    return max(1, min(wanted, cores))
+
+
+# one lazily built pool per worker count; concurrent.futures is imported
+# only when the first pool is built, never at package import
+_pools: dict = {}
+
+
+def _pool(workers: int):
+    pool = _pools.get(workers)
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # a pool starts its threads with its first tasks, so a pool that
+        # loses this race is dropped without having started any
+        pool = _pools.setdefault(
+            workers, ThreadPoolExecutor(workers, thread_name_prefix="karamata-quad")
+        )
+    return pool
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pools but none of their threads
+    os.register_at_fork(after_in_child=_pools.clear)
+
+
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
     """Kronrod value and QUADPACK-style error per panel.
 
     A wave is measured ``_BLOCK`` panels at a time, so that the (15, panels)
-    arrays of a block stay in cache."""
+    arrays of a block stay in cache.  The blocks of a larger wave go to
+    ``thread_count()`` workers, each under a copy of the caller's context
+    (numpy's ``errstate`` among it).  ``map`` re-raises in block order, so
+    an integrand that fails raises the first failing block's error, as the
+    serial loop does."""
     n = lo.size
     if n <= _BLOCK:
         return _rule_block(f, lo, hi)
     resk = np.empty(n)
     err = np.empty(n)
-    for start in range(0, n, _BLOCK):
+
+    def measure(start):
         b = slice(start, start + _BLOCK)
         resk[b], err[b] = _rule_block(f, lo[b], hi[b])
+
+    starts = range(0, n, _BLOCK)
+    workers = thread_count()
+    if workers == 1:
+        for start in starts:
+            measure(start)
+    else:
+        # one copy per block: two threads cannot enter one context at once
+        contexts = [contextvars.copy_context() for _ in starts]
+        for _ in _pool(workers).map(lambda ctx, start: ctx.run(measure, start), contexts, starts):
+            pass
     return resk, err
 
 

@@ -340,15 +340,16 @@ class HiReport:
     ok: bool
 
 
-def _finite_sum(a, b) -> np.ndarray:
-    """``a + b`` for hi_check's sample points, which must not overflow.
+def _finite_sum(a, b, what: str = "a sample point, x + u or u + v") -> np.ndarray:
+    """``a + b`` for hi_check's sample points and sides, which must not
+    overflow.
 
     A factor in (0, 1) times a finite span cannot overflow, and an infinite
-    span gives an exact inf, so the sum is the only step to guard."""
+    span gives an exact inf, so the sums are the only steps to guard."""
     with np.errstate(over="ignore"):
         total = a + b
     if not np.isfinite(total).all():
-        raise PreconditionError("hi_check overflows: a sample point, x + u or u + v is not finite")
+        raise PreconditionError(f"hi_check overflows: {what} is not finite")
     return total
 
 
@@ -371,14 +372,19 @@ def hi_check(H: Expr, sample_count: int, region: Region) -> HiReport:
     lhs = eval_array(H, {"x": xs, "u": us})
     rhs = eval_array(H, {"x": x_shift, "u": vs})
     del x_shift
-    rhs += eval_array(H, {"x": xs, "u": _finite_sum(us, vs)})
+    rhs = _finite_sum(
+        rhs, eval_array(H, {"x": xs, "u": _finite_sum(us, vs)}), "H(x+u, v) + H(x, u+v)"
+    )
+    margin = float(np.max(_finite_sum(lhs, -rhs, "H(x, u) - (H(x+u, v) + H(x, u+v))")))
     slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    bad = lhs > rhs + slack
+    with np.errstate(over="ignore"):
+        # rhs + slack may round past the largest float only at rhs ~ 1.8e308,
+        # where no finite lhs exceeds it
+        bad = lhs > rhs + slack
     violations = tuple(
         HiViolation(float(xs[i]), float(us[i]), float(vs[i]), float(lhs[i]), float(rhs[i]))
         for i in np.flatnonzero(bad)
     )
-    margin = float(np.max(lhs - rhs))
     return HiReport(
         samples=sample_count,
         violations=violations,

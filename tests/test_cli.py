@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import karamata_kit
+from karamata_kit import config
 from karamata_kit.asymptotics import DEFAULT_LAMBDAS
 from karamata_kit.cli import main
 
@@ -130,6 +131,10 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
         ["uct", "cond310", "--xi", "1/ln(x)", "--lambda-lo", "1", "--lambda-hi", "1e308"],
         ["uct", "mult-closure", "--f", "ln(x)", "--lambda", "1e300", "--mu", "1e300"],
         ["uct", "asym", "--h", "1", "--lambda", "1e308"],
+        # hi_check's H(x+u, v) + H(x, u+v), then H(x, u) minus that sum
+        ["uct", "hi", "--h", "1.5e308 + 0*x"],
+        ["uct", "hi", "--h", "8e307*cos(3*u)", "--u-lo", "0", "--u-hi", "0.1",
+         "--v-lo", "1", "--v-hi", "1.05"],
     ],
 )
 def test_overflow_exits_3_with_one_error_line(capsys, argv):
@@ -426,6 +431,44 @@ def test_wrong_config_type_exits_2(capsys, tmp_path):
     cfg.write_text(json.dumps({"grid_count": "twelve"}))
     code, _, _ = run_cli(capsys, ["classify", "x^2", "--config", str(cfg)])
     assert code == 2
+
+
+def test_out_of_range_literal_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["apply-l", "1e309", "--x", "10"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: number '1e309' is out of range")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "ln(x)", "--grid-count", "1001"],
+        ["uct", "scan", "--g", "x*u", "--u-count", "1001"],
+        ["uct", "karamata", "--f", "ln(x)", "--lambda-count", "1001"],
+        ["uct", "hi", "--h", "x + u", "--samples", "100001"],
+        ["uct", "guct", "--h-expr", "abs(ln(x+u) - ln(x))", "--m-expr", "1",
+         "--samples", "100001"],
+    ],
+)
+def test_over_cap_sizes_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "must be at most" in err
+
+
+def test_size_caps_admit_their_own_value():
+    caps = {
+        "grid_count": config.MAX_GRID_COUNT,
+        "u_count": config.MAX_PARAM_COUNT,
+        "lambda_count": config.MAX_PARAM_COUNT,
+        "samples": config.MAX_SAMPLES,
+    }
+    cfg = config.merge_config(None, caps)
+    assert {key: getattr(cfg, key) for key in caps} == caps
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,24 @@ def test_syntax_error_offset_counts_bytes():
     assert exc.value.offset == len("2 + ".encode("utf-8"))
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [("1e309 + x", 0), ("x * 2e400", 4), ("sin(pi / 1.8e308)", 9)],
+)
+def test_out_of_range_literal_is_a_syntax_error(text, offset):
+    with pytest.raises(ExprSyntaxError, match="out of range") as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["1.7976931348623157e308 + x", "x * 1e-320", "1e-400 + x"])
+def test_extreme_literals_round_trip_through_format(text):
+    # the largest finite literal, a subnormal, and one that rounds to 0.0
+    tree = parse(text)
+    assert "inf" not in format_expr(tree)
+    assert parse(format_expr(tree)) == tree
+
+
 def test_unknown_function_is_syntax_error():
     with pytest.raises(UnknownFunctionError):
         parse("foo(2)")

@@ -9,6 +9,12 @@ The Si values were frozen from an independent scipy.special.sici run.
 """
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -25,6 +31,8 @@ from karamata_kit import (
     parse,
 )
 from karamata_kit import quad as quad_mod
+from karamata_kit.config import ConfigError
+from karamata_kit.exprlang import DomainError
 
 from expr_corpus import CORPUS
 
@@ -373,3 +381,223 @@ def test_bisect_keeps_sorted_order_for_ulp_wide_panels():
     got_lo, got_hi = quad_mod._bisect(lo, hi)
     assert np.array_equal(got_lo, ref_lo)
     assert np.array_equal(got_hi, ref_hi)
+
+
+# ---------------------------------------------------------------------------
+# the block pool: worker count, bit identity, errors, fork, errstate
+
+@pytest.fixture
+def three_cores(monkeypatch):
+    # three usable cores, so that KARAMATA_KIT_THREADS=3 really runs three
+    monkeypatch.setattr(quad_mod, "_usable_cores", lambda: 3)
+    return monkeypatch
+
+
+@pytest.mark.parametrize(
+    "raw, workers",
+    [("", 3), ("  ", 3), ("1", 1), ("2", 2), ("3", 3), ("0", 1), ("-4", 1),
+     ("1000000", 3), ("9" * 40, 3)],
+)
+def test_thread_count_is_capped_at_the_usable_cores(three_cores, raw, workers):
+    # computed only: no pool is built and no thread is started
+    three_cores.setenv("KARAMATA_KIT_THREADS", raw)
+    assert quad_mod.thread_count() == workers
+
+
+def test_thread_count_defaults_to_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("KARAMATA_KIT_THREADS", raising=False)
+    assert quad_mod.thread_count() == quad_mod._usable_cores() >= 1
+    monkeypatch.delattr(quad_mod.os, "sched_getaffinity", raising=False)
+    assert quad_mod._usable_cores() == (quad_mod.os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("raw", ["many", "2.5", "0x2"])
+def test_thread_count_rejects_a_non_integer(monkeypatch, raw):
+    monkeypatch.setenv("KARAMATA_KIT_THREADS", raw)
+    with pytest.raises(ConfigError, match="KARAMATA_KIT_THREADS must be an integer"):
+        quad_mod.thread_count()
+
+
+def _hexes(results):
+    return [(r.value.hex(), r.error_estimate.hex(), r.evaluations, r.converged) for r in results]
+
+
+def _pooled_runs(monkeypatch, run):
+    # run() under 1, 2 and 3 workers, recording the threads that measured blocks
+    rule_block = quad_mod._rule_block
+    runs = {}
+    for workers in (1, 2, 3):
+        threads = set()
+
+        def spy(f, lo, hi):
+            threads.add(threading.get_ident())
+            return rule_block(f, lo, hi)
+
+        monkeypatch.setattr(quad_mod, "_rule_block", spy)
+        monkeypatch.setenv("KARAMATA_KIT_THREADS", str(workers))
+        runs[workers] = (_hexes(run()), threads)
+    return runs
+
+
+def test_pooled_oscillatory_integral_is_bit_identical(three_cores):
+    h = parse("sin(x)")
+    tol = QuadTolerance(max_evals=5_000_000)
+    runs = _pooled_runs(three_cores, lambda: [integrate_log(h, 1e5, tol)])
+    assert runs[1][0] == runs[2][0] == runs[3][0]
+    assert runs[1][0][0][2] == 858_315
+    main = threading.get_ident()
+    assert runs[1][1] == {main}  # serial: every block on the calling thread
+    assert len(runs[3][1] - {main}) >= 2  # pooled: blocks on worker threads
+    assert quad_mod._pools[3]._max_workers == 3
+
+
+@pytest.mark.parametrize("text", ["sin(x)", "cos(3*x) * ln(x)"])
+def test_pooled_cache_sweep_is_bit_identical(three_cores, text):
+    grid = [10.0**k for k in range(1, 6)]
+
+    def sweep():
+        cache = IntegralCache(parse(text), tol=QuadTolerance(max_evals=5_000_000))
+        return [cache.extend(x) for x in grid]
+
+    runs = _pooled_runs(three_cores, sweep)
+    assert runs[1][0] == runs[2][0] == runs[3][0]
+    assert len(runs[3][1]) > 1
+
+
+def test_pooled_wave_raises_the_first_failing_blocks_error(three_cores):
+    # block k's panels lie in [k, k + 1); blocks 1 and 3 fail, and block 1
+    # fails last in time, yet its error is the one raised, as in serial
+    block = quad_mod._BLOCK
+    lo = np.arange(4 * block) / block
+    hi = lo + 1.0 / block
+
+    def f(points):
+        k = int(points[0, 7])  # the middle node is the panel's midpoint
+        if k == 1:
+            time.sleep(0.1)
+            raise DomainError("block 1")
+        if k == 3:
+            raise DomainError("block 3")
+        return np.sin(points)
+
+    for workers in ("1", "2", "3"):
+        three_cores.setenv("KARAMATA_KIT_THREADS", workers)
+        with pytest.raises(DomainError, match="^block 1$"):
+            quad_mod._panel_rule(f, lo, hi)
+
+
+def test_pooled_wave_keeps_the_callers_errstate(three_cores):
+    # exp(-1000 u) underflows past u ~ 0.75: ignored by numpy's default
+    # errstate, raised under errstate(all="raise"), in the workers as well
+    lo, hi = _wave(np.random.default_rng(3), 3 * quad_mod._BLOCK)
+
+    def f(points):
+        return np.exp(-1000.0 * points)
+
+    h = parse("sin(x)")
+    tol = QuadTolerance(max_evals=5_000_000)
+    plain, strict = {}, {}
+    for workers in ("1", "2", "3"):
+        three_cores.setenv("KARAMATA_KIT_THREADS", workers)
+        plain[workers] = [a.tobytes() for a in quad_mod._panel_rule(f, lo, hi)]
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                quad_mod._panel_rule(f, lo, hi)
+            strict[workers] = _hexes([integrate_log(h, 1e5, tol)])
+    assert plain["1"] == plain["2"] == plain["3"]
+    assert strict["1"] == strict["2"] == strict["3"]
+
+
+def test_pooled_waves_from_many_callers_lose_no_block(monkeypatch):
+    # more workers than cores, four callers at once, each building the pool
+    # if it is not there yet, and a thread switch every few microseconds; a
+    # block whose write were lost would leave np.empty garbage in its slice
+    monkeypatch.setattr(quad_mod, "_usable_cores", lambda: 8)
+    monkeypatch.setenv("KARAMATA_KIT_THREADS", "8")
+    f = _log_integrand("sin(x) * ln(x) + 1/(1+x)")
+    waves = [_wave(np.random.default_rng(100 + k), 6 * quad_mod._BLOCK + k) for k in range(12)]
+    wants = [_reference_rule(f, lo, hi) for lo, hi in waves]
+    results, errors = {}, []
+
+    def caller(first):
+        try:
+            for k in range(first, len(waves), 4):
+                results[k] = quad_mod._panel_rule(f, *waves[k])
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(first,)) for first in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(results) == list(range(12))
+    for k, want in enumerate(wants):
+        _assert_same_bits(results[k], want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_finishes_a_pooled_integral(three_cores):
+    # the parent's pool has running threads; the child inherits none of them
+    three_cores.setenv("KARAMATA_KIT_THREADS", "2")
+    h = parse("sin(x)")
+    tol = QuadTolerance(max_evals=5_000_000)
+    want = repr(_hexes([integrate_log(h, 1e5, tol)])).encode()
+    assert 2 in quad_mod._pools
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report the result, then leave at once
+        code = 1
+        try:
+            os.close(read_end)
+            os.write(write_end, repr(_hexes([integrate_log(h, 1e5, tol)])).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+            pytest.fail("the forked child hung on a pooled integral")
+        time.sleep(0.02)
+    with os.fdopen(read_end, "rb") as pipe:
+        got = pipe.read()
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert got == want
+
+
+def test_single_block_waves_never_touch_the_pool(three_cores):
+    def no_pool(workers):
+        raise AssertionError("the pool was used")
+
+    three_cores.setattr(quad_mod, "_pool", no_pool)
+    three_cores.setenv("KARAMATA_KIT_THREADS", "3")
+    f = _log_integrand("1/(1+ln(x))")
+    lo, hi = _wave(np.random.default_rng(5), quad_mod._BLOCK)
+    quad_mod._panel_rule(f, lo, hi)
+    assert integrate_log(parse("1/(1+ln(x))"), 1e8).converged
+    with pytest.raises(AssertionError, match="pool"):
+        quad_mod._panel_rule(f, *_wave(np.random.default_rng(5), quad_mod._BLOCK + 1))
+
+
+def test_import_does_not_load_the_pool_module():
+    src = os.path.dirname(os.path.dirname(quad_mod.__file__))
+    code = "import sys, karamata_kit; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
