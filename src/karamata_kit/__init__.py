@@ -18,6 +18,7 @@ from .asymptotics import (
     SvReport,
     class_preservation_check,
     classify_limit,
+    classify_rows,
     exponent_profile,
     rv_index,
     sv_test,
@@ -100,6 +101,7 @@ __all__ = [
     "GeometricGrid",
     "LimitVerdict",
     "classify_limit",
+    "classify_rows",
     "IndexEstimate",
     "rv_index",
     "SvReport",

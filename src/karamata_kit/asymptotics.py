@@ -10,6 +10,13 @@ convergence test (successive increments shrink by a fixed factor and the
 final increment is below tolerance).  Sequences with 1/ln(x)-type decay are
 the main customers, which is why the convergence test looks at the shrink
 factor instead of a bare Cauchy criterion with a tight tolerance.
+
+The rules live in one kernel, ``classify_rows``, which tests the m rows of
+an (m, n) array at once: every reduction runs along a contiguous row, so
+each row's verdict is the one it would get on its own.  ``classify_limit``
+is its one-row call, and every caller with several sequences of one length
+(the columns of a uniformity scan, the lambda tracks of ``rv_index`` and
+``sv_test``) classifies them in one call.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
     "ClaimedClass",
     "ClassCheckReport",
     "classify_limit",
+    "classify_rows",
     "rv_index",
     "sv_test",
     "exponent_profile",
@@ -118,85 +126,150 @@ class LimitVerdict:
         return self.kind == "converges"
 
 
-def classify_limit(samples, tol: float = DEFAULT_CLASSIFY_TOL) -> LimitVerdict:
-    """Classify the tail behaviour of a sampled sequence.
+def classify_rows(values, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[LimitVerdict, ...]:
+    """Classify the tail behaviour of each row of an ``(m, n)`` array.
 
-    Needs at least 8 samples taken along an ascending grid.
-    """
-    values = np.asarray(list(samples), dtype=float)
-    n = values.size
+    Every row is a sequence of at least 8 samples taken along an ascending
+    grid.  A row with a non-finite sample is ``inconclusive``; an increment,
+    tail sum or tail deviation of finite samples that overflows raises
+    ``PreconditionError``."""
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.ndim != 2:
+        raise PreconditionError(f"classify_rows needs an (m, n) array, got shape {values.shape}")
+    n = values.shape[1]
     if n < MIN_SAMPLES:
         raise PreconditionError(f"classify_limit needs >= {MIN_SAMPLES} samples, got {n}")
     if tol <= 0:
         raise PreconditionError("classification tolerance must be positive")
-    if not np.all(np.isfinite(values)):
-        return LimitVerdict(kind="inconclusive", detail="non-finite samples")
+    finite = np.logical_and.reduce(np.isfinite(values), axis=1).tolist()
+    if not all(finite):
+        values = np.where(np.array(finite)[:, None], values, 0.0)
 
-    deltas = np.abs(np.diff(values))
-    tail = values[n // 2 :]
-    tail_deltas = tuple(float(d) for d in deltas[-min(6, n - 1) :])
+    with np.errstate(over="raise"):
+        try:
+            deltas = np.abs(values[:, 1:] - values[:, :-1])
+        except FloatingPointError:
+            raise PreconditionError(
+                "limit classification overflows: an increment between two finite samples"
+                " is not finite"
+            ) from None
 
-    # divergence: same-signed, growing, and already past the threshold
-    head = values[-4:]
-    if (
-        np.all(np.abs(head) > DIVERGE_THRESHOLD)
-        and np.all(np.diff(np.abs(head)) > 0)
-        and (np.all(head > 0) or np.all(head < 0))
-    ):
-        sign = 1 if head[-1] > 0 else -1
-        return LimitVerdict(
-            kind="diverges",
-            sign=sign,
-            detail=f"|samples| exceed {DIVERGE_THRESHOLD:g} and grow",
-            tail_deltas=tail_deltas,
+        # divergence: the last four samples share a sign, grow in magnitude
+        # and are already past the threshold; flipped to the sign of the
+        # first, they must exceed the threshold and increase
+        head = values[:, -4:] * np.sign(values[:, -4:-3])
+        diverging = (head[:, 0] > DIVERGE_THRESHOLD) & np.logical_and.reduce(
+            head[:, 1:] > head[:, :-1], axis=1
         )
+
+        # the tests below do not apply to a diverging row, whose tail may
+        # not even have a finite sum; a contiguous row sums in numpy's
+        # pairwise order, exactly as a 1-D array does
+        tail = values[:, n // 2 :]
+        if np.count_nonzero(diverging):
+            tail = np.where(diverging[:, None], 0.0, tail)
+        tail = np.ascontiguousarray(tail)
+        try:
+            centered = tail - (np.add.reduce(tail, axis=1) / tail.shape[1])[:, None]
+        except FloatingPointError:
+            raise PreconditionError(
+                "limit classification overflows: the sum of the tail samples, or a tail"
+                " sample minus their mean, is not finite"
+            ) from None
 
     # oscillation: the centered tail keeps crossing zero without losing
-    # amplitude
-    center = float(tail.mean())
-    centered = tail - center
-    noise = 1e-12 * max(1.0, float(np.max(np.abs(tail))))
+    # amplitude.  A change is a flip between consecutive signs that stand
+    # clear of the noise: each such sign is carried forward over the
+    # noise-level samples that follow it.
+    tail_lo = np.minimum.reduce(tail, axis=1)
+    tail_hi = np.maximum.reduce(tail, axis=1)
+    scale = np.maximum(np.maximum(tail_hi, -tail_lo), 1.0)
+    spread = np.abs(centered)
     signs = np.sign(centered)
-    signs[np.abs(centered) <= noise] = 0
-    live = signs[signs != 0]
-    changes = int(np.count_nonzero(np.diff(live) != 0)) if live.size > 1 else 0
-    half = centered.size // 2
-    amp_early = float(np.max(np.abs(centered[:half]))) if half else 0.0
-    amp_late = float(np.max(np.abs(centered[half:]))) if half < centered.size else 0.0
-    if changes >= MIN_SIGN_CHANGES and amp_late > tol and amp_late >= 0.5 * amp_early:
-        return LimitVerdict(
-            kind="oscillates",
-            band=(float(tail.min()), float(tail.max())),
-            detail=f"{changes} sign changes about the tail mean, amplitude not shrinking",
-            tail_deltas=tail_deltas,
-            sign_changes=changes,
-        )
+    quiet = spread <= 1e-12 * scale[:, None]
+    if np.count_nonzero(quiet):
+        signs[quiet] = 0
+        index = np.arange(signs.size).reshape(signs.shape)
+        last_live = np.where(quiet, index[:, :1], index)
+        np.maximum.accumulate(last_live, axis=1, out=last_live)
+        signs = signs.ravel()[last_live]
+    changes = np.add.reduce(signs[:, 1:] * signs[:, :-1] < 0, axis=1)
+    half = spread.shape[1] // 2
+    amp_early = np.maximum.reduce(spread[:, :half], axis=1)
+    amp_late = np.maximum.reduce(spread[:, half:], axis=1)
 
     # convergence: increments shrink geometrically and the last one is small
-    floor = 1e-11 * max(1.0, float(np.max(np.abs(tail))))
-    window = deltas[-max(4, (n - 1) // 2) :]
-    shrinking = all(
-        d2 <= SHRINK_FACTOR * d1 or d2 <= floor
-        for d1, d2 in zip(window[:-1], window[1:])
+    floor = 1e-11 * scale
+    window = deltas[:, -max(4, (n - 1) // 2) :]
+    shrinking = np.logical_and.reduce(
+        window[:, 1:] <= np.maximum(SHRINK_FACTOR * window[:, :-1], floor[:, None]), axis=1
     )
-    if shrinking and window[-1] <= max(tol, floor):
-        return LimitVerdict(
-            kind="converges",
-            value=float(values[-1]),
-            detail=(
-                f"increments shrink by <= {SHRINK_FACTOR} and final increment"
-                f" {float(window[-1]):.3g} <= {max(tol, floor):.3g}"
-            ),
-            tail_deltas=tail_deltas,
-            sign_changes=changes,
-        )
 
-    return LimitVerdict(
-        kind="inconclusive",
-        detail="no divergence, oscillation, or convergence pattern at this tolerance",
-        tail_deltas=tail_deltas,
-        sign_changes=changes,
+    # the verdicts, from plain per-row values
+    rows = zip(
+        finite,
+        diverging.tolist(),
+        values[:, -1].tolist(),
+        deltas[:, -6:].tolist(),
+        changes.tolist(),
+        amp_early.tolist(),
+        amp_late.tolist(),
+        tail_lo.tolist(),
+        tail_hi.tolist(),
+        shrinking.tolist(),
+        window[:, -1].tolist(),
+        floor.tolist(),
     )
+    verdicts = []
+    for (
+        ok, diverges, last, last_deltas, n_changes, early, late, lo, hi, shrinks, step, row_floor
+    ) in rows:
+        if not ok:
+            verdict = LimitVerdict(kind="inconclusive", detail="non-finite samples")
+        elif diverges:
+            verdict = LimitVerdict(
+                kind="diverges",
+                sign=1 if last > 0 else -1,
+                detail=f"|samples| exceed {DIVERGE_THRESHOLD:g} and grow",
+                tail_deltas=tuple(last_deltas),
+            )
+        elif n_changes >= MIN_SIGN_CHANGES and late > tol and late >= 0.5 * early:
+            verdict = LimitVerdict(
+                kind="oscillates",
+                band=(lo, hi),
+                detail=f"{n_changes} sign changes about the tail mean, amplitude not shrinking",
+                tail_deltas=tuple(last_deltas),
+                sign_changes=n_changes,
+            )
+        elif shrinks and step <= max(tol, row_floor):
+            verdict = LimitVerdict(
+                kind="converges",
+                value=last,
+                detail=(
+                    f"increments shrink by <= {SHRINK_FACTOR} and final increment"
+                    f" {step:.3g} <= {max(tol, row_floor):.3g}"
+                ),
+                tail_deltas=tuple(last_deltas),
+                sign_changes=n_changes,
+            )
+        else:
+            verdict = LimitVerdict(
+                kind="inconclusive",
+                detail="no divergence, oscillation, or convergence pattern at this tolerance",
+                tail_deltas=tuple(last_deltas),
+                sign_changes=n_changes,
+            )
+        verdicts.append(verdict)
+    return tuple(verdicts)
+
+
+def classify_limit(samples, tol: float = DEFAULT_CLASSIFY_TOL) -> LimitVerdict:
+    """Classify the tail behaviour of one sampled sequence: the one-row case
+    of ``classify_rows``."""
+    values = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
+    if values.ndim != 1:
+        raise PreconditionError(f"classify_limit needs a 1-D sequence, got shape {values.shape}")
+    return classify_rows(values[None, :], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +321,17 @@ def rv_index(
             raise PreconditionError(f"lambda must be positive and != 1, got {lam!r}")
     xs = np.asarray(grid.points())
     base = np.log(_positive_values(F, xs, var, "F"))
-    tracks = []
-    finals = []
-    for lam in lams:
-        shifted = np.log(_positive_values(F, lam * xs, var, "F"))
-        est = (shifted - base) / math.log(lam)
-        verdict = classify_limit(est, classify_tol) if est.size >= MIN_SAMPLES else (
-            LimitVerdict(kind="inconclusive", detail="grid too short to classify")
-        )
-        tracks.append(
-            IndexTrack(
-                lam=lam,
-                xs=tuple(float(x) for x in xs),
-                estimates=tuple(float(v) for v in est),
-                verdict=verdict,
-            )
-        )
-        finals.append(float(est[-1]))
+    ests = [
+        (np.log(_positive_values(F, lam * xs, var, "F")) - base) / math.log(lam) for lam in lams
+    ]
+    short = LimitVerdict(kind="inconclusive", detail="grid too short to classify")
+    verdicts = classify_rows(ests, classify_tol) if xs.size >= MIN_SAMPLES else [short] * len(ests)
+    grid_xs = tuple(xs.tolist())
+    tracks = [
+        IndexTrack(lam=lam, xs=grid_xs, estimates=tuple(est.tolist()), verdict=verdict)
+        for lam, est, verdict in zip(lams, ests, verdicts)
+    ]
+    finals = [float(est[-1]) for est in ests]
     rho_hat = float(np.mean(finals))
     spread = float(np.max(finals) - np.min(finals)) if len(finals) > 1 else 0.0
 
@@ -349,18 +416,18 @@ def sv_test(
         aux_pass = g is not grid
         xs = np.asarray(g.points())
         base = np.log(_positive_values(F, xs, var, "F"))
+        log_ratios = [np.log(_positive_values(F, lam * xs, var, "F")) - base for lam in lams]
+        ratios = [np.exp(r) for r in log_ratios]
+        verdicts = classify_rows(ratios, classify_tol)
+        grid_xs = tuple(xs.tolist())
         tracks = []
-        for lam in lams:
-            shifted = np.log(_positive_values(F, lam * xs, var, "F"))
-            log_ratios = shifted - base
-            ratios = np.exp(log_ratios)
-            verdict = classify_limit(ratios, classify_tol)
+        for lam, ratio, log_ratio, verdict in zip(lams, ratios, log_ratios, verdicts):
             tracks.append(
                 RatioTrack(
                     lam=lam,
-                    xs=tuple(float(x) for x in xs),
-                    ratios=tuple(float(r) for r in ratios),
-                    log_ratios=tuple(float(r) for r in log_ratios),
+                    xs=grid_xs,
+                    ratios=tuple(ratio.tolist()),
+                    log_ratios=tuple(log_ratio.tolist()),
                     verdict=verdict,
                 )
             )
@@ -493,18 +560,19 @@ def _membership(values: np.ndarray, claimed: ClaimedClass, classify_tol: float):
 
 def _ratio_membership(xs, value_at, claimed: ClaimedClass, classify_tol: float, lams):
     """Class membership for r0 / r_alpha given value lookups at x and lam*x."""
-    finals = []
-    detail: dict = {"lambdas": lams, "tracks": {}}
-    ok = True
+    ests = []
     for lam in lams:
         num = np.array([value_at(lam * x) for x in xs])
         den = np.array([value_at(x) for x in xs])
         if np.any(num <= 0) or np.any(den <= 0):
             return False, {"error": "values not positive, ratio test undefined"}
-        est = (np.log(num) - np.log(den)) / math.log(lam)
-        verdict = classify_limit(est, classify_tol)
+        ests.append((np.log(num) - np.log(den)) / math.log(lam))
+    finals = []
+    detail: dict = {"lambdas": lams, "tracks": {}}
+    ok = True
+    for lam, est, verdict in zip(lams, ests, classify_rows(ests, classify_tol)):
         detail["tracks"][f"{lam:g}"] = {
-            "estimates": [float(v) for v in est],
+            "estimates": est.tolist(),
             "verdict": verdict,
         }
         finals.append(float(est[-1]))

@@ -26,7 +26,7 @@ from .asymptotics import (
     MIN_SAMPLES,
     RATIO_CLASSIFY_TOL,
     VALUE_TOL,
-    classify_limit,
+    classify_rows,
 )
 from .exprlang import Bin, EvalError, Expr, eval_array
 from .quad import IntegralCache, PreconditionError, QuadTolerance
@@ -125,8 +125,9 @@ def _scan(
         )
         note = f"fewer than {MIN_SAMPLES} x samples; suprema not classified"
     else:
-        column_verdicts = tuple(classify_limit(column, classify_tol) for column in rows.T)
-        sup_verdict = classify_limit(suprema, classify_tol)
+        # every column and, as the last row, the suprema in one kernel call
+        verdicts = classify_rows(np.vstack((rows.T, suprema)), classify_tol)
+        column_verdicts, sup_verdict = verdicts[:-1], verdicts[-1]
         tail = suprema[suprema.size // 2 :]
         floor = float(np.min(tail))
         still_decreasing = bool(
@@ -155,6 +156,15 @@ def _scan(
         column_verdicts=column_verdicts,
         note=note,
     )
+
+
+def _finite_rows(rows: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
+    """``rows``, the residuals of a scan at ``xs``, unless one overflowed:
+    then name the first x whose row holds an infinity."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise PreconditionError(f"{what} overflows at x = {float(xs[bad[0]])!r}")
+    return rows
 
 
 def _check_product(lam: float, x: float, what: str) -> None:
@@ -229,7 +239,9 @@ def karamata_uct_check(
             raise PreconditionError(
                 f"F must be positive on the lambda window at x = {float(xs[bad[0]])!r}"
             )
-        return np.abs(shifted / base[:, None] - 1.0)
+        with np.errstate(over="ignore"):
+            ratio = shifted / base[:, None]
+        return np.abs(_finite_rows(ratio, xs, "F(lam x)/F(x)") - 1.0)
 
     return _scan(grid_fn, xs, params, classify_tol, value_tol)
 
@@ -266,7 +278,9 @@ def condition_scan_310(
         at_x = eval_array(xi, {var: xs})  # flat, as in karamata_uct_check
         at_lx = eval_array(xi, {var: ps * xs[:, None]})
         ln_x = np.array([math.log(x) for x in xs.tolist()])
-        return (at_lx - at_x[:, None]) * ln_x[:, None]
+        with np.errstate(over="ignore"):
+            residual = (at_lx - at_x[:, None]) * ln_x[:, None]
+        return _finite_rows(residual, xs, "(xi(lam x) - xi(x)) * ln x")
 
     return _scan(grid_fn, xs, params, classify_tol, value_tol)
 
@@ -440,22 +454,17 @@ def guct_diagnose(
         monotone_detail = f"m decreases near x = {at:.6g}"
 
     G = Bin("*", H, m)
-    probes = np.linspace(a, b, 5)
-    pointwise = []
-    pointwise_ok = True
-    for u0 in probes:
-        vals = eval_array(G, {"x": xs, "u": float(u0)})
-        verdict = classify_limit(vals, classify_tol)
-        pointwise.append((float(u0), verdict))
-        if not (verdict.converges and abs(verdict.value) <= value_tol):
-            pointwise_ok = False
+    probes = np.linspace(a, b, 5).tolist()
+    tracks = [eval_array(G, {"x": xs, "u": u0}) for u0 in probes]
+    pointwise = tuple(zip(probes, classify_rows(tracks, classify_tol)))
+    pointwise_ok = all(v.converges and abs(v.value) <= value_tol for _, v in pointwise)
 
     scan = uct_scan(G, (a, b), x_grid, u_count, classify_tol, value_tol)
     return GuctReport(
         hi=hi,
         monotone_ok=monotone_ok,
         monotone_detail=monotone_detail,
-        pointwise=tuple(pointwise),
+        pointwise=pointwise,
         pointwise_ok=pointwise_ok,
         scan=scan,
     )
@@ -509,11 +518,7 @@ def mult_closure_residual(
 
     verdicts = None
     if xs.size >= MIN_SAMPLES:
-        verdicts = (
-            classify_limit(step_lam, classify_tol),
-            classify_limit(step_mu, classify_tol),
-            classify_limit(combined, classify_tol),
-        )
+        verdicts = classify_rows((step_lam, step_mu, combined), classify_tol)
     return MultClosureReport(
         xs=tuple(float(x) for x in xs),
         step_lam=tuple(float(v) for v in step_lam),
@@ -624,8 +629,9 @@ def integral_asym_residual(
 
     residual_verdict = lcond_verdict = None
     if xs.size >= MIN_SAMPLES:
-        residual_verdict = classify_limit([r.residual for r in rows], classify_tol)
-        lcond_verdict = classify_limit([r.lcond for r in rows], classify_tol)
+        residual_verdict, lcond_verdict = classify_rows(
+            [[r.residual for r in rows], [r.lcond for r in rows]], classify_tol
+        )
     return AsymReport(
         lam=float(lam),
         bound=float(bound),

@@ -13,12 +13,20 @@ from karamata_kit import (
     PreconditionError,
     class_preservation_check,
     classify_limit,
+    classify_rows,
+    condition_scan_310,
     exponent_profile,
+    guct_diagnose,
+    karamata_uct_check,
+    mult_closure_residual,
     parse,
     rv_index,
     sv_test,
+    uct_scan,
 )
 from karamata_kit.asymptotics import DEEP_GRID, DEFAULT_INTEGER_GRID
+
+from classify_oracle import _reference_classify
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +119,150 @@ def test_classify_tiny_noise_is_convergence():
 def test_classify_rejects_bad_tolerance():
     with pytest.raises(PreconditionError):
         classify_limit(np.ones(10), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the frozen one-sequence oracle
+
+_ROW_KINDS = ("geometric", "alternating", "constant", "jitter", "growth", "non-finite", "any")
+
+
+@st.composite
+def _kernel_row(draw, n):
+    """One sequence of ``n`` samples of a kind the classifier must tell apart."""
+    k = np.arange(n, dtype=float)
+    kind = draw(st.sampled_from(_ROW_KINDS))
+    if kind == "geometric":
+        limit, amp = draw(st.floats(-10.0, 10.0)), draw(st.floats(-5.0, 5.0))
+        row = limit + amp * draw(st.floats(0.05, 1.0)) ** k
+    elif kind == "alternating":
+        center, amp = draw(st.floats(-3.0, 3.0)), draw(st.floats(1e-4, 5.0))
+        row = center + amp * (-1.0) ** k * draw(st.floats(0.8, 1.1)) ** k
+    elif kind == "constant":
+        row = np.full(n, draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))))
+    elif kind == "jitter":
+        # about the noise floor of the sign test (1e-12 of the tail's scale)
+        eps = draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n))
+        row = draw(st.floats(-2.0, 2.0)) + 1e-13 * np.array(eps)
+    elif kind == "growth":
+        row = draw(st.sampled_from([1.0, -1.0])) * np.geomspace(1e9, 1e12, n)
+        if draw(st.booleans()):  # one stalled step among the last four
+            row[-draw(st.integers(1, 3))] = row[-4]
+    elif kind == "non-finite":
+        row = 1.0 + 0.5 ** k
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        row = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return row
+
+
+@st.composite
+def _kernel_matrix(draw):
+    n = draw(st.integers(8, 64))
+    return np.array(draw(st.lists(_kernel_row(n), min_size=1, max_size=40)))
+
+
+@given(_kernel_matrix(), st.sampled_from([1e-3, 1e-2, 0.5, 1e-9]))
+@settings(max_examples=200, deadline=None)
+def test_kernel_rows_match_the_one_sequence_oracle(matrix, tol):
+    got = classify_rows(matrix, tol)
+    assert [repr(v) for v in got] == [repr(_reference_classify(row, tol)) for row in matrix]
+    # a strided column classifies as its contiguous copy, alone or in a batch
+    columns = np.ascontiguousarray(matrix.T)
+    j = len(got) // 2
+    assert repr(classify_limit(columns[:, j], tol)) == repr(got[j])
+    assert repr(classify_rows(columns.T, tol)) == repr(got)
+
+
+def _scan_reports():
+    g = GeometricGrid(1000.0, 2.0, 64, integer_mode=True)
+    return [
+        uct_scan(parse("x*u*exp(-x*u)"), (0.004, 0.7), GeometricGrid(300.0, 1.1, 64), 65),
+        karamata_uct_check(parse("ln(x)"), (1.0, 2.5), GeometricGrid(40.0, 1.05, 64), 65),
+        condition_scan_310(parse("0.7/ln(x)"), (1.0, 3.0), g, 65, integer_mode=True),
+        condition_scan_310(parse("sin(x)/ln(x)"), (0.5, 2.0), g, 65, integer_mode=True),
+    ]
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_scan_matrix_verdicts_match_the_oracle(which):
+    rep = _scan_reports()[which]
+    tol = 1e-2  # the scanners' default classification tolerance
+    columns = np.array(rep.residuals).T
+    assert [repr(v) for v in rep.column_verdicts] == [
+        repr(_reference_classify(c, tol)) for c in columns
+    ]
+    assert repr(rep.suprema_verdict) == repr(_reference_classify(rep.suprema, tol))
+
+
+def test_batched_callers_keep_the_oracle_verdicts():
+    tol = 1e-2
+    est = rv_index(parse("exp(sin(x))"), grid=DEEP_GRID)
+    for track in est.tracks:
+        assert repr(track.verdict) == repr(_reference_classify(track.estimates, tol))
+    rep = sv_test(parse("x^(sin(x)/ln(x))"))
+    for track in (t for p in rep.passes for t in p.tracks):
+        assert repr(track.verdict) == repr(_reference_classify(track.ratios, tol))
+    closure = mult_closure_residual(parse("ln(ln(x))"), 2.0, 3.0, DEEP_GRID)
+    steps = (closure.step_lam, closure.step_mu, closure.combined)
+    assert [repr(v) for v in closure.verdicts] == [
+        repr(_reference_classify(s, tol)) for s in steps
+    ]
+    H, x_grid = parse("abs(ln(x+u) - ln(x))"), GeometricGrid(10.0, 10.0, 8)
+    guct = guct_diagnose(H, parse("1"), (0.0, 1.0), x_grid, sample_count=50)
+    xs = np.array(x_grid.points())
+    for u0, verdict in guct.pointwise:
+        samples = np.abs(np.log(xs + u0) - np.log(xs))
+        assert repr(verdict) == repr(_reference_classify(samples, tol))
+
+
+def test_kernel_returns_one_verdict_per_row():
+    assert classify_rows(np.ones((3, 9))) == (classify_limit(np.ones(9)),) * 3
+    assert classify_rows(np.empty((0, 9))) == ()
+    with pytest.raises(PreconditionError):
+        classify_rows(np.ones(9))
+    with pytest.raises(PreconditionError):
+        classify_limit(np.ones((2, 9)))
+
+
+# ---------------------------------------------------------------------------
+# overflow among finite samples
+
+def test_classify_overflowing_increment_raises():
+    with pytest.raises(PreconditionError, match="overflows: an increment"):
+        classify_limit([1.5e308, -1.5e308] * 6)
+
+
+def test_classify_overflowing_tail_sum_raises():
+    with pytest.raises(PreconditionError, match="overflows: the sum of the tail"):
+        classify_limit([1.5e308] * 12)
+
+
+def test_classify_overflowing_tail_deviation_raises():
+    # increments of 1.7e308 and a tail sum of -1.7e308 are finite; the
+    # first tail sample's distance from the tail mean, 2.1e308, is not
+    with pytest.raises(PreconditionError, match="overflows: the sum of the tail"):
+        classify_limit([0.0] * 4 + [1.7e308, 0.0, -1.7e308, -1.7e308])
+
+
+def test_classify_overflow_in_one_row_fails_the_batch():
+    with pytest.raises(PreconditionError, match="overflow"):
+        classify_rows([np.ones(12), [1.5e308] * 12])
+
+
+def test_classify_diverging_row_needs_no_finite_tail_sum():
+    # the last six samples sum to about 2.1e308, past the float range, but
+    # divergence is decided first, as it always was
+    for sign in (1, -1):
+        v = classify_limit(sign * np.geomspace(1e300, 1.7e308, 12))
+        assert v.kind == "diverges" and v.sign == sign
+
+
+def test_classify_non_finite_rows_beside_finite_ones():
+    rows = np.ones((3, 10))
+    rows[0, 3], rows[2, 9] = np.inf, np.nan
+    kinds = [v.kind for v in classify_rows(rows)]
+    assert kinds == ["inconclusive", "converges", "inconclusive"]
 
 
 # ---------------------------------------------------------------------------

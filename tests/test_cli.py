@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report shape, determinism, config."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,6 +13,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import karamata_kit
 from karamata_kit import config
@@ -135,6 +138,11 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
         ["uct", "hi", "--h", "1.5e308 + 0*x"],
         ["uct", "hi", "--h", "8e307*cos(3*u)", "--u-lo", "0", "--u-hi", "0.1",
          "--v-lo", "1", "--v-hi", "1.05"],
+        # the tail sum of a scan column, in limit classification
+        ["uct", "scan", "--g", "1.5e308*sin(x*u)", "--u-lo", "0.5"],
+        # the scan residuals F(lam x)/F(x) and (xi(lam x) - xi(x)) * ln x
+        ["uct", "karamata", "--f", "x^(-100)", "--a", "1e-4", "--b", "1"],
+        ["uct", "cond310", "--xi", "1e300*x", "--grid-start", "2"],
     ],
 )
 def test_overflow_exits_3_with_one_error_line(capsys, argv):
@@ -161,6 +169,61 @@ def test_non_finite_expression_value_exits_3(capsys, argv):
     assert out == ""
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: non-finite value in 'x * ")
+
+
+_FUZZ_NUMBER = st.one_of(
+    st.floats(),  # nan and the infinities included
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0 + 2**-52, 1e300, 1.5e308, -1.5e308]),
+)
+# small counts keep every example fast; those past the caps exit 2 unbuilt
+_FUZZ_COUNT = st.one_of(st.integers(-3, 40), st.sampled_from([1_001, 10**12]))
+_FUZZ_COMMON = {
+    "--grid-start": _FUZZ_NUMBER,
+    "--ratio": _FUZZ_NUMBER,
+    "--count": _FUZZ_COUNT,
+    "--classify-tol": _FUZZ_NUMBER,
+    "--value-tol": _FUZZ_NUMBER,
+    "--integer-mode": st.booleans(),
+}
+_FUZZ_COMMANDS = {
+    "scan": ("--g", ["x*u*exp(-x*u)", "sin(x*u)/ln(x)", "1e300*u/x"],
+             {"--u-lo": _FUZZ_NUMBER, "--u-hi": _FUZZ_NUMBER, "--u-count": _FUZZ_COUNT}),
+    "karamata": ("--f", ["ln(x)", "x^0.5", "exp(sin(x))", "x^(-100)"],
+                 {"--a": _FUZZ_NUMBER, "--b": _FUZZ_NUMBER, "--lambda-count": _FUZZ_COUNT}),
+    "cond310": ("--xi", ["1/ln(x)", "sin(x)/ln(x)", "1e300*x"],
+                {"--lambda-lo": _FUZZ_NUMBER, "--lambda-hi": _FUZZ_NUMBER,
+                 "--lambda-count": _FUZZ_COUNT}),
+}
+
+
+@st.composite
+def _fuzzed_scan_argv(draw, command):
+    flag, exprs, numeric = _FUZZ_COMMANDS[command]
+    values = draw(st.fixed_dictionaries({}, optional={**numeric, **_FUZZ_COMMON}))
+    argv = ["uct", command, flag, draw(st.sampled_from(exprs))]
+    for name, value in values.items():
+        if isinstance(value, bool):
+            argv.append(name if value else "--no-" + name[2:])
+        else:
+            # --flag=value, so that argparse takes "-inf" or "-1e+308" as a value
+            argv.append(f"{name}={value!r}")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+@settings(max_examples=80, deadline=5000)
+@given(data=st.data())
+def test_fuzzed_scan_flags_end_in_a_documented_exit_code(command, data):
+    argv = data.draw(_fuzzed_scan_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err.getvalue()
 
 
 def test_points_past_a_spent_budget_report_an_unbounded_error(capsys):

@@ -1,4 +1,4 @@
-"""Compare the CLI reports of two karamata-kit source trees.
+"""Compare the CLI reports and library results of two karamata-kit source trees.
 
     python3 tools/compare_reports.py PARENT CHANGE [--seeds 41,42,43] [--command "ARGV" ...]
 
@@ -12,10 +12,16 @@ compared, with ``timing_ms`` masked.  The commands are:
   ``perfbench/workloads.py``);
 - each ``--command``, split like a shell line.
 
-Each tree runs its commands in one fresh interpreter through
-``karamata_kit.cli.main``, as the benchmark does.  The script prints one
-line per command that differs, with a short diff, and a summary line.  It
-exits 0 when every command is identical and 1 otherwise.
+For each seed, both trees also run the library operations of the
+``wide_scans`` round (CHANGE's ``workloads.build("wide_scans", seed)``) and
+compare the ``repr`` of every result (of its ``tolist()`` for an array, or
+of the exception it raised) by SHA-256.
+
+Each tree runs its commands and operations in one fresh interpreter, the
+commands through ``karamata_kit.cli.main``, as the benchmark does.  The
+script prints one line per command or operation that differs, with a short
+diff for a command, and a summary line.  It exits 0 when everything is
+identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import hashlib
 import io
 import json
 import os
@@ -68,12 +75,32 @@ def _desk_commands(root: Path, src: Path, seeds: list[int]) -> list[list[str]]:
     return json.loads(out)
 
 
+def _wide_digests(seeds: list[int]) -> list[list]:
+    """[seed, label, SHA-256 of the result's repr] for each ``wide_scans``
+    operation of each seed."""
+    import numpy as np
+    import workloads
+
+    digests = []
+    for seed in seeds:
+        for op in workloads.build("wide_scans", seed):
+            try:
+                result = workloads.run_op(op)
+            except Exception as exc:  # a raised error is a result too
+                result = exc
+            text = repr(result.tolist() if isinstance(result, np.ndarray) else result)
+            digests.append([seed, op.label, hashlib.sha256(text.encode()).hexdigest()])
+    return digests
+
+
 def _worker() -> None:
-    """Run the argv lists read from stdin; print their results as JSON."""
+    """Run the argv lists and ``wide_scans`` seeds read from stdin; print
+    their results as JSON."""
     from karamata_kit.cli import main
 
+    job = json.load(sys.stdin)
     results = []
-    for argv in json.load(sys.stdin):
+    for argv in job["argvs"]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -81,15 +108,16 @@ def _worker() -> None:
             except SystemExit as exc:
                 code = exc.code
         results.append([code, _TIMING.sub('"timing_ms": 0', out.getvalue()), err.getvalue()])
-    json.dump(results, sys.stdout)
+    json.dump({"cli": results, "wide": _wide_digests(job["seeds"])}, sys.stdout)
 
 
-def _run(src: Path, argvs: list[list[str]]) -> list[list]:
-    env = {**os.environ, "PYTHONPATH": str(src)}
+def _run(src: Path, perfbench: Path, argvs: list[list[str]], seeds: list[int]) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(perfbench)])}
     env.pop("KARAMATA_KIT_THREADS", None)
     proc = subprocess.run(
         [sys.executable, __file__, "--worker"],
-        input=json.dumps(argvs), env=env, capture_output=True, text=True,
+        input=json.dumps({"argvs": argvs, "seeds": seeds}), env=env, capture_output=True,
+        text=True,
     )
     if proc.returncode != 0:
         raise SystemExit(f"error: worker for {src} failed:\n{proc.stderr}")
@@ -121,9 +149,11 @@ def main(argv=None) -> int:
     argvs += _desk_commands(change_root, change_src, seeds)
     argvs += [shlex.split(c) for c in args.command]
 
-    parent, change = _run(parent_src, argvs), _run(change_src, argvs)
+    perfbench = change_root / "perfbench"
+    parent = _run(parent_src, perfbench, argvs, seeds)
+    change = _run(change_src, perfbench, argvs, seeds)
     differ = 0
-    for argv, (pc, po, pe), (cc, co, ce) in zip(argvs, parent, change):
+    for argv, (pc, po, pe), (cc, co, ce) in zip(argvs, parent["cli"], change["cli"]):
         if (pc, po, pe) == (cc, co, ce):
             continue
         differ += 1
@@ -133,12 +163,22 @@ def main(argv=None) -> int:
         for lines in (_diff(po, co, "stdout"), _diff(pe, ce, "stderr")):
             if lines:
                 print("\n".join("  " + ln for ln in lines))
+    wide_differ = 0
+    for (seed, label, pd), (_, _, cd) in zip(parent["wide"], change["wide"]):
+        if pd != cd:
+            wide_differ += 1
+            print(f"DIFF wide_scans seed {seed} {label}: repr differs")
+    n_wide = len(change["wide"])
     print(
         f"{len(argvs) - differ} of {len(argvs)} commands identical apart from timing_ms "
         f"({n_readme} README, {len(argvs) - n_readme - len(args.command)} desk_reports "
         f"for seeds {args.seeds}, {len(args.command)} extra); {differ} differ"
     )
-    return 0 if differ == 0 else 1
+    print(
+        f"{n_wide - wide_differ} of {n_wide} wide_scans results equal by repr "
+        f"(seeds {args.seeds}); {wide_differ} differ"
+    )
+    return 0 if differ == 0 and wide_differ == 0 else 1
 
 
 if __name__ == "__main__":
