@@ -300,6 +300,15 @@ def _positive_values(F: Expr, xs: np.ndarray, var: str, label: str) -> np.ndarra
     return vals
 
 
+def _check_product(lam: float, x: float, what: str) -> None:
+    """Reject a scan whose largest shifted argument ``lam * x`` overflows.
+
+    The product is monotone in each factor's size, so checking the largest
+    pair covers the whole grid."""
+    if not math.isfinite(lam * x):
+        raise PreconditionError(f"{what} overflows: {lam!r} * {x!r} is not finite")
+
+
 def rv_index(
     F: Expr,
     lambdas=DEFAULT_LAMBDAS,
@@ -320,6 +329,7 @@ def rv_index(
         if lam <= 0 or lam == 1.0:
             raise PreconditionError(f"lambda must be positive and != 1, got {lam!r}")
     xs = np.asarray(grid.points())
+    _check_product(max(lams), float(xs[-1]), "lam * x")
     base = np.log(_positive_values(F, xs, var, "F"))
     ests = [
         (np.log(_positive_values(F, lam * xs, var, "F")) - base) / math.log(lam) for lam in lams
@@ -415,9 +425,19 @@ def sv_test(
         # it only contributes oscillation/divergence evidence
         aux_pass = g is not grid
         xs = np.asarray(g.points())
+        _check_product(max(lams, key=abs), float(xs[-1]), "lam * x")
         base = np.log(_positive_values(F, xs, var, "F"))
         log_ratios = [np.log(_positive_values(F, lam * xs, var, "F")) - base for lam in lams]
-        ratios = [np.exp(r) for r in log_ratios]
+        with np.errstate(over="ignore"):
+            ratios = [np.exp(r) for r in log_ratios]
+        # a ratio of finite values past the float range has no verdict
+        for lam, ratio in zip(lams, ratios):
+            bad = np.flatnonzero(np.isinf(ratio) | (ratio == 0.0))
+            if bad.size:
+                how = "overflows" if np.isinf(ratio[bad[0]]) else "underflows to 0"
+                raise PreconditionError(
+                    f"F(lam x)/F(x) {how} at lam = {lam!r}, x = {float(xs[bad[0]])!r}"
+                )
         verdicts = classify_rows(ratios, classify_tol)
         grid_xs = tuple(xs.tolist())
         tracks = []

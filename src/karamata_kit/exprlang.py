@@ -291,23 +291,20 @@ def parse(text: str) -> Expr:
 # evaluation
 
 def _pow_scalar(base: float, exponent: float, where: Callable[[], str]) -> float:
-    if base > 0.0:
-        try:
-            return float(base**exponent)
-        except OverflowError:
-            raise DomainError(f"overflow in {where()}") from None
     if base == 0.0:
         if exponent > 0.0:
             return 0.0
         if exponent == 0.0:
             return 1.0
         raise DomainError(f"zero base with negative exponent in {where()}")
-    if exponent == math.floor(exponent) and abs(exponent) < 1e15:
-        try:
-            return float(base**exponent)
-        except OverflowError:
-            raise DomainError(f"overflow in {where()}") from None
-    raise DomainError(f"negative base with non-integer exponent in {where()}")
+    if base < 0.0 and not (exponent == math.floor(exponent) and abs(exponent) < 1e15):
+        raise DomainError(f"negative base with non-integer exponent in {where()}")
+    # np.power, as _pow_array uses: Python's ** can differ from it in the last bit
+    try:
+        with np.errstate(over="raise"):
+            return float(np.power(base, exponent))
+    except FloatingPointError:
+        raise DomainError(f"overflow in {where()}") from None
 
 
 def evaluate(expr: Expr, env: Env) -> float:

@@ -26,6 +26,7 @@ from .asymptotics import (
     MIN_SAMPLES,
     RATIO_CLASSIFY_TOL,
     VALUE_TOL,
+    _check_product,
     classify_rows,
 )
 from .exprlang import Bin, EvalError, Expr, eval_array
@@ -165,15 +166,6 @@ def _finite_rows(rows: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
     if bad.size:
         raise PreconditionError(f"{what} overflows at x = {float(xs[bad[0]])!r}")
     return rows
-
-
-def _check_product(lam: float, x: float, what: str) -> None:
-    """Reject a scan whose largest shifted argument ``lam * x`` overflows.
-
-    Both factors are positive and the product is monotone in each, so
-    checking the largest pair covers the whole grid."""
-    if not math.isfinite(lam * x):
-        raise PreconditionError(f"{what} overflows: {lam!r} * {x!r} is not finite")
 
 
 def _check_interval(interval, what: str) -> tuple[float, float]:

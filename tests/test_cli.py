@@ -143,6 +143,9 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
         # the scan residuals F(lam x)/F(x) and (xi(lam x) - xi(x)) * ln x
         ["uct", "karamata", "--f", "x^(-100)", "--a", "1e-4", "--b", "1"],
         ["uct", "cond310", "--xi", "1e300*x", "--grid-start", "2"],
+        # the slow-variation ratio F(lam x)/F(x) of finite values
+        ["classify", "x^(-40)", "--lambdas", "1e-10", "--grid-start", "1000", "--ratio", "1.01",
+         "--count", "8"],
     ],
 )
 def test_overflow_exits_3_with_one_error_line(capsys, argv):
@@ -151,6 +154,14 @@ def test_overflow_exits_3_with_one_error_line(capsys, argv):
     assert out == ""
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: ") and "overflow" in err
+
+
+def test_underflowing_ratio_exits_3_with_one_error_line(capsys):
+    argv = ["classify", "exp(700*cos(ln(x)))", "--lambdas=1e-10", "--integer-mode"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: F(lam x)/F(x) underflows to 0 at lam = 1e-10, x = 1000.0\n"
 
 
 @pytest.mark.parametrize(
@@ -186,25 +197,38 @@ _FUZZ_COMMON = {
     "--value-tol": _FUZZ_NUMBER,
     "--integer-mode": st.booleans(),
 }
+# lambda lists for classify: each entry finite or not, tiny or huge
+_FUZZ_LAMBDAS = st.lists(
+    st.one_of(st.sampled_from([1e-300, 1e-10, 1e-8, 0.5, 2.0, 1e10, 1e300]), _FUZZ_NUMBER),
+    min_size=1, max_size=3,
+).map(lambda lams: ",".join(map(repr, lams)))
+# each command: its argv up to the expression, the expressions, its own flags
 _FUZZ_COMMANDS = {
-    "scan": ("--g", ["x*u*exp(-x*u)", "sin(x*u)/ln(x)", "1e300*u/x"],
+    "scan": (["uct", "scan", "--g"], ["x*u*exp(-x*u)", "sin(x*u)/ln(x)", "1e300*u/x"],
              {"--u-lo": _FUZZ_NUMBER, "--u-hi": _FUZZ_NUMBER, "--u-count": _FUZZ_COUNT}),
-    "karamata": ("--f", ["ln(x)", "x^0.5", "exp(sin(x))", "x^(-100)"],
+    "karamata": (["uct", "karamata", "--f"], ["ln(x)", "x^0.5", "exp(sin(x))", "x^(-100)"],
                  {"--a": _FUZZ_NUMBER, "--b": _FUZZ_NUMBER, "--lambda-count": _FUZZ_COUNT}),
-    "cond310": ("--xi", ["1/ln(x)", "sin(x)/ln(x)", "1e300*x"],
+    "cond310": (["uct", "cond310", "--xi"], ["1/ln(x)", "sin(x)/ln(x)", "1e300*x"],
                 {"--lambda-lo": _FUZZ_NUMBER, "--lambda-hi": _FUZZ_NUMBER,
                  "--lambda-count": _FUZZ_COUNT}),
+    # exp(700*cos(ln(x))) stays finite, but its ratios F(lam x)/F(x) need not;
+    # first, so that hypothesis's simplest example, with no flags, runs it
+    "classify": (["classify"], ["exp(700*cos(ln(x)))", "ln(x)", "x^0.5", "x^(-40)",
+                                "exp(sqrt(ln(x)))"],
+                 {"--lambdas": _FUZZ_LAMBDAS}),
 }
 
 
 @st.composite
-def _fuzzed_scan_argv(draw, command):
-    flag, exprs, numeric = _FUZZ_COMMANDS[command]
+def _fuzzed_argv(draw, command):
+    prefix, exprs, numeric = _FUZZ_COMMANDS[command]
     values = draw(st.fixed_dictionaries({}, optional={**numeric, **_FUZZ_COMMON}))
-    argv = ["uct", command, flag, draw(st.sampled_from(exprs))]
+    argv = [*prefix, draw(st.sampled_from(exprs))]
     for name, value in values.items():
         if isinstance(value, bool):
             argv.append(name if value else "--no-" + name[2:])
+        elif isinstance(value, str):
+            argv.append(f"{name}={value}")
         else:
             # --flag=value, so that argparse takes "-inf" or "-1e+308" as a value
             argv.append(f"{name}={value!r}")
@@ -215,7 +239,7 @@ def _fuzzed_scan_argv(draw, command):
 @settings(max_examples=80, deadline=5000)
 @given(data=st.data())
 def test_fuzzed_scan_flags_end_in_a_documented_exit_code(command, data):
-    argv = data.draw(_fuzzed_scan_argv(command))
+    argv = data.draw(_fuzzed_argv(command))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,13 +1,17 @@
-"""Report conversion: what ``to_jsonable`` makes of each kind of value."""
+"""Report conversion and rendering: what ``to_jsonable`` makes of each kind
+of value, and that ``render_json`` writes exactly what ``json.dumps`` does."""
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from karamata_kit.reporting import to_jsonable
+from karamata_kit.reporting import render_json, to_jsonable
 
 
 @pytest.mark.parametrize(
@@ -98,3 +102,91 @@ def test_arrays_convert_to_nested_lists_whatever_their_size():
 
 def test_a_dataclass_type_is_not_converted_as_an_instance():
     assert to_jsonable(_Inner) is _Inner
+
+
+# ---------------------------------------------------------------------------
+# render_json against its oracle, json.dumps
+
+
+def _oracle(tree) -> str:
+    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _outcome(render, tree):
+    """The text ``render`` writes for ``tree``, or the type of what it raised."""
+    try:
+        return render(tree)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\t\n\x1f\x7f", "naïve ∫ 😀  ", ""]),
+)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, sys.float_info.max]),
+)
+_LEAVES = st.one_of(
+    _STRINGS,
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**40]),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.none(),
+)
+# nan and the infinities, which json.dumps rejects with ValueError
+_NON_FINITE = st.sampled_from([math.nan, -math.inf, math.inf, np.float64(math.nan)])
+# values that json.dumps has no form for, which it rejects with TypeError
+_UNSERIALIZABLE = st.sampled_from([np.int64(3), np.bool_(True), {1, 2}, b"bytes", 1j, object()])
+
+
+def _trees(leaves, floats=_FLOATS):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children),
+            st.lists(children).map(tuple),
+            st.lists(floats),  # the plain-float lists that reports are full of
+            st.dictionaries(_STRINGS, children),
+        ),
+        max_leaves=30,
+    )
+
+
+@given(_trees(_LEAVES))
+@settings(max_examples=300)
+def test_render_json_writes_what_json_dumps_writes(tree):
+    assert render_json(tree) == _oracle(tree)
+
+
+@given(_trees(st.one_of(_LEAVES, _NON_FINITE, _UNSERIALIZABLE), st.one_of(_FLOATS, _NON_FINITE)))
+@settings(max_examples=300)
+def test_render_json_raises_what_json_dumps_raises(tree):
+    assert _outcome(render_json, tree) == _outcome(_oracle, tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {1: "int"},
+        {-0.5: [1.5]},
+        {"value": math.inf},
+        {False: None},
+        {None: {}},
+        {math.nan: 1},
+        {(1, 2): "tuple key"},
+        {1: 0, "a": 1},  # keys json.dumps cannot sort
+        [1.5, "mixed", 2.5],
+        [1.5, math.nan],
+        (0.5, np.float64(0.25)),
+        [np.float64(0.25), 0.5],
+        [[], {}, ()],
+        "top-level string",
+        5e-324,
+    ],
+)
+def test_render_json_matches_json_dumps_on_odd_inputs(tree):
+    assert _outcome(render_json, tree) == _outcome(_oracle, tree)

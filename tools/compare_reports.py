@@ -12,6 +12,10 @@ compared, with ``timing_ms`` masked.  The commands are:
   ``perfbench/workloads.py``);
 - each ``--command``, split like a shell line.
 
+Every JSON report CHANGE prints must also be in canonical form: exactly
+what ``json.dumps(json.loads(text), indent=2, sort_keys=True)`` writes, plus
+a newline.  That checks CHANGE's renderer without reference to PARENT.
+
 For each seed, both trees also run the library operations of the
 ``wide_scans`` round (CHANGE's ``workloads.build("wide_scans", seed)``) and
 compare the ``repr`` of every result (of its ``tolist()`` for an array, or
@@ -21,7 +25,7 @@ Each tree runs its commands and operations in one fresh interpreter, the
 commands through ``karamata_kit.cli.main``, as the benchmark does.  The
 script prints one line per command or operation that differs, with a short
 diff for a command, and a summary line.  It exits 0 when everything is
-identical and 1 otherwise.
+identical and every report canonical, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -124,6 +128,16 @@ def _run(src: Path, perfbench: Path, argvs: list[list[str]], seeds: list[int]) -
     return json.loads(proc.stdout)
 
 
+def _canonical(out: str) -> bool:
+    """Whether ``out``, a command's stdout that starts with a JSON report (and
+    may go on with CSV), starts with the canonical form of that report."""
+    try:
+        report, _ = json.JSONDecoder().raw_decode(out)
+    except ValueError:
+        return False
+    return out.startswith(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
 def _diff(a: str, b: str, what: str) -> list[str]:
     lines = difflib.unified_diff(
         a.splitlines(), b.splitlines(), f"parent {what}", f"change {what}", lineterm="", n=1
@@ -163,6 +177,12 @@ def main(argv=None) -> int:
         for lines in (_diff(po, co, "stdout"), _diff(pe, ce, "stderr")):
             if lines:
                 print("\n".join("  " + ln for ln in lines))
+    reports = [(argv, out) for argv, (_, out, _) in zip(argvs, change["cli"]) if out.startswith("{")]
+    not_canonical = 0
+    for argv, out in reports:
+        if not _canonical(out):
+            not_canonical += 1
+            print(f"NOT CANONICAL karamata-kit {shlex.join(argv)}")
     wide_differ = 0
     for (seed, label, pd), (_, _, cd) in zip(parent["wide"], change["wide"]):
         if pd != cd:
@@ -178,7 +198,11 @@ def main(argv=None) -> int:
         f"{n_wide - wide_differ} of {n_wide} wide_scans results equal by repr "
         f"(seeds {args.seeds}); {wide_differ} differ"
     )
-    return 0 if differ == 0 and wide_differ == 0 else 1
+    print(
+        f"{len(reports) - not_canonical} of {len(reports)} JSON reports of CHANGE in "
+        f"canonical form; {not_canonical} not"
+    )
+    return 0 if differ == 0 and wide_differ == 0 and not_canonical == 0 else 1
 
 
 if __name__ == "__main__":
