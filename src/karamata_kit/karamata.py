@@ -25,7 +25,6 @@ from .exprlang import (
     differentiate,
     evaluate,
     fold,
-    format_expr,
 )
 from .quad import IntegralCache, PreconditionError, QuadResult, QuadTolerance
 
@@ -120,7 +119,3 @@ def apply_L_grid(h: Expr, grid, tol: QuadTolerance = QuadTolerance(), var: str =
     """
     detailed = apply_L_points(h, list(grid.points()), tol, var)
     return [(v.x, v.value) for v in detailed]
-
-
-def describe_operator(h: Expr) -> str:
-    return f"L({format_expr(h)})"

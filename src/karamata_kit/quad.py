@@ -13,16 +13,23 @@ block measures its blocks on a thread pool (numpy's ufuncs and reductions
 release the GIL), each block writing into its own slice of the wave, so the
 results do not depend on the worker count either.
 
-Within a block the integrand is evaluated as (panels, 15), one row of nodes
-per panel, and its values are then laid out as (15, panels), one row per
-node.  Each of the four weighted sums (Kronrod value, Gauss value, and the
-two absolute sums of the error model) is then a handful of whole-row
-operations instead of a row sum per panel, taken in exactly the order of
-numpy's own contiguous 15-term sum: the pairwise tree
-``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``, then ``a8 ... a14`` one at a time,
-all added to the +0.0 numpy starts its sums from (so a total of -0.0 comes
-out as +0.0).  Small blocks take numpy's row sum itself, which is cheaper
-there.  Either way every value is the one a (panels, 15) row sum gives.
+A block is measured by one of two rules, which give the same bits.  The
+row rule, for blocks of at most ``_SMALL_BLOCK`` panels, takes numpy's row
+sum of each panel's 15 weighted values, laid out as (panels, 15).  The
+column rule, for larger blocks, reads the same values as (15, panels), one
+row per node, so that each weighted sum is a handful of whole-row
+operations, taken in exactly the order of numpy's own contiguous 15-term
+sum: the pairwise tree ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``, then
+``a8 ... a14`` one at a time, all added to the +0.0 numpy starts its sums
+from (so a total of -0.0 comes out as +0.0).
+
+The column rule sums only the seven Gauss products at the odd nodes, as
+``((p1+p3)+(p5+p7))+p9+p11+p13``.  The eight it skips are products with a
+zero weight, so ±0 for the finite values ``eval_array`` returns, and adding
+±0 to the row sum's partial sums changes at most the sign of a zero total;
+the Gauss value enters only through ``|resk - resg|``, which drops that
+sign.  Its absolute sum is taken from ``|fx * w|``, which equals
+``|fx| * w`` exactly because every Kronrod weight ``w`` is positive.
 
 If the evaluation budget runs out first, the best available value and an
 honest error estimate are returned with ``converged = False`` instead of
@@ -88,6 +95,12 @@ _NODES = np.concatenate([-_XGK[:7], [_XGK[7]], _XGK[6::-1]])
 _WEIGHTS_K = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
+# the column rule's weights: one per row of a (15, panels) array
+_WEIGHTS_K_COLUMN = _WEIGHTS_K[:, None]
+_WEIGHTS_G_ODD = _WEIGHTS_G[1::2, None]
+# the nodes of 64 panels side by side (7.5 KiB), which scale a block's
+# nodes in runs of 960 values where a (panels, 15) broadcast takes 15
+_NODE_ROW = np.tile(_NODES, 64)
 
 
 @dataclass(frozen=True)
@@ -114,13 +127,13 @@ class QuadResult:
     converged: bool
 
 
-# Panels per block of a wave: a block's (15, _BLOCK) arrays are 240 KiB each,
-# one row per node, summed across the rows in numpy's row-sum order.
-_BLOCK = 2048
-# Blocks of at most this many panels sum their nodes through a (panels, 15)
-# copy and numpy's row sum: up to here that costs less than the column ops
-# (measured crossover 160-190 panels).  Every one-panel wave of a desk-sized
-# command takes this branch.
+# Panels per block of a wave: a block's (15, _BLOCK) arrays are 480 KiB each,
+# so that the few a block keeps alive stay in a 2 MiB per-core L2 cache.
+_BLOCK = 4096
+# Blocks of at most this many panels take the row rule: up to here numpy's
+# row sums cost less than the column rule's fixed cost of about 50 numpy
+# calls (measured crossover 256-320 panels).  Every one-panel wave of a
+# desk-sized command takes the row rule.
 _SMALL_BLOCK = 160
 # round-off floor of the error estimate, as a multiple of int |f|
 _FLOOR = 50.0 * np.finfo(float).eps
@@ -178,8 +191,8 @@ if hasattr(os, "register_at_fork"):
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
     """Kronrod value and QUADPACK-style error per panel.
 
-    A wave is measured ``_BLOCK`` panels at a time, so that the (15, panels)
-    arrays of a block stay in cache.  The blocks of a larger wave go to
+    A wave is measured ``_BLOCK`` panels at a time, so that the arrays of a
+    block stay in cache.  The blocks of a larger wave go to
     ``thread_count()`` workers, each under a copy of the caller's context
     (numpy's ``errstate`` among it).  ``map`` re-raises in block order, so
     an integrand that fails raises the first failing block's error, as the
@@ -207,46 +220,85 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
     return resk, err
 
 
+def _rule_block(f, lo, hi):
+    """Kronrod value and error of each panel of one block; ``f`` must return
+    a new array.
+
+    ``f`` sees the nodes as (panels, 15), each panel's nodes side by side:
+    numpy's float64 sin runs about 15 % slower on the node-major order."""
+    if lo.size <= _SMALL_BLOCK:
+        return _row_rule(f, lo, hi)
+    return _column_rule(f, lo, hi)
+
+
+def _row_rule(f, lo, hi):
+    """The rule as weighted (panels, 15) arrays and numpy's row sums."""
+    width = hi - lo
+    half = 0.5 * width
+    points = half[:, None] * _NODES
+    points += (0.5 * (lo + hi))[:, None]
+    fx = f(points)
+    resk = np.multiply(fx, _WEIGHTS_K, out=points).sum(axis=1) * half
+    resg = np.multiply(fx, _WEIGHTS_G, out=points).sum(axis=1) * half
+    np.subtract(fx, (resk / width)[:, None], out=points)
+    np.abs(points, out=points)
+    points *= _WEIGHTS_K
+    resasc = points.sum(axis=1) * half
+    np.abs(fx, out=points)
+    points *= _WEIGHTS_K
+    resabs = points.sum(axis=1) * half
+    return _error(resk, resg, resasc, resabs)
+
+
+def _column_rule(f, lo, hi):
+    """The rule on the values read as (15, panels), with the weighted sums
+    in the order of the module docstring.
+
+    The values stay where ``f`` wrote them and are read through a transposed
+    view; the ``points`` buffer, free once ``f`` has returned, holds the
+    weighted values of each sum in turn."""
+    n = lo.size
+    width = hi - lo
+    half = 0.5 * width
+    points = np.repeat(half, 15)
+    whole = points[: points.size - points.size % _NODE_ROW.size].reshape(-1, _NODE_ROW.size)
+    whole *= _NODE_ROW
+    rest = points[whole.size:]
+    rest *= _NODE_ROW[: rest.size]
+    points += np.repeat(0.5 * (lo + hi), 15)
+    fx = f(points.reshape(n, 15)).T
+    p = points.reshape(15, n)
+    resk = _node_sums(np.multiply(fx, _WEIGHTS_K_COLUMN, out=p)) * half
+    # the node sum overwrote row 7 of the Kronrod products
+    np.multiply(fx[7], _WEIGHTS_K[7], out=p[7])
+    resabs = _node_sums(np.abs(p, out=p)) * half
+    gauss = np.multiply(fx[1::2], _WEIGHTS_G_ODD, out=p[:7])
+    pairs = gauss[0:4:2] + gauss[1:4:2]
+    np.add(pairs[0], pairs[1], out=gauss[3])
+    resg = np.add.reduce(gauss[3:], axis=0) * half
+    np.subtract(fx, resk / width, out=p)
+    np.abs(p, out=p)
+    p *= _WEIGHTS_K_COLUMN
+    resasc = _node_sums(p) * half
+    return _error(resk, resg, resasc, resabs)
+
+
 def _node_sums(p: np.ndarray) -> np.ndarray:
-    """Sum a (15, panels) array over its nodes, overwriting it, bit for bit
-    as numpy's ``sum(axis=1)`` of the (panels, 15) copy (order in the module
-    docstring).
+    """Sum a (15, panels) array over its nodes, overwriting its row 7, bit
+    for bit as numpy's ``sum(axis=1)`` of the (panels, 15) copy.
 
     The tail is one ``add.reduce`` down rows 7-14, which starts from +0.0
     as the row sum does.  On a single panel numpy would sum those 8 values
-    pairwise instead, so one panel always takes the row sum
+    pairwise instead, which is why one panel takes the row rule
     (``_SMALL_BLOCK >= 1``)."""
-    if p.shape[1] <= _SMALL_BLOCK:
-        return np.ascontiguousarray(p.T).sum(axis=1)
     pairs = p[0:8:2] + p[1:8:2]
     quads = pairs[0::2] + pairs[1::2]
     np.add(quads[0], quads[1], out=p[7])
     return np.add.reduce(p[7:], axis=0)
 
 
-def _rule_block(f, lo, hi):
-    """The rule on one block of panels; ``f`` must return a new array.
-
-    ``f`` sees the nodes as (panels, 15), each panel's nodes side by side:
-    numpy's float64 sin runs about 15 % slower on the node-major order.
-    The weighted sums then work on the transposed (15, panels) values,
-    reusing the ``points`` buffer in place.  Each is a multiply and a node
-    sum per panel, so no result depends on the block size."""
-    width = hi - lo
-    half = 0.5 * width
-    points = half[:, None] * _NODES
-    points += (0.5 * (lo + hi))[:, None]
-    fx = np.ascontiguousarray(f(points).T)
-    points = points.reshape(fx.shape)
-    resk = _node_sums(np.multiply(fx, _WEIGHTS_K[:, None], out=points)) * half
-    resg = _node_sums(np.multiply(fx, _WEIGHTS_G[:, None], out=points)) * half
-    np.subtract(fx, resk / width, out=points)
-    np.abs(points, out=points)
-    points *= _WEIGHTS_K[:, None]
-    resasc = _node_sums(points) * half
-    np.abs(fx, out=points)
-    points *= _WEIGHTS_K[:, None]
-    resabs = _node_sums(points) * half
+def _error(resk, resg, resasc, resabs):
+    """QUADPACK's error estimate from the four weighted sums of a block."""
     err = np.abs(resk - resg)
     measured = resasc > 0.0
     scale = np.where(measured, resasc, 1.0)

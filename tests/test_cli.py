@@ -9,15 +9,16 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import karamata_kit
-from karamata_kit import config
+from karamata_kit import config, quad
 from karamata_kit.asymptotics import DEFAULT_LAMBDAS
 from karamata_kit.cli import main
 
@@ -182,47 +183,86 @@ def test_non_finite_expression_value_exits_3(capsys, argv):
     assert err.startswith("error: non-finite value in 'x * ")
 
 
+# hostile numbers: nan, the infinities, zeros, subnormals, out of range
 _FUZZ_NUMBER = st.one_of(
     st.floats(),  # nan and the infinities included
     st.floats(-10.0, 10.0),
     st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0 + 2**-52, 1e300, 1.5e308, -1.5e308]),
 )
-# small counts keep every example fast; those past the caps exit 2 unbuilt
-_FUZZ_COUNT = st.one_of(st.integers(-3, 40), st.sampled_from([1_001, 10**12]))
+# each flag: (its valid range, its hostile values); small counts keep every
+# example fast, and those past the caps exit 2 unbuilt
+_FUZZ_COUNT = (st.integers(9, 40), st.sampled_from([-3, 0, 7, 8, 1_001, 10**12]))
+_FUZZ_TOL = (st.floats(1e-12, 0.5), _FUZZ_NUMBER)
 _FUZZ_COMMON = {
-    "--grid-start": _FUZZ_NUMBER,
-    "--ratio": _FUZZ_NUMBER,
+    "--grid-start": (st.floats(1.5, 1e4), _FUZZ_NUMBER),
+    "--ratio": (st.floats(1.05, 20.0), _FUZZ_NUMBER),
     "--count": _FUZZ_COUNT,
-    "--classify-tol": _FUZZ_NUMBER,
-    "--value-tol": _FUZZ_NUMBER,
-    "--integer-mode": st.booleans(),
+    "--classify-tol": _FUZZ_TOL,
+    "--value-tol": _FUZZ_TOL,
+    "--integer-mode": (st.booleans(), None),
 }
+
+
+def _lambda_list(entry):
+    return st.lists(entry, min_size=1, max_size=3).map(lambda lams: ",".join(map(repr, lams)))
+
+
 # lambda lists for classify: each entry finite or not, tiny or huge
-_FUZZ_LAMBDAS = st.lists(
-    st.one_of(st.sampled_from([1e-300, 1e-10, 1e-8, 0.5, 2.0, 1e10, 1e300]), _FUZZ_NUMBER),
-    min_size=1, max_size=3,
-).map(lambda lams: ",".join(map(repr, lams)))
-# each command: its argv up to the expression, the expressions, its own flags
+_FUZZ_LAMBDAS = (
+    _lambda_list(st.one_of(st.floats(0.01, 100.0),
+                           st.sampled_from([1e-10, 1e-8, 0.5, 2.0, 10.0, 1e10]))),
+    _lambda_list(st.one_of(st.sampled_from([1e-300, 1e-10, 1e300]), _FUZZ_NUMBER)),
+)
+_FUZZ_LO = (st.floats(0.1, 2.0), _FUZZ_NUMBER)
+_FUZZ_HI = (st.floats(1.0, 20.0), _FUZZ_NUMBER)
+# quadrature requests; x <= 1e5 keeps a converging example within the deadline
+_FUZZ_QUAD_TOL = (st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1.0]),
+                  st.sampled_from([0.0, -0.0, -1e-10, math.nan, math.inf, -math.inf]))
+_FUZZ_QUAD = {
+    "--abs-tol": _FUZZ_QUAD_TOL,
+    "--rel-tol": _FUZZ_QUAD_TOL,
+    "--max-evals": (st.integers(15, 2_000_000), st.sampled_from([-1, 0, 14])),
+}
+# each command: its argv up to the expression, the expressions, the flags it
+# always takes, the flags it may take
 _FUZZ_COMMANDS = {
-    "scan": (["uct", "scan", "--g"], ["x*u*exp(-x*u)", "sin(x*u)/ln(x)", "1e300*u/x"],
-             {"--u-lo": _FUZZ_NUMBER, "--u-hi": _FUZZ_NUMBER, "--u-count": _FUZZ_COUNT}),
-    "karamata": (["uct", "karamata", "--f"], ["ln(x)", "x^0.5", "exp(sin(x))", "x^(-100)"],
-                 {"--a": _FUZZ_NUMBER, "--b": _FUZZ_NUMBER, "--lambda-count": _FUZZ_COUNT}),
-    "cond310": (["uct", "cond310", "--xi"], ["1/ln(x)", "sin(x)/ln(x)", "1e300*x"],
-                {"--lambda-lo": _FUZZ_NUMBER, "--lambda-hi": _FUZZ_NUMBER,
-                 "--lambda-count": _FUZZ_COUNT}),
+    "apply-l": (["apply-l"], ["sin(x)", "1/(1+ln(x))", "x^0.5", "exp(sin(x))", "x*1e300",
+                              "ln(x-2)"],
+                {"--x": (st.floats(1.0, 1e5),
+                         st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 0.0, -3.0]))},
+                _FUZZ_QUAD),
+    "scan": (["uct", "scan", "--g"], ["x*u*exp(-x*u)", "sin(x*u)/ln(x)", "1e300*u/x"], {},
+             {"--u-lo": (st.floats(0.0, 2.0), _FUZZ_NUMBER),
+              "--u-hi": (st.floats(0.5, 10.0), _FUZZ_NUMBER),
+              "--u-count": _FUZZ_COUNT, **_FUZZ_COMMON}),
+    "karamata": (["uct", "karamata", "--f"], ["ln(x)", "x^0.5", "exp(sin(x))", "x^(-100)"], {},
+                 {"--a": _FUZZ_LO, "--b": _FUZZ_HI, "--lambda-count": _FUZZ_COUNT,
+                  **_FUZZ_COMMON}),
+    "cond310": (["uct", "cond310", "--xi"], ["1/ln(x)", "sin(x)/ln(x)", "1e300*x"], {},
+                {"--lambda-lo": _FUZZ_LO, "--lambda-hi": _FUZZ_HI,
+                 "--lambda-count": _FUZZ_COUNT, **_FUZZ_COMMON}),
     # exp(700*cos(ln(x))) stays finite, but its ratios F(lam x)/F(x) need not;
     # first, so that hypothesis's simplest example, with no flags, runs it
     "classify": (["classify"], ["exp(700*cos(ln(x)))", "ln(x)", "x^0.5", "x^(-40)",
-                                "exp(sqrt(ln(x)))"],
-                 {"--lambdas": _FUZZ_LAMBDAS}),
+                                "exp(sqrt(ln(x)))"], {},
+                 {"--lambdas": _FUZZ_LAMBDAS, **_FUZZ_COMMON}),
 }
 
 
 @st.composite
 def _fuzzed_argv(draw, command):
-    prefix, exprs, numeric = _FUZZ_COMMANDS[command]
-    values = draw(st.fixed_dictionaries({}, optional={**numeric, **_FUZZ_COMMON}))
+    """Flags from their valid ranges, and in about one example of three one
+    of them hostile instead: most examples get past validation."""
+    prefix, exprs, required, optional = _FUZZ_COMMANDS[command]
+    values = draw(st.fixed_dictionaries(
+        {name: valid for name, (valid, _) in required.items()},
+        optional={name: valid for name, (valid, _) in optional.items()},
+    ))
+    specs = {**required, **optional}
+    hostile = sorted(name for name in values if specs[name][1] is not None)
+    if hostile and draw(st.integers(0, 2)) == 0:
+        name = draw(st.sampled_from(hostile))
+        values[name] = draw(specs[name][1])
     argv = [*prefix, draw(st.sampled_from(exprs))]
     for name, value in values.items():
         if isinstance(value, bool):
@@ -245,6 +285,7 @@ def test_fuzzed_scan_flags_end_in_a_documented_exit_code(command, data):
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    event(f"exit {code}")
     assert code in (0, 2, 3, 4), err.getvalue()
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err.getvalue()
@@ -567,20 +608,58 @@ def _canonical(report_text):
     return json.dumps(report, sort_keys=True)
 
 
-def test_reports_are_identical_across_thread_counts(capsys, monkeypatch):
-    argv = ["uct", "scan", "--g", "x*u*exp(-x*u)", "--u-lo", "0.001"]
-    monkeypatch.setenv("KARAMATA_KIT_THREADS", "1")
-    _, out_serial, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("KARAMATA_KIT_THREADS", "8")
-    _, out_pool, _ = run_cli(capsys, argv)
-    assert _canonical(out_serial) == _canonical(out_pool)
+@pytest.fixture
+def block_threads(monkeypatch):
+    """The threads that measured a quadrature block.  Three usable cores, so
+    that KARAMATA_KIT_THREADS=8 really runs three workers."""
+    monkeypatch.setattr(quad, "_usable_cores", lambda: 3)
+    threads = set()
+    rule_block = quad._rule_block
+
+    def spy(f, lo, hi):
+        threads.add(threading.get_ident())
+        return rule_block(f, lo, hi)
+
+    monkeypatch.setattr(quad, "_rule_block", spy)
+    return threads
 
 
-def test_csv_bytes_identical_across_thread_counts(capsys, monkeypatch):
-    argv = ["uct", "karamata", "--f", "ln(x)", "--format", "csv"]
+# apply-l integrates in multi-block waves; the scans never integrate.  The
+# sweep ends at 10 * 3.7**7 = 9.5e4.
+_INTEGRATING = [
+    ["apply-l", "sin(x)", "--x", "1e5"],
+    ["apply-l", "sin(x)", "--grid-start", "10", "--ratio", "3.7", "--count", "8"],
+]
+
+
+def _across_thread_counts(capsys, monkeypatch, threads, argv, workers):
+    """Exit codes and outputs of ``argv`` serial and under ``workers``
+    threads, and whether a worker thread measured a block of the second run."""
     monkeypatch.setenv("KARAMATA_KIT_THREADS", "1")
-    code1, out_serial, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("KARAMATA_KIT_THREADS", "6")
-    code2, out_pool, _ = run_cli(capsys, argv)
-    assert code1 == code2 == 0
-    assert out_serial == out_pool
+    serial = run_cli(capsys, argv)
+    threads.clear()
+    monkeypatch.setenv("KARAMATA_KIT_THREADS", workers)
+    pooled = run_cli(capsys, argv)
+    return serial[:2], pooled[:2], bool(threads - {threading.get_ident()})
+
+
+def test_reports_are_identical_across_thread_counts(capsys, monkeypatch, block_threads):
+    scan = ["uct", "scan", "--g", "x*u*exp(-x*u)", "--u-lo", "0.001"]
+    for argv in [scan, *_INTEGRATING]:
+        serial, pooled, on_workers = _across_thread_counts(
+            capsys, monkeypatch, block_threads, argv, "8"
+        )
+        assert serial[0] == pooled[0] == 0, argv
+        assert _canonical(serial[1]) == _canonical(pooled[1]), argv
+        assert on_workers == (argv is not scan), argv
+
+
+def test_csv_bytes_identical_across_thread_counts(capsys, monkeypatch, block_threads):
+    scan = ["uct", "karamata", "--f", "ln(x)"]
+    for argv in [scan, *_INTEGRATING]:
+        serial, pooled, on_workers = _across_thread_counts(
+            capsys, monkeypatch, block_threads, [*argv, "--format", "csv"], "6"
+        )
+        assert serial == pooled, argv
+        assert serial[0] == 0, argv
+        assert on_workers == (argv is not scan), argv

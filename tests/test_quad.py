@@ -292,8 +292,13 @@ def _reference_rule(f, lo, hi):
 
 
 def _wave_sizes():
+    # half + 1 leaves one panel past the last whole 64-panel node row;
+    # block + half + 7 ends in a partial block that takes the column rule,
+    # 3 * block + 7 in one that takes the row rule
     small, block = quad_mod._SMALL_BLOCK, quad_mod._BLOCK
-    return [1, 2, 15, small, small + 1, block, block + 1, 3 * block + 7]
+    half = block // 2
+    return [1, 2, 15, small, small + 1, half, half + 1, block, block + 1, block + half + 7,
+            3 * block + 7]
 
 
 def _assert_same_bits(got, want):
@@ -325,6 +330,35 @@ def test_negative_zero_integrand_sums_to_positive_zero(n):
     resk, err = quad_mod._panel_rule(f, lo, hi)
     _assert_same_bits((resk, err), _reference_rule(f, lo, hi))
     assert not np.signbit(resk).any()
+
+
+def _zero_at_gauss_nodes(points):
+    # +0.0 or -0.0 at every Gauss node (odd index), sin elsewhere
+    fx = np.sin(40.0 * points)
+    fx[:, 1::2] = np.copysign(0.0, np.cos(300.0 * points[:, 1::2]))
+    return fx
+
+
+def _antisymmetric(points):
+    # f(c - d) = -f(c + d) about each panel's centre c: the weighted sums
+    # cancel to round-off or to a signed zero; about a fifth of the panels,
+    # picked by their centre, are all zeros
+    left = np.sin(40.0 * points[:, :7]) * np.exp(points[:, :7])
+    zero = np.sin(1000.0 * points[:, 7]) > 0.6
+    left[zero] = np.copysign(0.0, left[zero])
+    mid = np.copysign(0.0, np.sin(300.0 * points[:, 7:8]))
+    return np.hstack([left, mid, -left[:, ::-1]])
+
+
+@pytest.mark.parametrize("f", [_zero_at_gauss_nodes, _antisymmetric])
+@pytest.mark.parametrize(
+    "n", [1, quad_mod._SMALL_BLOCK + 1, quad_mod._BLOCK, 2 * quad_mod._BLOCK + 1]
+)
+def test_gauss_sum_of_the_odd_nodes_matches_row_sums(f, n):
+    # the column rule adds only the seven nonzero Gauss products; the skipped
+    # ones are +-0, which may flip the sign of a zero Gauss value only
+    lo, hi = _wave(np.random.default_rng(7 * n), n)
+    _assert_same_bits(quad_mod._panel_rule(f, lo, hi), _reference_rule(f, lo, hi))
 
 
 @pytest.mark.parametrize("small_block", [1, quad_mod._SMALL_BLOCK, quad_mod._BLOCK])

@@ -17,9 +17,11 @@ what ``json.dumps(json.loads(text), indent=2, sort_keys=True)`` writes, plus
 a newline.  That checks CHANGE's renderer without reference to PARENT.
 
 For each seed, both trees also run the library operations of the
-``wide_scans`` round (CHANGE's ``workloads.build("wide_scans", seed)``) and
-compare the ``repr`` of every result (of its ``tolist()`` for an array, or
-of the exception it raised) by SHA-256.
+``wide_scans`` and ``osc_quad`` rounds (CHANGE's ``workloads.build(name,
+seed)``) and compare the ``repr`` of every result by SHA-256: of its
+``tolist()`` for an array, of the hex of its floats with its evaluation
+count and convergence for an ``OperatorValue`` (one per point of a sweep),
+or of the exception it raised.
 
 Each tree runs its commands and operations in one fresh interpreter, the
 commands through ``karamata_kit.cli.main``, as the benchmark does.  The
@@ -79,27 +81,51 @@ def _desk_commands(root: Path, src: Path, seeds: list[int]) -> list[list[str]]:
     return json.loads(out)
 
 
-def _wide_digests(seeds: list[int]) -> list[list]:
-    """[seed, label, SHA-256 of the result's repr] for each ``wide_scans``
-    operation of each seed."""
+# the benchmark rounds whose library results are compared
+_ROUNDS = ("wide_scans", "osc_quad")
+
+
+def _exact(result):
+    """What a round result is compared by: an array as its ``tolist()``, an
+    ``OperatorValue`` as the hex of its floats with the evaluation count and
+    convergence of its quadrature, a list item by item, else the result."""
     import numpy as np
+    from karamata_kit import OperatorValue
+
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    if isinstance(result, list):
+        return [_exact(item) for item in result]
+    if isinstance(result, OperatorValue):
+        q = result.quad
+        quad = None if q is None else (
+            q.value.hex(), q.error_estimate.hex(), q.evaluations, q.converged
+        )
+        return (result.x.hex(), result.value.hex(), quad)
+    return result
+
+
+def _round_digests(seeds: list[int]) -> list[list]:
+    """[round, seed, label, SHA-256 of the result's repr] for each operation
+    of each compared round and seed."""
     import workloads
 
     digests = []
-    for seed in seeds:
-        for op in workloads.build("wide_scans", seed):
-            try:
-                result = workloads.run_op(op)
-            except Exception as exc:  # a raised error is a result too
-                result = exc
-            text = repr(result.tolist() if isinstance(result, np.ndarray) else result)
-            digests.append([seed, op.label, hashlib.sha256(text.encode()).hexdigest()])
+    for name in _ROUNDS:
+        for seed in seeds:
+            for op in workloads.build(name, seed):
+                try:
+                    result = _exact(workloads.run_op(op))
+                except Exception as exc:  # a raised error is a result too
+                    result = exc
+                text = repr(result)
+                digests.append([name, seed, op.label, hashlib.sha256(text.encode()).hexdigest()])
     return digests
 
 
 def _worker() -> None:
-    """Run the argv lists and ``wide_scans`` seeds read from stdin; print
-    their results as JSON."""
+    """Run the argv lists and round seeds read from stdin; print their
+    results as JSON."""
     from karamata_kit.cli import main
 
     job = json.load(sys.stdin)
@@ -112,7 +138,7 @@ def _worker() -> None:
             except SystemExit as exc:
                 code = exc.code
         results.append([code, _TIMING.sub('"timing_ms": 0', out.getvalue()), err.getvalue()])
-    json.dump({"cli": results, "wide": _wide_digests(job["seeds"])}, sys.stdout)
+    json.dump({"cli": results, "rounds": _round_digests(job["seeds"])}, sys.stdout)
 
 
 def _run(src: Path, perfbench: Path, argvs: list[list[str]], seeds: list[int]) -> dict:
@@ -150,7 +176,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--seeds", default="41,42,43",
-                        help="desk_reports seeds, comma-separated (default 41,42,43)")
+                        help="seeds of the benchmark rounds, comma-separated (default 41,42,43)")
     parser.add_argument("--command", action="append", default=[],
                         help="one more command, e.g. \"apply-l 'sin(x)' --x 10\"")
     args = parser.parse_args(argv)
@@ -183,26 +209,27 @@ def main(argv=None) -> int:
         if not _canonical(out):
             not_canonical += 1
             print(f"NOT CANONICAL karamata-kit {shlex.join(argv)}")
-    wide_differ = 0
-    for (seed, label, pd), (_, _, cd) in zip(parent["wide"], change["wide"]):
+    round_differ = dict.fromkeys(_ROUNDS, 0)
+    for (name, seed, label, pd), (*_, cd) in zip(parent["rounds"], change["rounds"]):
         if pd != cd:
-            wide_differ += 1
-            print(f"DIFF wide_scans seed {seed} {label}: repr differs")
-    n_wide = len(change["wide"])
+            round_differ[name] += 1
+            print(f"DIFF {name} seed {seed} {label}: repr differs")
     print(
         f"{len(argvs) - differ} of {len(argvs)} commands identical apart from timing_ms "
         f"({n_readme} README, {len(argvs) - n_readme - len(args.command)} desk_reports "
         f"for seeds {args.seeds}, {len(args.command)} extra); {differ} differ"
     )
-    print(
-        f"{n_wide - wide_differ} of {n_wide} wide_scans results equal by repr "
-        f"(seeds {args.seeds}); {wide_differ} differ"
-    )
+    for name in _ROUNDS:
+        n_round = sum(1 for d in change["rounds"] if d[0] == name)
+        print(
+            f"{n_round - round_differ[name]} of {n_round} {name} results equal by repr "
+            f"(seeds {args.seeds}); {round_differ[name]} differ"
+        )
     print(
         f"{len(reports) - not_canonical} of {len(reports)} JSON reports of CHANGE in "
         f"canonical form; {not_canonical} not"
     )
-    return 0 if differ == 0 and wide_differ == 0 and not_canonical == 0 else 1
+    return 0 if differ == 0 and not any(round_differ.values()) and not_canonical == 0 else 1
 
 
 if __name__ == "__main__":
