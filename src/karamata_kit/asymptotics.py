@@ -16,7 +16,9 @@ an (m, n) array at once: every reduction runs along a contiguous row, so
 each row's verdict is the one it would get on its own.  ``classify_limit``
 is its one-row call, and every caller with several sequences of one length
 (the columns of a uniformity scan, the lambda tracks of ``rv_index`` and
-``sv_test``) classifies them in one call.
+``sv_test``) classifies them in one call.  In the same way the ratio tests
+evaluate F once on the grid and once on the whole (lambda, x) block, not
+once per lambda, and share one log-ratio kernel.
 """
 
 from __future__ import annotations
@@ -292,12 +294,35 @@ class IndexEstimate:
     tracks: tuple[IndexTrack, ...]
 
 
-def _positive_values(F: Expr, xs: np.ndarray, var: str, label: str) -> np.ndarray:
+def _values(F: Expr, xs: np.ndarray, var: str, positive: bool = True) -> np.ndarray:
+    """F on the 1-D points ``xs``; with ``positive``, the first non-positive
+    value fails."""
     vals = eval_array(F, {var: xs})
-    if np.any(vals <= 0.0):
+    if positive and np.any(vals <= 0.0):
         bad = float(xs[np.argmax(vals <= 0.0)])
-        raise PreconditionError(f"{label} must be positive; failed at x = {bad!r}")
+        raise PreconditionError(f"F must be positive; failed at x = {bad!r}")
     return vals
+
+
+def _grid_values(F: Expr, lams, xs: np.ndarray, var: str, positive: bool = True):
+    """F on the grid and on the (lambda, x) block ``lam * x``, one
+    ``eval_array`` call each.  The block is evaluated flat, in row-major
+    order, so that every row gets the bits of its own call: as a
+    (lambda, 1) array, a one-point grid would take ``_pow_array``'s column
+    path."""
+    block = np.multiply.outer(lams, xs)
+    base = _values(F, xs, var, positive)
+    return base, _values(F, block.ravel(), var, positive).reshape(block.shape)
+
+
+def _log_ratios(base: np.ndarray, shifted: np.ndarray, lams=None) -> np.ndarray:
+    """``ln F(lam x) - ln F(x)``, one row per lambda, from F on the grid
+    (``base``) and on the (lambda, x) block (``shifted``).  Given ``lams``,
+    each row is divided by ``math.log(lam)``: the variation index estimates."""
+    out = np.log(shifted) - np.log(base)
+    if lams is not None:
+        out /= np.array([math.log(lam) for lam in lams])[:, None]
+    return out
 
 
 def _check_product(lam: float, x: float, what: str) -> None:
@@ -330,10 +355,7 @@ def rv_index(
             raise PreconditionError(f"lambda must be positive and != 1, got {lam!r}")
     xs = np.asarray(grid.points())
     _check_product(max(lams), float(xs[-1]), "lam * x")
-    base = np.log(_positive_values(F, xs, var, "F"))
-    ests = [
-        (np.log(_positive_values(F, lam * xs, var, "F")) - base) / math.log(lam) for lam in lams
-    ]
+    ests = _log_ratios(*_grid_values(F, lams, xs, var), lams)
     short = LimitVerdict(kind="inconclusive", detail="grid too short to classify")
     verdicts = classify_rows(ests, classify_tol) if xs.size >= MIN_SAMPLES else [short] * len(ests)
     grid_xs = tuple(xs.tolist())
@@ -426,10 +448,9 @@ def sv_test(
         aux_pass = g is not grid
         xs = np.asarray(g.points())
         _check_product(max(lams, key=abs), float(xs[-1]), "lam * x")
-        base = np.log(_positive_values(F, xs, var, "F"))
-        log_ratios = [np.log(_positive_values(F, lam * xs, var, "F")) - base for lam in lams]
+        log_ratios = _log_ratios(*_grid_values(F, lams, xs, var))
         with np.errstate(over="ignore"):
-            ratios = [np.exp(r) for r in log_ratios]
+            ratios = np.exp(log_ratios)
         # a ratio of finite values past the float range has no verdict
         for lam, ratio in zip(lams, ratios):
             bad = np.flatnonzero(np.isinf(ratio) | (ratio == 0.0))
@@ -513,7 +534,7 @@ def exponent_profile(
 ) -> ProfileReport:
     """Profile ``xi(x) = ln F(x) / ln x`` along the grid and classify it."""
     xs = np.asarray(grid.points())
-    vals = np.log(_positive_values(F, xs, var, "F")) / np.log(xs)
+    vals = np.log(_values(F, xs, var)) / np.log(xs)
     verdict = classify_limit(vals, classify_tol)
     return ProfileReport(
         xs=tuple(float(x) for x in xs),
@@ -578,15 +599,12 @@ def _membership(values: np.ndarray, claimed: ClaimedClass, classify_tol: float):
     raise AssertionError("only z0/bounded take plain value sequences")
 
 
-def _ratio_membership(xs, value_at, claimed: ClaimedClass, classify_tol: float, lams):
-    """Class membership for r0 / r_alpha given value lookups at x and lam*x."""
-    ests = []
-    for lam in lams:
-        num = np.array([value_at(lam * x) for x in xs])
-        den = np.array([value_at(x) for x in xs])
-        if np.any(num <= 0) or np.any(den <= 0):
-            return False, {"error": "values not positive, ratio test undefined"}
-        ests.append((np.log(num) - np.log(den)) / math.log(lam))
+def _ratio_membership(base, shifted, claimed: ClaimedClass, classify_tol: float, lams):
+    """Class membership for r0 / r_alpha given the values on the grid
+    (``base``) and on the (lambda, x) block (``shifted``)."""
+    if np.any(shifted <= 0) or np.any(base <= 0):
+        return False, {"error": "values not positive, ratio test undefined"}
+    ests = _log_ratios(base, shifted, lams)
     finals = []
     detail: dict = {"lambdas": lams, "tracks": {}}
     ok = True
@@ -633,15 +651,18 @@ def class_preservation_check(
         con_ok, con_detail = _membership(l_values, claimed, classify_tol)
     else:
         lam_set = sorted({float(l) for l in lambdas})
-        point_set = sorted({float(x) for x in xs} | {lam * float(x) for lam in lam_set for x in xs})
-        h_lookup = {p: float(eval_array(h, {var: np.array([p])})[0]) for p in point_set}
-        hyp_ok, hyp_detail = _ratio_membership(
-            xs, lambda p: h_lookup[p], claimed, classify_tol, lam_set
-        )
-        l_vals = apply_L_points(h, point_set, tol, var)
-        l_lookup = {v.x: v.value for v in l_vals}
+        h_base, h_shifted = _grid_values(h, lam_set, xs, var, positive=False)
+        hyp_ok, hyp_detail = _ratio_membership(h_base, h_shifted, claimed, classify_tol, lam_set)
+        # one cache sweep over the ascending union of the grid and the block
+        block = np.multiply.outer(lam_set, xs)
+        points = np.unique(np.concatenate([xs, block.ravel()]))
+        l_values = np.array([v.value for v in apply_L_points(h, points.tolist(), tol, var)])
         con_ok, con_detail = _ratio_membership(
-            xs, lambda p: l_lookup[p], claimed, classify_tol, lam_set
+            l_values[np.searchsorted(points, xs)],
+            l_values[np.searchsorted(points, block)],
+            claimed,
+            classify_tol,
+            lam_set,
         )
 
     notes = ""

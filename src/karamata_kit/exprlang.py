@@ -6,13 +6,15 @@ parentheses, function calls ``ln exp sin cos sqrt abs`` and two-argument
 exponent, and identifiers as free variables.  Precedence, tightest first:
 ``^``, unary minus, ``* /``, ``+ -``.
 
-Expressions are immutable trees.  Evaluation is strict about domains:
-``ln`` of a non-positive value, ``sqrt`` of a negative value, division by
-zero, a non-positive base raised to a non-integer power, and a value that
-is not finite all raise :class:`DomainError` instead of propagating NaN or
-infinity.  Finiteness is checked on the result of each call, not on every
-node, so an intermediate infinity that ends finite (``1/(x*1e300)`` at
-large x) still gives its finite value.
+Expressions are immutable trees with one evaluator, ``eval_array``, over
+numpy arrays; ``evaluate`` at a single point is its 0-d case, with the same
+rules and messages.  Evaluation is strict about domains: ``ln`` of a
+non-positive value, ``sqrt`` of a negative value, division by zero, a
+negative base raised to a non-integer power, zero raised to a negative
+power, and a value that is not finite all raise :class:`DomainError`
+instead of propagating NaN or infinity.  Finiteness is checked on the
+result of each call, not on every node, so an intermediate infinity that
+ends finite (``1/(x*1e300)`` at large x) still gives its finite value.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -290,100 +292,17 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _pow_scalar(base: float, exponent: float, where: Callable[[], str]) -> float:
-    if base == 0.0:
-        if exponent > 0.0:
-            return 0.0
-        if exponent == 0.0:
-            return 1.0
-        raise DomainError(f"zero base with negative exponent in {where()}")
-    if base < 0.0 and not (exponent == math.floor(exponent) and abs(exponent) < 1e15):
-        raise DomainError(f"negative base with non-integer exponent in {where()}")
-    # np.power, as _pow_array uses: Python's ** can differ from it in the last bit
-    try:
-        with np.errstate(over="raise"):
-            return float(np.power(base, exponent))
-    except FloatingPointError:
-        raise DomainError(f"overflow in {where()}") from None
-
-
 def evaluate(expr: Expr, env: Env) -> float:
     """Evaluate ``expr`` at the point given by ``env`` (variable -> value).
 
+    The 0-d case of :func:`eval_array`, with its domain rules and messages.
     Pure: same expression and environment always give the same float.
     """
-    value = _evaluate(expr, env)
-    if not math.isfinite(value):
-        raise _not_finite(expr)
-    return value
-
-
-def _not_finite(expr: Expr) -> DomainError:
-    return DomainError(f"non-finite value in '{format_expr(expr)}'")
-
-
-def _evaluate(expr: Expr, env: Env) -> float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(env[expr.name])
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Neg):
-        return -_evaluate(expr.arg, env)
-    if isinstance(expr, Bin):
-        lhs = _evaluate(expr.lhs, env)
-        rhs = _evaluate(expr.rhs, env)
-        op = expr.op
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0.0:
-                raise DomainError(f"division by zero in '{format_expr(expr)}'")
-            return lhs / rhs
-        if op == "^":
-            return _pow_scalar(lhs, rhs, lambda: f"'{format_expr(expr)}'")
-        raise EvalError(f"unknown operator {op!r}")
-    if isinstance(expr, Call):
-        args = [_evaluate(a, env) for a in expr.args]
-        name = expr.func
-        if name == "ln":
-            if args[0] <= 0.0:
-                raise DomainError(
-                    f"ln of non-positive value {args[0]!r} in '{format_expr(expr)}'"
-                )
-            return math.log(args[0])
-        if name == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError:
-                raise DomainError(f"overflow in '{format_expr(expr)}'") from None
-        # math.sin and math.cos raise on an infinity where numpy gives nan
-        if name == "sin":
-            return math.sin(args[0]) if math.isfinite(args[0]) else math.nan
-        if name == "cos":
-            return math.cos(args[0]) if math.isfinite(args[0]) else math.nan
-        if name == "sqrt":
-            if args[0] < 0.0:
-                raise DomainError(
-                    f"sqrt of negative value {args[0]!r} in '{format_expr(expr)}'"
-                )
-            return math.sqrt(args[0])
-        if name == "abs":
-            return abs(args[0])
-        if name == "pow":
-            return _pow_scalar(args[0], args[1], lambda: f"'{format_expr(expr)}'")
-        raise EvalError(f"unknown function {name!r}")
-    raise EvalError(f"not an expression node: {expr!r}")
+    return float(eval_array(expr, env))
 
 
 def eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"]) -> np.ndarray:
-    """Vectorized :func:`evaluate` over numpy arrays, same domain rules.
+    """Evaluate ``expr`` over numpy arrays, element by element.
 
     The result is broadcast against the environment arrays, so constant
     expressions still come back with the sample shape."""
@@ -392,7 +311,7 @@ def eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"]) -> np.ndarra
         # one sum, which is finite only if every value is; a sum of finite
         # values that overflows takes the element-wise test
         if not math.isfinite(np.add.reduce(out, axis=None)) and not np.isfinite(out).all():
-            raise _not_finite(expr)
+            raise DomainError(f"non-finite value in '{format_expr(expr)}'")
     shape = np.broadcast_shapes(out.shape, *(np.shape(v) for v in env.values()))
     if out.shape != shape:
         out = np.broadcast_to(out, shape).copy()
@@ -607,20 +526,7 @@ def fold(expr: Expr) -> Expr:
 def _fold_bin(op: str, lhs: Expr, rhs: Expr, prefer_call: bool = False) -> Expr:
     if isinstance(lhs, Const) and isinstance(rhs, Const):
         try:
-            if op == "+":
-                v = lhs.value + rhs.value
-            elif op == "-":
-                v = lhs.value - rhs.value
-            elif op == "*":
-                v = lhs.value * rhs.value
-            elif op == "/":
-                if rhs.value == 0.0:
-                    raise DomainError("division by zero")
-                v = lhs.value / rhs.value
-            else:
-                v = _pow_scalar(lhs.value, rhs.value, lambda: "constant fold")
-            if math.isfinite(v):
-                return _const(v)
+            return _const(evaluate(Bin(op, lhs, rhs), {}))
         except DomainError:
             pass  # keep the tree; evaluation will report it properly
     if op == "+":

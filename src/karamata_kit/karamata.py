@@ -71,10 +71,7 @@ def apply_L_detailed(
         raise PreconditionError(f"apply_L needs a finite x, got {x!r}")
     if x < 1.0:
         raise PreconditionError(f"apply_L needs x >= 1, got {x!r}")
-    if abs(x - 1.0) <= NEAR_ONE_DELTA:
-        return OperatorValue(x, evaluate(h, {var: 1.0}), None)
-    cache = IntegralCache(h, var=var, tol=tol)
-    return _operator_value(cache, x)
+    return _operator_value(IntegralCache(h, var=var, tol=tol), x)
 
 
 def _operator_value(cache: IntegralCache, x: float) -> OperatorValue:

@@ -134,7 +134,7 @@ _BLOCK = 4096
 # row sums cost less than the column rule's fixed cost of about 50 numpy
 # calls (measured crossover 256-320 panels).  Every one-panel wave of a
 # desk-sized command takes the row rule.
-_SMALL_BLOCK = 160
+_SMALL_BLOCK = 256
 # round-off floor of the error estimate, as a multiple of int |f|
 _FLOOR = 50.0 * np.finfo(float).eps
 
@@ -378,13 +378,7 @@ def integrate_log(
         raise PreconditionError(f"integrate_log needs a finite x, got {x!r}")
     if x < 1.0:
         raise PreconditionError(f"integrate_log needs x >= 1, got {x!r}")
-    if x == 1.0:
-        return QuadResult(0.0, 0.0, 0, True)
-
-    def f(points: np.ndarray) -> np.ndarray:
-        return eval_array(h, {var: np.exp(points)})
-
-    return _adaptive(f, 0.0, math.log(x), tol, tol.max_evals)
+    return IntegralCache(h, var, tol).extend(x)
 
 
 @dataclass

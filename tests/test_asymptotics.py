@@ -1,6 +1,7 @@
 """Index estimation, slow-variation testing, profiles, class preservation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from karamata_kit import (
     sv_test,
     uct_scan,
 )
-from karamata_kit.asymptotics import DEEP_GRID, DEFAULT_INTEGER_GRID
+from karamata_kit.asymptotics import DEEP_GRID, DEFAULT_INTEGER_GRID, DEFAULT_LAMBDAS
+from karamata_kit.exprlang import EvalError, eval_array
 
 from classify_oracle import _reference_classify
+from expr_corpus import CORPUS
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +328,70 @@ def test_index_of_products_adds(a, b):
     assert est.spread <= 2 * 1e-9 + 1e-12
 
 
+def _per_lambda_log_ratios(F, lams, xs):
+    """ln F(lam x) - ln F(x), one ``eval_array`` call per lambda, raising
+    what a per-lambda loop raises first."""
+    logs = []
+    for arg in [xs] + [lam * xs for lam in lams]:
+        vals = eval_array(F, {"x": arg})
+        if np.any(vals <= 0.0):
+            bad = float(arg[np.argmax(vals <= 0.0)])
+            raise PreconditionError(f"F must be positive; failed at x = {bad!r}")
+        logs.append(np.log(vals))
+    return [row - logs[0] for row in logs[1:]]
+
+
+def _same_bits(got, want):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid", [GeometricGrid(10.0, 10.0, 8), DEEP_GRID, DEFAULT_INTEGER_GRID],
+    ids=["geometric8", "deep", "integer"],
+)
+@pytest.mark.parametrize("text", [src for src, _, _ in CORPUS])
+def test_lambda_block_matches_per_lambda_calls_bit_for_bit(text, grid):
+    # rv_index and sv_test evaluate F once on the grid and once on the whole
+    # (lambda, x) block; every row must keep the bits of its own call
+    F = parse(text)
+    lams = DEFAULT_LAMBDAS + (1.1,)
+    xs = np.asarray(grid.points())
+    try:
+        want = _per_lambda_log_ratios(F, lams, xs)
+    except (PreconditionError, EvalError) as exc:
+        for run in (rv_index, sv_test):
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                run(F, lams, grid)
+        return
+    est = rv_index(F, lams, grid)
+    for lam, track, row in zip(lams, est.tracks, want):
+        assert _same_bits(track.estimates, row / math.log(lam)), (text, lam)
+    sv_grids = [grid] if grid.integer_mode else [grid, DEFAULT_INTEGER_GRID]
+    try:
+        wants = [_per_lambda_log_ratios(F, lams, np.asarray(g.points())) for g in sv_grids]
+    except (PreconditionError, EvalError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            sv_test(F, lams, grid)
+        return
+    for sv_pass, rows in zip(sv_test(F, lams, grid).passes, wants):
+        assert len(sv_pass.tracks) == len(rows)
+        for track, row in zip(sv_pass.tracks, rows):
+            assert _same_bits(track.log_ratios, row), (text, track.lam)
+
+
+@pytest.mark.parametrize("text", ["x^(x/x + 1)", "x^(x/x - 0.5)", "x^(x/x - 2)"])
+def test_one_point_grid_keeps_per_lambda_bits(text):
+    # exponents that are arrays holding 2, 0.5 or -1: a (lambda, 1) block
+    # would take eval_array's exact powers for a column exponent
+    F = parse(text)
+    lams = DEFAULT_LAMBDAS + (1.1,)
+    for start in np.linspace(1.5, 9.0, 31):
+        grid = GeometricGrid(float(start), 2.0, 1)
+        want = _per_lambda_log_ratios(F, lams, np.asarray(grid.points()))
+        for lam, track, row in zip(lams, rv_index(F, lams, grid).tracks, want):
+            assert _same_bits(track.estimates, row / math.log(lam)), (start, lam)
+
+
 # ---------------------------------------------------------------------------
 # slow variation
 
@@ -409,6 +476,23 @@ def test_slow_variation_is_preserved():
     rep = class_preservation_check(parse("ln(x)"), ClaimedClass("r0"))
     assert rep.hypothesis_holds
     assert rep.conclusion_holds
+
+
+@pytest.mark.parametrize("text", ["ln(x)", "x^0.5*ln(x)", "x^(x/x - 0.5)", "1 + 1/x"])
+def test_ratio_hypothesis_keeps_the_bits_of_pointwise_values(text):
+    # h is evaluated on the whole (lambda, x) block in one call; each
+    # estimate must keep the bits it has from h taken one point at a time
+    h = parse(text)
+    rep = class_preservation_check(h, ClaimedClass("r0"), lambdas=(10.0, 2.0))
+    xs = np.asarray(DEEP_GRID.points())
+
+    def pointwise(points):
+        return np.array([eval_array(h, {"x": np.array([p])})[0] for p in points])
+
+    for lam in (2.0, 10.0):
+        want = (np.log(pointwise(lam * xs)) - np.log(pointwise(xs))) / math.log(lam)
+        got = rep.hypothesis_detail["tracks"][f"{lam:g}"]["estimates"]
+        assert _same_bits(got, want), lam
 
 
 def test_positive_index_is_preserved():

@@ -73,6 +73,14 @@ def test_domain_error_exits_3(capsys):
     assert "error" in err
 
 
+def test_domain_error_at_the_continuity_point_exits_3(capsys):
+    # L(h)(1) = h(1) is evaluated by eval_array, with its message
+    code, out, err = run_cli(capsys, ["apply-l", "ln(x-2)", "--x", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: ln of non-positive value in 'ln(x - 2.0)'\n"
+
+
 def test_nonpositive_classify_input_exits_3(capsys):
     code, _, _ = run_cli(capsys, ["classify", "10 - x"])
     assert code == 3

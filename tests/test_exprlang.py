@@ -27,6 +27,7 @@ from karamata_kit.exprlang import (
     variables,
 )
 
+from eval_oracle import reference_evaluate
 from expr_corpus import CORPUS
 
 
@@ -164,6 +165,9 @@ def test_power_conventions():
     assert evaluate(parse("0^0"), {}) == 1.0
     assert evaluate(parse("x^3"), {"x": -2.0}) == -8.0
     assert evaluate(parse("pow(x, 2)"), {"x": -3.0}) == 9.0
+    # 1e16 is an even integer: a negative base takes it like any other
+    assert evaluate(parse("x^1e16"), {"x": -1.0}) == 1.0
+    assert eval_array(parse("x^1e16"), {"x": np.array([-1.0])}).tolist() == [1.0]
 
 
 def test_evaluate_is_pure():
@@ -176,7 +180,7 @@ def test_eval_array_matches_pointwise_loop():
     e = parse("x^2 * exp(-x) + u")
     xs = np.geomspace(1.0, 50.0, 40)
     got = eval_array(e, {"x": xs, "u": 0.25})
-    want = np.array([evaluate(e, {"x": float(x), "u": 0.25}) for x in xs])
+    want = np.array([reference_evaluate(e, {"x": float(x), "u": 0.25}) for x in xs])
     np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
@@ -299,7 +303,7 @@ def test_fold_collapses_double_negation():
 def test_fold_preserves_semantics(tree, xv, uv, vv):
     env = {"x": xv, "u": uv, "v": vv}
     try:
-        want = evaluate(tree, env)
+        want = reference_evaluate(tree, env)
     except EvalError:
         assume(False)
     assume(math.isfinite(want))
@@ -314,7 +318,7 @@ def test_fold_preserves_semantics(tree, xv, uv, vv):
 def test_eval_array_agrees_with_scalar_evaluate(tree, xv):
     env = {"x": xv, "u": 1.7, "v": 0.9}
     try:
-        want = evaluate(tree, env)
+        want = reference_evaluate(tree, env)
     except EvalError:
         assume(False)
     assume(math.isfinite(want))

@@ -292,13 +292,14 @@ def _reference_rule(f, lo, hi):
 
 
 def _wave_sizes():
-    # half + 1 leaves one panel past the last whole 64-panel node row;
-    # block + half + 7 ends in a partial block that takes the column rule,
-    # 3 * block + 7 in one that takes the row rule
+    # 160 and 161 take the row rule inside its range, small and small + 1
+    # at its edge.  half + 1 leaves one panel past the last whole 64-panel
+    # node row; block + half + 7 ends in a partial block that takes the
+    # column rule, 3 * block + 7 in one that takes the row rule
     small, block = quad_mod._SMALL_BLOCK, quad_mod._BLOCK
     half = block // 2
-    return [1, 2, 15, small, small + 1, half, half + 1, block, block + 1, block + half + 7,
-            3 * block + 7]
+    return [1, 2, 15, 160, 161, small, small + 1, half, half + 1, block, block + 1,
+            block + half + 7, 3 * block + 7]
 
 
 def _assert_same_bits(got, want):
@@ -352,7 +353,7 @@ def _antisymmetric(points):
 
 @pytest.mark.parametrize("f", [_zero_at_gauss_nodes, _antisymmetric])
 @pytest.mark.parametrize(
-    "n", [1, quad_mod._SMALL_BLOCK + 1, quad_mod._BLOCK, 2 * quad_mod._BLOCK + 1]
+    "n", [1, 161, quad_mod._SMALL_BLOCK + 1, quad_mod._BLOCK, 2 * quad_mod._BLOCK + 1]
 )
 def test_gauss_sum_of_the_odd_nodes_matches_row_sums(f, n):
     # the column rule adds only the seven nonzero Gauss products; the skipped
@@ -361,12 +362,12 @@ def test_gauss_sum_of_the_odd_nodes_matches_row_sums(f, n):
     _assert_same_bits(quad_mod._panel_rule(f, lo, hi), _reference_rule(f, lo, hi))
 
 
-@pytest.mark.parametrize("small_block", [1, quad_mod._SMALL_BLOCK, quad_mod._BLOCK])
+@pytest.mark.parametrize("small_block", [1, 160, quad_mod._SMALL_BLOCK, quad_mod._BLOCK])
 def test_both_node_sum_branches_agree(monkeypatch, small_block):
     # 1: column ops for every block of two or more panels; _BLOCK: row sums only
     monkeypatch.setattr(quad_mod, "_SMALL_BLOCK", small_block)
     f = _log_integrand("sin(x) * ln(x) + 1/(1+x)")
-    for n in (2, 3, 15, 160, 161, 2048, 2049):
+    for n in (2, 3, 15, 160, 161, 256, 257, 2048, 2049):
         lo, hi = _wave(np.random.default_rng(n), n)
         _assert_same_bits(quad_mod._panel_rule(f, lo, hi), _reference_rule(f, lo, hi))
 

@@ -10,6 +10,9 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
+- the fixed commands of ``_PATH_COMMANDS``, which reach the ratio-class
+  checks of ``classify --claim`` and the continuity value ``L(h)(1) = h(1)``
+  of ``apply-l``, paths that neither of the above takes;
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -46,6 +49,13 @@ import sys
 from pathlib import Path
 
 _TIMING = re.compile(r'"timing_ms": [^,\n]+')
+
+_PATH_COMMANDS = [
+    ["classify", "ln(x)", "--claim", "r0"],
+    ["classify", "x^0.5*ln(x)", "--claim", "r_alpha:0.5"],
+    ["apply-l", "exp(-x)", "--x", "1"],
+    ["apply-l", "sin(x)/x", "--x", "1.000000001"],
+]
 
 
 def _tree(path: str) -> tuple[Path, Path]:
@@ -187,7 +197,8 @@ def main(argv=None) -> int:
     argvs = _readme_commands(change_root)
     n_readme = len(argvs)
     argvs += _desk_commands(change_root, change_src, seeds)
-    argvs += [shlex.split(c) for c in args.command]
+    n_desk = len(argvs) - n_readme
+    argvs += _PATH_COMMANDS + [shlex.split(c) for c in args.command]
 
     perfbench = change_root / "perfbench"
     parent = _run(parent_src, perfbench, argvs, seeds)
@@ -216,8 +227,8 @@ def main(argv=None) -> int:
             print(f"DIFF {name} seed {seed} {label}: repr differs")
     print(
         f"{len(argvs) - differ} of {len(argvs)} commands identical apart from timing_ms "
-        f"({n_readme} README, {len(argvs) - n_readme - len(args.command)} desk_reports "
-        f"for seeds {args.seeds}, {len(args.command)} extra); {differ} differ"
+        f"({n_readme} README, {n_desk} desk_reports for seeds {args.seeds}, "
+        f"{len(_PATH_COMMANDS)} fixed, {len(args.command)} extra); {differ} differ"
     )
     for name in _ROUNDS:
         n_round = sum(1 for d in change["rounds"] if d[0] == name)
