@@ -579,6 +579,7 @@ class ClassCheckReport:
     hypothesis_holds: bool
     conclusion_holds: bool
     asserted: bool  # False: conclusion recorded as a measurement only
+    quad_converged: bool  # every L(h) quadrature within its budget
     hypothesis_detail: dict = field(default_factory=dict)
     conclusion_detail: dict = field(default_factory=dict)
     notes: str = ""
@@ -647,7 +648,8 @@ def class_preservation_check(
     if claimed.kind in ("z0", "bounded"):
         h_values = eval_array(h, {var: xs})
         hyp_ok, hyp_detail = _membership(h_values, claimed, classify_tol)
-        l_values = np.array([v.value for v in apply_L_points(h, list(xs), tol, var)])
+        values = apply_L_points(h, list(xs), tol, var)
+        l_values = np.array([v.value for v in values])
         con_ok, con_detail = _membership(l_values, claimed, classify_tol)
     else:
         lam_set = sorted({float(l) for l in lambdas})
@@ -656,7 +658,8 @@ def class_preservation_check(
         # one cache sweep over the ascending union of the grid and the block
         block = np.multiply.outer(lam_set, xs)
         points = np.unique(np.concatenate([xs, block.ravel()]))
-        l_values = np.array([v.value for v in apply_L_points(h, points.tolist(), tol, var)])
+        values = apply_L_points(h, points.tolist(), tol, var)
+        l_values = np.array([v.value for v in values])
         con_ok, con_detail = _ratio_membership(
             l_values[np.searchsorted(points, xs)],
             l_values[np.searchsorted(points, block)],
@@ -673,6 +676,7 @@ def class_preservation_check(
         hypothesis_holds=bool(hyp_ok),
         conclusion_holds=bool(con_ok),
         asserted=asserted,
+        quad_converged=all(v.quad is None or v.quad.converged for v in values),
         hypothesis_detail=hyp_detail,
         conclusion_detail=con_detail,
         notes=notes,

@@ -6,6 +6,12 @@ unexpected internal error.  KARAMATA_KIT_THREADS must be an integer when
 set (exit 2 otherwise); it sets the quadrature's worker threads
 (``quad.thread_count``), which change no result.
 
+Each command has a runner that takes the merged ``RunConfig`` and returns
+``(inputs, results, verdicts, rows)``: the echo of its inputs, its results,
+its verdicts and its CSV rows, which ``main`` turns into the report.  A
+runner whose quadrature ran out of budget sets ``verdicts["budget"] =
+"exhausted"``, and ``main`` exits 4 whenever that verdict is present.
+
 ``main`` may be called repeatedly in one process: each call parses only its
 own arguments, and the parser is built once, at the first call.
 """
@@ -57,28 +63,27 @@ def _require(value, flag: str):
     return value
 
 
-def _parse_expr(text: str):
+def _expr(cfg: RunConfig, flag: str, key: str = "expr"):
+    """The expression of config key ``key`` (flag ``flag``), parsed, and its
+    echo ``{key: text, "<prefix>canonical": ...}``: ``h_expr`` echoes as
+    ``h_canonical``."""
+    text = _require(getattr(cfg, key), flag)
     expr = parse(text)
-    return expr, format_expr(expr)
+    return expr, {key: text, key.removesuffix("expr") + "canonical": format_expr(expr)}
 
 
-def _grid(cfg: RunConfig, start=10.0, ratio=10.0, count=8) -> GeometricGrid:
+# the default x grids; a command's grid flags override each field
+_LADDER = GeometricGrid(10.0, 10.0, 8)
+_E_LADDER = GeometricGrid(math.exp(9), math.e, 8)
+
+
+def _grid(cfg: RunConfig, default: GeometricGrid) -> GeometricGrid:
     return GeometricGrid(
-        cfg.grid_start if cfg.grid_start is not None else start,
-        cfg.grid_ratio if cfg.grid_ratio is not None else ratio,
-        cfg.grid_count if cfg.grid_count is not None else count,
+        cfg.grid_start if cfg.grid_start is not None else default.start,
+        cfg.grid_ratio if cfg.grid_ratio is not None else default.ratio,
+        cfg.grid_count if cfg.grid_count is not None else default.count,
         cfg.integer_mode,
     )
-
-
-def _classify_grid(cfg: RunConfig) -> GeometricGrid | None:
-    """classify defers to per-operation library defaults unless the user
-    pinned the grid; a bare --integer-mode selects the integer ladder."""
-    if cfg.grid_start is None and cfg.grid_ratio is None and cfg.grid_count is None:
-        return DEFAULT_INTEGER_GRID if cfg.integer_mode else None
-    if cfg.integer_mode:
-        return _grid(cfg, start=1000.0, ratio=2.0, count=33)
-    return _grid(cfg)
 
 
 def _lambdas(cfg: RunConfig):
@@ -127,54 +132,55 @@ def _tols(cfg: RunConfig) -> tuple[float, float]:
     )
 
 
-def _grid_inputs(grid: GeometricGrid) -> dict:
-    return {
-        "start": grid.start,
-        "ratio": grid.ratio,
-        "count": grid.count,
-        "integer_mode": grid.integer_mode,
-    }
+def _budget(converged: bool) -> dict:
+    """The ``budget`` verdict of a run that integrated: none while every
+    quadrature converged, else ``exhausted``, which makes ``main`` exit 4."""
+    return {} if converged else {"budget": "exhausted"}
 
 
-def _scan_rows(report) -> list:
+def _scan(report) -> tuple:
+    """Results, verdicts and CSV rows of a uniformity scan: one row per
+    (x, parameter) cell."""
     rows = []
     for x, row in zip(report.xs, report.residuals):
         for p, r in zip(report.params, row):
             rows.append((x, p, r))
-    return rows
+    return {"scan": report}, {"scan": report.verdict}, rows
 
 
 def _run_apply_l(cfg: RunConfig):
-    h, canonical = _parse_expr(_require(cfg.expr, "the expression argument"))
+    h, inputs = _expr(cfg, "the expression argument")
     tol = _quad_tol(cfg)
     if cfg.x is not None:
-        got = apply_L_detailed(h, cfg.x, tol, var=cfg.var)
-        inputs = {"expr": cfg.expr, "canonical": canonical, "x": cfg.x}
-        results = {"points": [got]}
-        rows = [(got.x, None, got.value)]
-        budget_ok = got.quad is None or got.quad.converged
-        return inputs, results, {}, rows, budget_ok
-    grid = _grid(cfg)
-    points = apply_L_points(h, grid.points(), tol, var=cfg.var)
-    inputs = {"expr": cfg.expr, "canonical": canonical, "grid": _grid_inputs(grid)}
-    results = {"points": points}
+        points = [apply_L_detailed(h, cfg.x, tol, var=cfg.var)]
+        inputs["x"] = cfg.x
+    else:
+        grid = _grid(cfg, _LADDER)
+        points = apply_L_points(h, grid.points(), tol, var=cfg.var)
+        inputs["grid"] = grid
     rows = [(p.x, None, p.value) for p in points]
-    budget_ok = all(p.quad is None or p.quad.converged for p in points)
-    return inputs, results, {}, rows, budget_ok
+    verdicts = _budget(all(p.quad is None or p.quad.converged for p in points))
+    return inputs, {"points": points}, verdicts, rows
 
 
 def _run_invert_l(cfg: RunConfig):
-    f, canonical = _parse_expr(_require(cfg.expr, "the expression argument"))
+    f, inputs = _expr(cfg, "the expression argument")
     g = invert_L(f, var=cfg.var)
-    inputs = {"expr": cfg.expr, "canonical": canonical, "var": cfg.var}
-    results = {"inverse": format_expr(g)}
-    return inputs, results, {}, [], True
+    inputs["var"] = cfg.var
+    return inputs, {"inverse": format_expr(g)}, {}, []
 
 
 def _run_classify(cfg: RunConfig):
-    F, canonical = _parse_expr(_require(cfg.expr, "the expression argument"))
+    F, inputs = _expr(cfg, "the expression argument")
     lams = _lambdas(cfg)
-    grid = _classify_grid(cfg)
+    # the library's per-operation default grids unless the user pinned one;
+    # a bare --integer-mode selects the integer ladder
+    if cfg.integer_mode:
+        grid = _grid(cfg, DEFAULT_INTEGER_GRID)
+    elif (cfg.grid_start, cfg.grid_ratio, cfg.grid_count) != (None, None, None):
+        grid = _grid(cfg, _LADDER)
+    else:
+        grid = None
 
     classify_tol, value_tol = _tols(cfg)
     kwargs = {"var": cfg.var, "classify_tol": classify_tol}
@@ -183,12 +189,7 @@ def _run_classify(cfg: RunConfig):
 
     index = rv_index(F, lams, **kwargs)
     sv = sv_test(F, lams, value_tol=value_tol, **kwargs)
-    inputs = {
-        "expr": cfg.expr,
-        "canonical": canonical,
-        "lambdas": list(lams),
-        "grid": _grid_inputs(grid) if grid is not None else "defaults",
-    }
+    inputs.update(lambdas=list(lams), grid="defaults" if grid is None else grid)
     results = {"index": index, "sv": sv}
     verdicts = {"index": index.verdict, "sv": sv.verdict}
     rows = []
@@ -209,109 +210,75 @@ def _run_classify(cfg: RunConfig):
         verdicts["preservation"] = (
             "holds" if (check.asserted and check.conclusion_holds) else "not_established"
         )
-    return inputs, results, verdicts, rows, True
+        verdicts.update(_budget(check.quad_converged))
+    return inputs, results, verdicts, rows
 
 
 def _run_uct_scan(cfg: RunConfig):
-    G, canonical = _parse_expr(_require(cfg.expr, "--g"))
-    grid = _grid(cfg)
+    G, inputs = _expr(cfg, "--g")
+    grid = _grid(cfg, _LADDER)
     report = uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, *_tols(cfg))
-    inputs = {
-        "expr": cfg.expr,
-        "canonical": canonical,
-        "u": [cfg.u_lo, cfg.u_hi],
-        "grid": _grid_inputs(grid),
-    }
-    return inputs, {"scan": report}, {"scan": report.verdict}, _scan_rows(report), True
+    inputs.update(u=[cfg.u_lo, cfg.u_hi], grid=grid)
+    return inputs, *_scan(report)
 
 
 def _run_uct_karamata(cfg: RunConfig):
-    F, canonical = _parse_expr(_require(cfg.expr, "--f"))
-    grid = _grid(cfg)
+    F, inputs = _expr(cfg, "--f")
+    grid = _grid(cfg, _LADDER)
     report = karamata_uct_check(
         F, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, *_tols(cfg), var=cfg.var
     )
-    inputs = {
-        "expr": cfg.expr,
-        "canonical": canonical,
-        "lambda": [cfg.lambda_lo, cfg.lambda_hi],
-        "grid": _grid_inputs(grid),
-    }
-    return inputs, {"scan": report}, {"scan": report.verdict}, _scan_rows(report), True
+    inputs.update({"lambda": [cfg.lambda_lo, cfg.lambda_hi], "grid": grid})
+    return inputs, *_scan(report)
 
 
 def _run_uct_guct(cfg: RunConfig):
-    H, h_canonical = _parse_expr(_require(cfg.h_expr, "--h-expr"))
-    m, m_canonical = _parse_expr(_require(cfg.m_expr, "--m-expr"))
-    grid = _grid(cfg)
+    H, inputs = _expr(cfg, "--h-expr", "h_expr")
+    m, m_inputs = _expr(cfg, "--m-expr", "m_expr")
+    grid = _grid(cfg, _LADDER)
     report = guct_diagnose(
         H, m, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, cfg.samples, *_tols(cfg)
     )
-    inputs = {
-        "h_expr": cfg.h_expr,
-        "h_canonical": h_canonical,
-        "m_expr": cfg.m_expr,
-        "m_canonical": m_canonical,
-        "u": [cfg.u_lo, cfg.u_hi],
-        "grid": _grid_inputs(grid),
-        "samples": cfg.samples,
-    }
-    verdicts = {
-        "hi": "ok" if report.hi.ok else "violated",
-        "monotone": "ok" if report.monotone_ok else "violated",
-        "pointwise": "ok" if report.pointwise_ok else "not_vanishing",
-        "scan": report.scan.verdict,
-    }
-    return inputs, {"diagnosis": report}, verdicts, _scan_rows(report.scan), True
+    inputs.update(m_inputs, u=[cfg.u_lo, cfg.u_hi], grid=grid, samples=cfg.samples)
+    _, verdicts, rows = _scan(report.scan)
+    verdicts.update(
+        hi="ok" if report.hi.ok else "violated",
+        monotone="ok" if report.monotone_ok else "violated",
+        pointwise="ok" if report.pointwise_ok else "not_vanishing",
+    )
+    return inputs, {"diagnosis": report}, verdicts, rows
 
 
 def _run_uct_hi(cfg: RunConfig):
-    H, canonical = _parse_expr(_require(cfg.expr, "--h"))
-    grid = _grid(cfg)
-    xs = grid.points()
+    H, inputs = _expr(cfg, "--h")
+    xs = _grid(cfg, _LADDER).points()
     v_lo = cfg.v_lo if cfg.v_lo is not None else cfg.u_lo
     v_hi = cfg.v_hi if cfg.v_hi is not None else cfg.u_hi
     region = Region(x=(xs[0], xs[-1]), u=(cfg.u_lo, cfg.u_hi), v=(v_lo, v_hi))
     report = hi_check(H, cfg.samples, region)
-    inputs = {
-        "expr": cfg.expr,
-        "canonical": canonical,
-        "region": region,
-        "samples": cfg.samples,
-    }
+    inputs.update(region=region, samples=cfg.samples)
     rows = [(v.x, v.u, v.lhs - v.rhs) for v in report.violations]
-    return inputs, {"hi": report}, {"hi": "ok" if report.ok else "violated"}, rows, True
+    return inputs, {"hi": report}, {"hi": "ok" if report.ok else "violated"}, rows
 
 
 def _run_uct_cond310(cfg: RunConfig):
-    xi, canonical = _parse_expr(_require(cfg.expr, "--xi"))
-    grid = _grid(cfg, start=1000.0, ratio=2.0, count=33) if cfg.integer_mode else _grid(cfg)
+    xi, inputs = _expr(cfg, "--xi")
+    grid = _grid(cfg, DEFAULT_INTEGER_GRID if cfg.integer_mode else _LADDER)
     report = condition_scan_310(
         xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, grid.integer_mode,
         *_tols(cfg), var=cfg.var,
     )
-    inputs = {
-        "expr": cfg.expr,
-        "canonical": canonical,
-        "lambda": [cfg.lambda_lo, cfg.lambda_hi],
-        "grid": _grid_inputs(grid),
-    }
-    return inputs, {"scan": report}, {"scan": report.verdict}, _scan_rows(report), True
+    inputs.update({"lambda": [cfg.lambda_lo, cfg.lambda_hi], "grid": grid})
+    return inputs, *_scan(report)
 
 
 def _run_uct_mult_closure(cfg: RunConfig):
-    f, canonical = _parse_expr(_require(cfg.expr, "--f"))
+    f, inputs = _expr(cfg, "--f")
     lam = _require(cfg.lam, "--lambda")
     mu = _require(cfg.mu, "--mu")
-    grid = _grid(cfg)
+    grid = _grid(cfg, _LADDER)
     report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, classify_tol=_tols(cfg)[0])
-    inputs = {
-        "expr": cfg.expr,
-        "canonical": canonical,
-        "lambda": lam,
-        "mu": mu,
-        "grid": _grid_inputs(grid),
-    }
+    inputs.update({"lambda": lam, "mu": mu, "grid": grid})
     verdicts = {"identity": "ok" if report.identity_ok else "broken"}
     if report.verdicts is not None:
         verdicts["step_lam"] = report.verdicts[0].kind
@@ -322,7 +289,7 @@ def _run_uct_mult_closure(cfg: RunConfig):
         rows.append((x, lam, report.step_lam[i]))
         rows.append((x, mu, report.step_mu[i]))
         rows.append((x, lam * mu, report.combined[i]))
-    return inputs, {"closure": report}, verdicts, rows, True
+    return inputs, {"closure": report}, verdicts, rows
 
 
 def _run_uct_expand_interval(cfg: RunConfig):
@@ -330,30 +297,24 @@ def _run_uct_expand_interval(cfg: RunConfig):
     b = _require(cfg.b, "--b")
     n = _require(cfg.n, "--n")
     lo, hi = interval_expand(a, b, n)
-    inputs = {"a": a, "b": b, "n": n}
-    return inputs, {"interval": {"lo": lo, "hi": hi}}, {}, [], True
+    return {"a": a, "b": b, "n": n}, {"interval": {"lo": lo, "hi": hi}}, {}, []
 
 
 def _run_uct_asym(cfg: RunConfig):
-    h, canonical = _parse_expr(_require(cfg.expr, "--h"))
+    h, inputs = _expr(cfg, "--h")
     lam = _require(cfg.lam, "--lambda")
-    grid = _grid(cfg, start=math.exp(9), ratio=math.e, count=8)
+    grid = _grid(cfg, _E_LADDER)
     report = integral_asym_residual(
         h, lam, grid, cfg.bound, _quad_tol(cfg), var=cfg.var, classify_tol=_tols(cfg)[0]
     )
-    inputs = {
-        "expr": cfg.expr,
-        "canonical": canonical,
-        "lambda": lam,
-        "bound": cfg.bound,
-        "grid": _grid_inputs(grid),
-    }
+    inputs.update({"lambda": lam, "bound": cfg.bound, "grid": grid})
     verdicts = {"bound": "ok" if report.bound_ok else "violated"}
     if report.residual_verdict is not None:
         verdicts["residual"] = report.residual_verdict.kind
         verdicts["lcond"] = report.lcond_verdict.kind
+    verdicts.update(_budget(report.quad_converged))
     rows = [(r.x, lam, r.residual) for r in report.rows]
-    return inputs, {"asym": report}, verdicts, rows, report.quad_converged
+    return inputs, {"asym": report}, verdicts, rows
 
 
 _RUNNERS = {
@@ -528,13 +489,11 @@ def main(argv=None) -> int:
         thread_count()  # validates KARAMATA_KIT_THREADS before any work
         runner = _RUNNERS[command]
         t0 = time.perf_counter()
-        inputs, results, verdicts, rows, budget_ok = runner(cfg)
+        inputs, results, verdicts, rows = runner(cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         report = build_report(command, cfg, inputs, results, verdicts, elapsed_ms)
-        if not budget_ok:
-            report["verdicts"]["budget"] = "exhausted"
         emit(report, rows, cfg.format, cfg.out)
-        return 0 if budget_ok else 4
+        return 4 if "budget" in verdicts else 0
     except (ExprSyntaxError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,28 +76,24 @@ MAX_GRID_COUNT = 1_000
 MAX_PARAM_COUNT = 1_000
 MAX_SAMPLES = 100_000
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-
-_BOOL_KEYS = {"integer_mode", "profile"}
-_INT_KEYS = {"grid_count", "lambda_count", "u_count", "samples", "n", "max_evals"}
-_STR_KEYS = {"expr", "h_expr", "m_expr", "var", "lambdas", "claim", "out", "format"}
-_FLOAT_KEYS = tuple(
-    name for name in _FIELDS if name not in _BOOL_KEYS | _INT_KEYS | _STR_KEYS
-)
+# each key's kind, from its annotation: "bool", "int", "float" or "str"
+_KINDS = {f.name: f.type.partition(" ")[0] for f in dataclasses.fields(RunConfig)}
+_FLOAT_KEYS = tuple(name for name, kind in _KINDS.items() if kind == "float")
 
 
 def _coerce(key: str, value):
     if value is None:
         return None
-    if key in _BOOL_KEYS:
+    kind = _KINDS[key]
+    if kind == "bool":
         if isinstance(value, bool):
             return value
         raise ConfigError(f"config key {key!r} must be true or false")
-    if key in _STR_KEYS:
+    if kind == "str":
         if isinstance(value, str):
             return value
         raise ConfigError(f"config key {key!r} must be a string")
-    if key in _INT_KEYS:
+    if kind == "int":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be an integer")
         if isinstance(value, float) and not value.is_integer():
@@ -121,7 +117,7 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} must hold a JSON object")
     out = {}
     for key, value in raw.items():
-        if key not in _FIELDS:
+        if key not in _KINDS:
             raise ConfigError(f"unknown config key {key!r}")
         out[key] = _coerce(key, value)
     return out
@@ -137,7 +133,7 @@ def merge_config(file_values: dict | None, flag_values: dict | None) -> RunConfi
         merged.update(file_values)
     if flag_values:
         for key, value in flag_values.items():
-            if value is None or key not in _FIELDS:
+            if value is None or key not in _KINDS:
                 continue
             merged[key] = _coerce(key, value)
     cfg = RunConfig(**merged)

@@ -302,7 +302,9 @@ def _error(resk, resg, resasc, resabs):
     err = np.abs(resk - resg)
     measured = resasc > 0.0
     scale = np.where(measured, resasc, 1.0)
-    err = np.where(measured, resasc * np.minimum(1.0, (200.0 * err / scale) ** 1.5), err)
+    # a ratio past ~1e205 overflows its 1.5th power, which min(1, ...) caps
+    with np.errstate(over="ignore"):
+        err = np.where(measured, resasc * np.minimum(1.0, (200.0 * err / scale) ** 1.5), err)
     return resk, np.maximum(err, _FLOOR * resabs)
 
 

@@ -27,6 +27,7 @@ from .asymptotics import (
     RATIO_CLASSIFY_TOL,
     VALUE_TOL,
     _check_product,
+    _values,
     classify_rows,
 )
 from .exprlang import Bin, EvalError, Expr, eval_array
@@ -172,7 +173,17 @@ def _check_interval(interval, what: str) -> tuple[float, float]:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise PreconditionError(f"{what} needs a < b, got [{a!r}, {b!r}]")
+    if not math.isfinite(b - a):
+        raise PreconditionError(f"{what} width b - a overflows for [{a!r}, {b!r}]")
     return a, b
+
+
+def _spaced(a: float, b: float, count: int) -> np.ndarray:
+    """``count`` points evenly spaced over [a, b].  On a window almost as
+    wide as the float range, ``linspace``'s product for the last point
+    overflows before it puts b there."""
+    with np.errstate(over="ignore"):
+        return np.linspace(a, b, count)
 
 
 def uct_scan(
@@ -188,7 +199,7 @@ def uct_scan(
     if u_count < MIN_PARAM_COUNT:
         raise PreconditionError(f"u_count must be >= {MIN_PARAM_COUNT}")
     xs = np.asarray(x_grid.points())
-    params = np.linspace(a, b, u_count)
+    params = _spaced(a, b, u_count)
 
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         # x as a column keeps x-only terms at one value per row
@@ -221,10 +232,7 @@ def karamata_uct_check(
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         # F(x) on the flat xs, not a column, takes the same pow path as
         # F(lam x), so the residual at lam = 1 is exactly 0
-        base = eval_array(F, {var: xs})
-        bad = np.flatnonzero(base <= 0)
-        if bad.size:
-            raise PreconditionError(f"F must be positive; failed at x = {float(xs[bad[0]])!r}")
+        base = _values(F, xs, var)
         shifted = eval_array(F, {var: ps * xs[:, None]})
         bad = np.flatnonzero(np.any(shifted <= 0, axis=1))
         if bad.size:
@@ -446,7 +454,7 @@ def guct_diagnose(
         monotone_detail = f"m decreases near x = {at:.6g}"
 
     G = Bin("*", H, m)
-    probes = np.linspace(a, b, 5).tolist()
+    probes = _spaced(a, b, 5).tolist()
     tracks = [eval_array(G, {"x": xs, "u": u0}) for u0 in probes]
     pointwise = tuple(zip(probes, classify_rows(tracks, classify_tol)))
     pointwise_ok = all(v.converges and abs(v.value) <= value_tol for _, v in pointwise)
@@ -498,11 +506,17 @@ def mult_closure_residual(
     f_base = eval_array(f, {var: xs})
     f_lam = eval_array(f, {var: lam * xs})
     f_both = eval_array(f, {var: mu * (lam * xs)})
-    step_lam = (f_lam - f_base) * lnx
-    step_mu = (f_both - f_lam) * lnx
-    combined = (f_both - f_base) * lnx
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_lam = (f_lam - f_base) * lnx
+        step_mu = (f_both - f_lam) * lnx
+        combined = (f_both - f_base) * lnx
+        total = step_lam + step_mu  # inf + -inf: steps that overflow both ways
+    _finite_rows(
+        np.column_stack([step_lam, step_mu, combined, total]), xs,
+        "the closure residual (f(lam x) - f(x)) * ln x, a step of it or their sum",
+    )
 
-    diff = np.abs((step_lam + step_mu) - combined)
+    diff = np.abs(total - combined)
     scale = np.maximum.reduce([np.abs(step_lam), np.abs(step_mu), np.abs(combined)])
     ulp = np.spacing(np.maximum(scale, np.finfo(float).tiny))
     ulps = diff / ulp

@@ -86,10 +86,19 @@ def test_nonpositive_classify_input_exits_3(capsys):
     assert code == 3
 
 
-def test_budget_exhaustion_exits_4_with_report(capsys):
-    code, out, _ = run_cli(
-        capsys, ["apply-l", "sin(x)", "--x", "1000000", "--max-evals", "3000"]
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply-l", "sin(x)", "--x", "1000000", "--max-evals", "3000"],
+        # with a spent budget the final L(h) is 0.0229 where it is 0.0457
+        ["classify", "1/(1+ln(x))", "--claim", "z0", "--max-evals", "15"],
+        ["classify", "x^0.5", "--claim", "r_alpha:0.5", "--max-evals", "100"],
+        ["uct", "asym", "--h", "1", "--lambda", "2", "--max-evals", "30"],
+    ],
+    ids=["apply-l", "classify-z0", "classify-r_alpha", "uct-asym"],
+)
+def test_budget_exhaustion_exits_4_with_report(capsys, argv):
+    code, out, _ = run_cli(capsys, argv)
     assert code == 4
     report = json.loads(out)  # report still written
     assert report["verdicts"]["budget"] == "exhausted"
@@ -155,10 +164,18 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
         # the slow-variation ratio F(lam x)/F(x) of finite values
         ["classify", "x^(-40)", "--lambdas", "1e-10", "--grid-start", "1000", "--ratio", "1.01",
          "--count", "8"],
+        # the closure residuals (f(lam x) - f(x)) * ln x of finite values;
+        # with lambda < 1 < mu its two steps overflow with opposite signs
+        ["uct", "mult-closure", "--f", "1e300*x", "--lambda", "1", "--mu", "0.5"],
+        ["uct", "mult-closure", "--f", "1e300*x", "--lambda", "0.5", "--mu", "2"],
+        # the width u_hi - u_lo of a scan's parameter window
+        ["uct", "scan", "--g", "x*u", "--u-lo=-1.5e308", "--u-hi", "1.5e308"],
     ],
 )
 def test_overflow_exits_3_with_one_error_line(capsys, argv):
-    code, out, err = run_cli(capsys, argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
     assert err.splitlines() == [err.strip()]
@@ -179,6 +196,10 @@ def test_underflowing_ratio_exits_3_with_one_error_line(capsys):
         ["apply-l", "x*1e300", "--x", "1e10"],
         ["classify", "x*1e300"],
         ["uct", "scan", "--g", "x*u", "--u-lo", "1", "--u-hi", "1e308"],
+        # the last of the parameters spaced over [0, u_hi] overflows on its
+        # way, before linspace puts u_hi there
+        ["uct", "scan", "--g", "x*u", "--u-lo", "0", "--u-hi", "1.7976931348623157e308",
+         "--u-count", "10"],
     ],
 )
 def test_non_finite_expression_value_exits_3(capsys, argv):
@@ -201,14 +222,14 @@ _FUZZ_NUMBER = st.one_of(
 # example fast, and those past the caps exit 2 unbuilt
 _FUZZ_COUNT = (st.integers(9, 40), st.sampled_from([-3, 0, 7, 8, 1_001, 10**12]))
 _FUZZ_TOL = (st.floats(1e-12, 0.5), _FUZZ_NUMBER)
-_FUZZ_COMMON = {
+_FUZZ_GRID = {
     "--grid-start": (st.floats(1.5, 1e4), _FUZZ_NUMBER),
     "--ratio": (st.floats(1.05, 20.0), _FUZZ_NUMBER),
     "--count": _FUZZ_COUNT,
-    "--classify-tol": _FUZZ_TOL,
-    "--value-tol": _FUZZ_TOL,
     "--integer-mode": (st.booleans(), None),
 }
+_FUZZ_COMMON = {**_FUZZ_GRID, "--classify-tol": _FUZZ_TOL, "--value-tol": _FUZZ_TOL}
+_FUZZ_SAMPLES = (st.integers(1, 2_000), st.sampled_from([-1, 0, 100_001, 10**12]))
 
 
 def _lambda_list(entry):
@@ -231,14 +252,60 @@ _FUZZ_QUAD = {
     "--rel-tol": _FUZZ_QUAD_TOL,
     "--max-evals": (st.integers(15, 2_000_000), st.sampled_from([-1, 0, 14])),
 }
-# each command: its argv up to the expression, the expressions, the flags it
-# always takes, the flags it may take
+# an apply-l sweep of sin(x) ends below 10 * 3**8 = 65,610 unless a hostile
+# value stops it; in integer mode the ratio is unused and the sweep is short
+_FUZZ_SWEEP = {
+    "--grid-start": (st.floats(1.5, 10.0),
+                     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -3.0, 1.0,
+                                      1.0 + 2**-52])),
+    "--ratio": (st.floats(1.05, 3.0),
+                st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -2.0, 0.5, 1.0,
+                                 1.0 + 2**-52, 1e300])),
+    "--count": (st.integers(8, 9), st.sampled_from([-3, 0, 7, 1_001, 10**12])),
+}
+_APPLY_L_EXPRS = ["sin(x)", "1/(1+ln(x))", "x^0.5", "exp(sin(x))", "x*1e300", "ln(x-2)"]
+# each command: its argv up to the expression, the expressions (none for a
+# command that takes no expression), the flags it always takes, the flags it
+# may take
 _FUZZ_COMMANDS = {
-    "apply-l": (["apply-l"], ["sin(x)", "1/(1+ln(x))", "x^0.5", "exp(sin(x))", "x*1e300",
-                              "ln(x-2)"],
+    "apply-l": (["apply-l"], _APPLY_L_EXPRS,
                 {"--x": (st.floats(1.0, 1e5),
                          st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 0.0, -3.0]))},
                 _FUZZ_QUAD),
+    "apply-l-sweep": (["apply-l"], _APPLY_L_EXPRS, _FUZZ_SWEEP,
+                      {"--integer-mode": (st.booleans(), None), **_FUZZ_QUAD}),
+    "invert-l": (["invert-l"], ["ln(x)", "x^2", "1/(1+ln(x))", "sin(x)", "exp(x)", "x*1e300",
+                                "ln(ln(x))", "5", "x^x"], {},
+                 {"--var": (st.just("x"), st.sampled_from(["t", "u"]))}),
+    "guct": (["uct", "guct", "--h-expr"], ["abs(ln(x+u) - ln(x))", "u/x", "exp(-x*u)",
+                                           "1e300*u"],
+             {"--m-expr": (st.sampled_from(["1", "ln(x)", "x^0.5"]),
+                           st.sampled_from(["-x", "sin(x)", "1e300*x", "ln(x-2)"]))},
+             {"--u-lo": (st.floats(0.0, 2.0), _FUZZ_NUMBER),
+              "--u-hi": (st.floats(0.5, 10.0), _FUZZ_NUMBER),
+              "--u-count": _FUZZ_COUNT, "--samples": _FUZZ_SAMPLES, **_FUZZ_COMMON}),
+    "hi": (["uct", "hi", "--h"], ["abs(ln(x+u) - ln(x))", "exp(-u)", "x + u",
+                                  "1.5e308 + 0*x", "8e307*cos(3*u)"], {},
+           {"--u-lo": (st.floats(0.0, 2.0), _FUZZ_NUMBER),
+            "--u-hi": (st.floats(0.5, 10.0), _FUZZ_NUMBER),
+            "--v-lo": (st.floats(0.0, 2.0), _FUZZ_NUMBER),
+            "--v-hi": (st.floats(0.5, 10.0), _FUZZ_NUMBER),
+            "--samples": _FUZZ_SAMPLES, **_FUZZ_GRID}),
+    "mult-closure": (["uct", "mult-closure", "--f"], ["ln(ln(x))", "ln(x)", "x^0.5", "sin(x)",
+                                                      "1e300*x"],
+                     {"--lambda": (st.floats(0.1, 20.0), _FUZZ_NUMBER),
+                      "--mu": (st.floats(0.1, 20.0), _FUZZ_NUMBER)},
+                     _FUZZ_COMMON),
+    # integrands smooth in ln x: their quadrature costs little at any grid
+    "asym": (["uct", "asym", "--h"], ["1", "2 + sin(ln(x))", "1/(1+ln(x))", "exp(-x)",
+                                      "x^0.5", "ln(x-2)"],
+             {"--lambda": (st.floats(1.01, 10.0), _FUZZ_NUMBER)},
+             {"--bound": (st.floats(0.5, 10.0), _FUZZ_NUMBER), **_FUZZ_QUAD, **_FUZZ_COMMON}),
+    "expand-interval": (["uct", "expand-interval"], [],
+                        {"--a": _FUZZ_LO, "--b": _FUZZ_HI,
+                         "--n": (st.integers(0, 50),
+                                 st.sampled_from([-3, 1_075, 2_000, 10**12]))},
+                        {}),
     "scan": (["uct", "scan", "--g"], ["x*u*exp(-x*u)", "sin(x*u)/ln(x)", "1e300*u/x"], {},
              {"--u-lo": (st.floats(0.0, 2.0), _FUZZ_NUMBER),
               "--u-hi": (st.floats(0.5, 10.0), _FUZZ_NUMBER),
@@ -271,7 +338,7 @@ def _fuzzed_argv(draw, command):
     if hostile and draw(st.integers(0, 2)) == 0:
         name = draw(st.sampled_from(hostile))
         values[name] = draw(specs[name][1])
-    argv = [*prefix, draw(st.sampled_from(exprs))]
+    argv = [*prefix, draw(st.sampled_from(exprs))] if exprs else list(prefix)
     for name, value in values.items():
         if isinstance(value, bool):
             argv.append(name if value else "--no-" + name[2:])
@@ -297,6 +364,20 @@ def test_fuzzed_scan_flags_end_in_a_documented_exit_code(command, data):
     assert code in (0, 2, 3, 4), err.getvalue()
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err.getvalue()
+    if code == 0:
+        # a run that ends well reports no non-finite number
+        assert not {"nan", "inf", "-inf"} & set(_strings(json.loads(out.getvalue())))
+
+
+def _strings(obj):
+    """Every string value in a JSON document."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _strings(item)
+    elif isinstance(obj, str):
+        yield obj
 
 
 def test_points_past_a_spent_budget_report_an_unbounded_error(capsys):

@@ -230,6 +230,17 @@ def test_cache_rejects_non_finite_x(x):
     assert cache.frontier == 10.0
 
 
+def test_one_ulp_segment_of_a_huge_integrand_leaks_no_warning():
+    # on [4, 4 + 1 ulp] the panel's 200 * err / resasc is so large that its
+    # 1.5th power overflows; QUADPACK's min(1, ...) caps it at 1
+    cache = IntegralCache(parse("x*1e300"))
+    first = cache.extend(4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        got = cache.extend(4.000000000000001)
+    assert got.converged and got.value == pytest.approx(first.value, rel=1e-12)
+
+
 def test_cache_with_less_than_one_panel_left_evaluates_nothing():
     cache = IntegralCache(parse("sin(x)"), tol=QuadTolerance(max_evals=20))
     first = cache.extend(1e3)

@@ -10,9 +10,11 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the fixed commands of ``_PATH_COMMANDS``, which reach the ratio-class
-  checks of ``classify --claim`` and the continuity value ``L(h)(1) = h(1)``
-  of ``apply-l``, paths that neither of the above takes;
+- the fixed commands of ``_PATH_COMMANDS``, which reach paths that neither
+  of the above takes: the ratio-class checks of ``classify --claim``, the
+  continuity value ``L(h)(1) = h(1)`` of ``apply-l``, ``uct hi``, ``uct
+  cond310`` on both ladders, a bare ``classify --integer-mode``, and a spent
+  budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``;
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -55,6 +57,16 @@ _PATH_COMMANDS = [
     ["classify", "x^0.5*ln(x)", "--claim", "r_alpha:0.5"],
     ["apply-l", "exp(-x)", "--x", "1"],
     ["apply-l", "sin(x)/x", "--x", "1.000000001"],
+    ["uct", "hi", "--h", "abs(ln(x+u) - ln(x))", "--samples", "200"],
+    ["uct", "cond310", "--xi", "1/ln(x)"],
+    ["uct", "cond310", "--xi", "1/ln(x)", "--integer-mode"],
+    ["classify", "ln(x)", "--integer-mode"],
+    # spent budgets: exit 4 with the report written
+    ["apply-l", "sin(x)", "--grid-start", "10", "--ratio", "10", "--count", "8",
+     "--max-evals", "3000"],
+    ["uct", "asym", "--h", "1", "--lambda", "2", "--max-evals", "30"],
+    ["classify", "1/(1+ln(x))", "--claim", "z0", "--max-evals", "15"],
+    ["classify", "x^0.5", "--claim", "r_alpha:0.5", "--max-evals", "100"],
 ]
 
 
