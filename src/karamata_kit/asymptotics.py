@@ -306,10 +306,8 @@ def _values(F: Expr, xs: np.ndarray, var: str, positive: bool = True) -> np.ndar
 
 def _grid_values(F: Expr, lams, xs: np.ndarray, var: str, positive: bool = True):
     """F on the grid and on the (lambda, x) block ``lam * x``, one
-    ``eval_array`` call each.  The block is evaluated flat, in row-major
-    order, so that every row gets the bits of its own call: as a
-    (lambda, 1) array, a one-point grid would take ``_pow_array``'s column
-    path."""
+    ``eval_array`` call each.  The block is evaluated flat, so that a
+    non-positive value names its x."""
     block = np.multiply.outer(lams, xs)
     base = _values(F, xs, var, positive)
     return base, _values(F, block.ravel(), var, positive).reshape(block.shape)

@@ -380,11 +380,11 @@ _EXACT_POWERS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
 
 
 def _pow_array(base: np.ndarray, exponent: np.ndarray, node: Expr) -> np.ndarray:
-    # A column exponent holds one value per row, as the x-only terms of a
-    # scan grid do, so each row should get what a scalar exponent gets.
-    # Whether np.power's inner loop sees one value depends on numpy's
-    # buffering and the array sizes, so take the exact powers explicitly.
-    column = exponent.ndim >= 2 and exponent.shape[-1] == 1
+    # Whether np.power's inner loop sees one exponent value depends on the
+    # shapes, numpy's buffering and the array sizes, so an array exponent
+    # takes the exact powers explicitly: every element then gets what a
+    # scalar exponent gets, whatever the shape of the arrays.
+    exact_powers = exponent.ndim > 0
     base, exponent = np.broadcast_arrays(base, exponent)
     negative = base < 0.0
     if np.any(negative):
@@ -397,7 +397,7 @@ def _pow_array(base: np.ndarray, exponent: np.ndarray, node: Expr) -> np.ndarray
     if np.any(zero & (exponent < 0.0)):
         raise DomainError(f"zero base with negative exponent in '{format_expr(node)}'")
     res = np.power(base, exponent)
-    if column:
+    if exact_powers:
         for value, exact in _EXACT_POWERS:
             hit = exponent == value
             if np.any(hit):

@@ -303,8 +303,8 @@ def _error(resk, resg, resasc, resabs):
     measured = resasc > 0.0
     scale = np.where(measured, resasc, 1.0)
     # a ratio past ~1e205 overflows its 1.5th power, which min(1, ...) caps
-    with np.errstate(over="ignore"):
-        err = np.where(measured, resasc * np.minimum(1.0, (200.0 * err / scale) ** 1.5), err)
+    # (the caller's errstate keeps that quiet)
+    err = np.where(measured, resasc * np.minimum(1.0, (200.0 * err / scale) ** 1.5), err)
     return resk, np.maximum(err, _FLOOR * resabs)
 
 
@@ -331,7 +331,11 @@ def _bisect(lo: np.ndarray, hi: np.ndarray):
 def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> QuadResult:
     """Bisection-adaptive Gauss-Kronrod over [a, b], batched per wave.
 
-    ``max_evals`` (at least 15) caps the evaluations of this call."""
+    ``max_evals`` (at least 15) caps the evaluations of this call.  The
+    waves run with numpy's overflow and invalid warnings off, which the
+    blocks on the pool inherit through their copied contexts.  A panel
+    whose value or error estimate is not finite is never accepted, only
+    split, so a result that the budget cut short keeps an error of inf."""
     if b <= a:
         return QuadResult(0.0, 0.0, 0, True)
     span = b - a
@@ -341,28 +345,33 @@ def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> Quad
     done_error = 0.0
     evals = 0
     converged = True
-    while True:
-        resk, err = _panel_rule(f, lo, hi)
-        evals += 15 * lo.size
-        value_estimate = done_value + float(resk.sum())
-        tol_total = max(tol.abs_tol, tol.rel_tol * abs(value_estimate))
-        local_tol = tol_total * (hi - lo) / span
-        ok = err <= local_tol
-        done_value += float(resk[ok].sum())
-        done_error += float(err[ok].sum())
-        keep = ~ok
-        lo, hi = lo[keep], hi[keep]
-        if not lo.size:
-            break
-        if evals + 30 * lo.size > max_evals:
-            # splitting the pending panels would blow the budget: keep their
-            # current measurements and report non-convergence.  evaluations
-            # never exceeds max_evals.
-            done_value += float(resk[keep].sum())
-            done_error += float(err[keep].sum())
-            converged = False
-            break
-        lo, hi = _bisect(lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            resk, err = _panel_rule(f, lo, hi)
+            evals += 15 * lo.size
+            overflowed = ~np.isfinite(resk + err)
+            if overflowed.any():  # |h| near the float range on a wide panel
+                resk[overflowed] = 0.0
+                err[overflowed] = math.inf
+            value_estimate = done_value + float(resk.sum())
+            tol_total = max(tol.abs_tol, tol.rel_tol * abs(value_estimate))
+            local_tol = tol_total * (hi - lo) / span
+            ok = err <= local_tol
+            done_value += float(resk[ok].sum())
+            done_error += float(err[ok].sum())
+            keep = ~ok
+            lo, hi = lo[keep], hi[keep]
+            if not lo.size:
+                break
+            if evals + 30 * lo.size > max_evals:
+                # splitting the pending panels would blow the budget: keep
+                # their current measurements and report non-convergence.
+                # evaluations never exceeds max_evals.
+                done_value += float(resk[keep].sum())
+                done_error += float(err[keep].sum())
+                converged = False
+                break
+            lo, hi = _bisect(lo, hi)
     return QuadResult(done_value, done_error, evals, converged)
 
 
@@ -428,7 +437,13 @@ class IntegralCache:
                     return eval_array(self.integrand, {self.var: np.exp(points)})
 
                 seg = _adaptive(f, a, b, self.tol, remaining)
-                self.value += seg.value
+                value = self.value + seg.value
+                if not (math.isfinite(value) and math.isfinite(seg.error_estimate)):
+                    raise PreconditionError(
+                        f"int_1^x h(t)/t dt overflows on the segment "
+                        f"[{self.frontier!r}, {x_next!r}]"
+                    )
+                self.value = value
                 self.error_estimate += seg.error_estimate
                 self.evaluations += seg.evaluations
                 self.converged = self.converged and seg.converged

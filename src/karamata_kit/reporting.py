@@ -1,10 +1,13 @@
 """Report assembly and serialization.
 
 Every CLI run produces one report dict with a fixed top-level shape:
-version, command, config, inputs, results, verdicts, timing_ms.  JSON
-output uses sorted keys and Python's shortest round-trip float repr, so
-identical runs serialize byte-identically, exactly as ``json.dumps(report,
-indent=2, sort_keys=True, allow_nan=False)`` would.  CSV output flattens
+version, command, config, inputs, results, verdicts, timing_ms.  Its
+values are the library's own objects; ``render_json`` turns them into text
+in one walk.  It writes dataclasses as objects of their fields, numpy
+scalars and arrays through ``tolist()``, nan and the infinities as the
+strings ``"nan"``, ``"inf"`` and ``"-inf"``, and every dict key as
+``str(key)``.  Keys are sorted and floats take Python's shortest round-trip
+repr, so identical runs serialize byte-identically.  CSV output flattens
 whatever the command exposes as (x, param, residual) rows.
 """
 
@@ -12,99 +15,86 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
-import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 REPORT_VERSION = 1
 
-__all__ = ["REPORT_VERSION", "to_jsonable", "build_report", "render_json", "render_csv", "emit"]
-
-
-_LEAF_TYPES = (int, str, bool, type(None))
-
-
-def to_jsonable(obj):
-    """Recursively convert dataclasses/arrays/tuples into JSON-ready data."""
-    # exact-type leaves first: reports are mostly plain floats and strings
-    kind = type(obj)
-    if kind is float:
-        if math.isfinite(obj):
-            return obj
-    elif kind in _LEAF_TYPES:
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        # numpy scalar or array of any shape
-        return to_jsonable(obj.tolist())
-    if isinstance(obj, float) and obj != obj:
-        return "nan"
-    if isinstance(obj, float) and obj in (float("inf"), float("-inf")):
-        return "inf" if obj > 0 else "-inf"
-    return obj
+__all__ = ["REPORT_VERSION", "build_report", "render_json", "render_csv", "emit"]
 
 
 def build_report(command, config, inputs, results, verdicts, timing_ms):
     return {
         "version": REPORT_VERSION,
         "command": command,
-        "config": to_jsonable(config),
-        "inputs": to_jsonable(inputs),
-        "results": to_jsonable(results),
-        "verdicts": to_jsonable(verdicts),
+        "config": config,
+        "inputs": inputs,
+        "results": results,
+        "verdicts": verdicts,
         "timing_ms": round(float(timing_ms), 3),
     }
 
 
-def render_json(report: dict) -> str:
-    """``report`` as ``json.dumps(report, indent=2, sort_keys=True,
-    allow_nan=False)`` writes it, plus a newline.
+def render_json(report) -> str:
+    """``report`` as JSON text, plus a newline, as the module docstring says.
 
-    With ``indent`` set, json.dumps runs its pure-Python encoder, a generator
-    per container; this writes the same text in about half the time.  As
-    there, a nan or infinite float raises ValueError and a value that JSON
-    has no form for raises TypeError."""
+    Those conversions aside, the text is what ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes.  With ``indent`` set, json.dumps runs its
+    pure-Python encoder, a generator per container; this takes about half
+    the time.  A value that JSON has no form for raises TypeError."""
     return _render(report, "\n") + "\n"
 
 
 def _render(obj, newline: str) -> str:
     """``obj`` as JSON; ``newline`` is the line break and indent of its depth."""
+    # exact types first: reports are mostly plain floats, strings and containers
     kind = type(obj)
+    if kind is float:
+        return _render_float(obj)
+    if kind is str:
+        return _quote(obj)
     if kind is dict:
         return _render_dict(obj, newline)
     if kind is list or kind is tuple:
         return _render_list(obj, newline)
-    # json.dumps's own order of tests, which also takes subclasses
-    if isinstance(obj, str):
-        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    names = _field_names(kind)
+    if names is not None:  # a dataclass instance; a dataclass type falls through
+        return _render_object([(name, getattr(obj, name)) for name in names], newline)
+    if isinstance(obj, dict):
+        return _render_dict(obj, newline)
+    if isinstance(obj, (list, tuple)):
+        return _render_list(obj, newline)
+    if hasattr(obj, "tolist"):  # a numpy scalar or array of any shape
+        return _render(obj.tolist(), newline)
+    # subclasses of the leaf types, as json.dumps takes them
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _render_float(obj)
-    if isinstance(obj, (list, tuple)):
-        return _render_list(obj, newline)
-    if isinstance(obj, dict):
-        return _render_dict(obj, newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    """The sorted field names of a dataclass type; None for any other type."""
+    if not dataclasses.is_dataclass(kind):
+        return None
+    return tuple(sorted(f.name for f in dataclasses.fields(kind)))
 
 
 def _render_float(x: float) -> str:
     text = float.__repr__(x)
-    if "n" in text:  # nan, inf or -inf
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return text
+    return f'"{text}"' if "n" in text else text  # nan, inf or -inf as a string
 
 
 def _render_list(seq, newline: str) -> str:
@@ -125,14 +115,19 @@ def _render_list(seq, newline: str) -> str:
 
 
 def _render_dict(mapping, newline: str) -> str:
-    if not mapping:
+    if any(type(key) is not str for key in mapping):
+        # a later key that writes as an earlier one replaces its value
+        mapping = {str(key): value for key, value in mapping.items()}
+    return _render_object([(key, mapping[key]) for key in sorted(mapping)], newline)
+
+
+def _render_object(pairs, newline: str) -> str:
+    """``pairs``, (str key, value) in key order, as a JSON object."""
+    if not pairs:
         return "{}"
     inner = newline + "  "
     items = []
-    for key in sorted(mapping):
-        value = mapping[key]
-        if type(key) is not str:
-            key = _render_key(key)
+    for key, value in pairs:
         # the common leaves inline, the rest through _render
         kind = type(value)
         if kind is float:
@@ -145,15 +140,6 @@ def _render_dict(mapping, newline: str) -> str:
             text = _render(value, inner)
         items.append(f"{_quote(key)}: {text}")
     return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-
-
-def _render_key(key) -> str:
-    """A dict key that is not a str, as JSON writes it before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _render(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def render_csv(rows) -> str:

@@ -186,6 +186,22 @@ def _spaced(a: float, b: float, count: int) -> np.ndarray:
         return np.linspace(a, b, count)
 
 
+def _window(name: str, interval, count: int, x_max: float | None = None) -> np.ndarray:
+    """The ``count`` values of the scan parameter ``name`` (u or lambda),
+    evenly spaced over ``interval``.
+
+    Given ``x_max``, the largest grid point, the parameters are lambdas: the
+    window must sit in (0, inf) and ``lam * x`` must stay finite on it."""
+    a, b = _check_interval(interval, f"{name} interval")
+    if x_max is not None and a <= 0:
+        raise PreconditionError(f"{name} interval must sit in (0, inf)")
+    if count < MIN_PARAM_COUNT:
+        raise PreconditionError(f"{name}_count must be >= {MIN_PARAM_COUNT}")
+    if x_max is not None:
+        _check_product(b, x_max, "lam * x")
+    return _spaced(a, b, count)
+
+
 def uct_scan(
     G: Expr,
     u_interval,
@@ -195,14 +211,10 @@ def uct_scan(
     value_tol: float = VALUE_TOL,
 ) -> ScanReport:
     """Scan ``|G(x, u)|`` for uniform smallness in u as x grows."""
-    a, b = _check_interval(u_interval, "u interval")
-    if u_count < MIN_PARAM_COUNT:
-        raise PreconditionError(f"u_count must be >= {MIN_PARAM_COUNT}")
+    params = _window("u", u_interval, u_count)
     xs = np.asarray(x_grid.points())
-    params = _spaced(a, b, u_count)
 
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        # x as a column keeps x-only terms at one value per row
         return np.abs(eval_array(G, {"x": xs[:, None], "u": ps}))
 
     return _scan(grid_fn, xs, params, classify_tol, value_tol)
@@ -220,18 +232,10 @@ def karamata_uct_check(
     """Scan the slow-variation residual ``F(lam x)/F(x) - 1`` over a compact
     lambda window.  Uniform decay of the suprema is the numerical face of
     the uniform convergence property for slowly varying F."""
-    a, b = _check_interval(lambda_interval, "lambda interval")
-    if a <= 0:
-        raise PreconditionError("lambda interval must sit in (0, inf)")
-    if lambda_count < MIN_PARAM_COUNT:
-        raise PreconditionError(f"lambda_count must be >= {MIN_PARAM_COUNT}")
     xs = np.asarray(x_grid.points())
-    _check_product(b, float(xs.max()), "lam * x")
-    params = np.linspace(a, b, lambda_count)
+    params = _window("lambda", lambda_interval, lambda_count, float(xs.max()))
 
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        # F(x) on the flat xs, not a column, takes the same pow path as
-        # F(lam x), so the residual at lam = 1 is exactly 0
         base = _values(F, xs, var)
         shifted = eval_array(F, {var: ps * xs[:, None]})
         bad = np.flatnonzero(np.any(shifted <= 0, axis=1))
@@ -263,19 +267,13 @@ def condition_scan_310(
     its shape; suprema are still absolute.  ``integer_mode`` reruns the
     supplied grid as a consecutive-integer walk, which exposes the classic
     failure a geometric grid would average away."""
-    a, b = _check_interval(lambda_interval, "lambda interval")
-    if a <= 0:
-        raise PreconditionError("lambda interval must sit in (0, inf)")
-    if lambda_count < MIN_PARAM_COUNT:
-        raise PreconditionError(f"lambda_count must be >= {MIN_PARAM_COUNT}")
     if integer_mode and not x_grid.integer_mode:
         x_grid = GeometricGrid(x_grid.start, x_grid.ratio, x_grid.count, integer_mode=True)
     xs = np.asarray(x_grid.points())
-    _check_product(b, float(xs.max()), "lam * x")
-    params = np.linspace(a, b, lambda_count)
+    params = _window("lambda", lambda_interval, lambda_count, float(xs.max()))
 
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        at_x = eval_array(xi, {var: xs})  # flat, as in karamata_uct_check
+        at_x = eval_array(xi, {var: xs})
         at_lx = eval_array(xi, {var: ps * xs[:, None]})
         ln_x = np.array([math.log(x) for x in xs.tolist()])
         with np.errstate(over="ignore"):

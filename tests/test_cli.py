@@ -170,6 +170,11 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
         ["uct", "mult-closure", "--f", "1e300*x", "--lambda", "0.5", "--mu", "2"],
         # the width u_hi - u_lo of a scan's parameter window
         ["uct", "scan", "--g", "x*u", "--u-lo=-1.5e308", "--u-hi", "1.5e308"],
+        # an integral whose value overflows, on one segment or summed over a sweep
+        ["apply-l", "1.7e308", "--x", "10", "--max-evals", "3000"],
+        ["uct", "asym", "--h", "1e308", "--lambda", "2", "--bound", "1.5e308",
+         "--max-evals", "3000"],
+        ["apply-l", "5e307", "--grid-start", "10", "--ratio", "10", "--count", "8"],
     ],
 )
 def test_overflow_exits_3_with_one_error_line(capsys, argv):

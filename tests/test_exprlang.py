@@ -190,6 +190,27 @@ def test_eval_array_broadcasts_constants():
     assert np.all(got == 7.0)
 
 
+@pytest.mark.parametrize(
+    "text, constant",
+    [
+        ("x^(x/x+1)", "x^2"),
+        ("x^(x/x-0.5)", "x^0.5"),
+        ("x^(x/x-2)", "x^(-1)"),
+        ("(x+0.1)^(x/x+1)", "(x+0.1)^2"),
+    ],
+)
+def test_eval_array_bits_do_not_depend_on_shape(text, constant):
+    # an exponent array holding 2, 0.5 or -1 gets the correctly rounded power
+    # that the constant exponent gets, whatever the shape of the arrays
+    xs = np.random.default_rng(5).uniform(0.5, 50.0, 600)
+    want = eval_array(parse(constant), {"x": xs}).tobytes()
+    e = parse(text)
+    for shaped in (xs, xs[:, None], xs[None, :]):
+        assert eval_array(e, {"x": shaped}).tobytes() == want
+    points = [eval_array(e, {"x": np.array(x)}) for x in xs]  # 0-d
+    assert np.array(points).tobytes() == want
+
+
 def test_eval_array_raises_on_any_bad_element():
     with pytest.raises(DomainError):
         eval_array(parse("ln(x)"), {"x": np.array([2.0, 1.0, 0.0])})

@@ -241,6 +241,28 @@ def test_one_ulp_segment_of_a_huge_integrand_leaks_no_warning():
     assert got.converged and got.value == pytest.approx(first.value, rel=1e-12)
 
 
+def test_an_integral_that_overflows_names_its_segment():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        with pytest.raises(PreconditionError, match=r"overflows on the segment \[1.0, 10.0\]$"):
+            IntegralCache(parse("1.7e308")).extend(10.0)
+        # each segment is finite, their sum is not
+        cache = IntegralCache(parse("5e307"))
+        cache.extend(10.0)
+        with pytest.raises(PreconditionError, match=r"overflows on the segment \[10.0, 100.0\]$"):
+            cache.extend(100.0)
+
+
+def test_a_panel_too_wide_for_its_values_is_split_not_rejected():
+    # the first panels of 8e307*sin(t) on [1, 1000] sum past the float range;
+    # the integral, about 5e307, does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        got = integrate_log(parse("8e307*sin(x)"), 1000.0)
+    assert got.converged
+    assert got.value == pytest.approx(8e307 * integrate_log(parse("sin(x)"), 1000.0).value, rel=1e-9)
+
+
 def test_cache_with_less_than_one_panel_left_evaluates_nothing():
     cache = IntegralCache(parse("sin(x)"), tol=QuadTolerance(max_evals=20))
     first = cache.extend(1e3)

@@ -1,17 +1,21 @@
-"""Report conversion and rendering: what ``to_jsonable`` makes of each kind
-of value, and that ``render_json`` writes exactly what ``json.dumps`` does."""
+"""Report rendering: that ``render_json`` writes exactly what ``json.dumps``
+does, and on report objects exactly what ``json.dumps`` wrote of the tree
+that ``to_jsonable``, the frozen oracle in ``report_oracle``, makes of them.
+The first tests pin the oracle itself."""
 
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karamata_kit.reporting import render_json, to_jsonable
+from karamata_kit.reporting import render_json
+from report_oracle import oracle_json, to_jsonable
 
 
 @pytest.mark.parametrize(
@@ -105,7 +109,8 @@ def test_a_dataclass_type_is_not_converted_as_an_instance():
 
 
 # ---------------------------------------------------------------------------
-# render_json against its oracle, json.dumps
+# render_json against its oracles: json.dumps on plain trees, and
+# json.dumps of to_jsonable's tree on anything
 
 
 def _oracle(tree) -> str:
@@ -165,7 +170,7 @@ def test_render_json_writes_what_json_dumps_writes(tree):
 @given(_trees(st.one_of(_LEAVES, _NON_FINITE, _UNSERIALIZABLE), st.one_of(_FLOATS, _NON_FINITE)))
 @settings(max_examples=300)
 def test_render_json_raises_what_json_dumps_raises(tree):
-    assert _outcome(render_json, tree) == _outcome(_oracle, tree)
+    assert _outcome(render_json, tree) == _outcome(oracle_json, tree)
 
 
 @pytest.mark.parametrize(
@@ -189,4 +194,83 @@ def test_render_json_raises_what_json_dumps_raises(tree):
     ],
 )
 def test_render_json_matches_json_dumps_on_odd_inputs(tree):
-    assert _outcome(render_json, tree) == _outcome(_oracle, tree)
+    assert _outcome(render_json, tree) == _outcome(oracle_json, tree)
+
+
+# report objects: dataclasses, numpy values, nan/inf and keys that are not str
+
+
+@dataclass(frozen=True)
+class _Node:
+    left: object
+    right: object = None
+    kind: ClassVar[str] = "not a field"  # dataclasses.fields leaves it out
+
+
+@dataclass
+class _Row:
+    values: object
+    extra: dict = field(default_factory=dict)
+
+
+_NUMPY_SCALARS = st.one_of(
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_ARRAYS = st.one_of(
+    st.lists(st.floats(), max_size=6).map(np.array),
+    st.lists(st.integers(-(2**31), 2**31), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.floats(), min_size=6, max_size=6).map(lambda xs: np.array(xs).reshape(2, 3)),
+    st.floats().map(np.array),  # 0-d
+)
+_KEYS = st.one_of(
+    _STRINGS,
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.tuples(st.integers(), st.text(max_size=3)),
+    st.integers(-5, 5).map(np.int64),
+    st.sampled_from([1, "1", None, "None", False, "False", 0.5, "0.5"]),  # keys that collide
+)
+
+
+def _report_trees():
+    leaves = st.one_of(
+        _LEAVES, _NON_FINITE, st.floats(), _NUMPY_SCALARS, _ARRAYS,
+        st.sampled_from([_Node, b"bytes", 1j]),  # no JSON form: TypeError
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.lists(st.floats(), max_size=4),
+            st.dictionaries(_KEYS, children, max_size=4),
+            st.builds(_Node, children, children),
+            st.builds(_Row, children, st.dictionaries(_KEYS, children, max_size=3)),
+        ),
+        max_leaves=30,
+    )
+
+
+@given(_report_trees())
+@settings(max_examples=300)
+def test_render_json_writes_report_objects_as_the_two_walks_did(tree):
+    assert _outcome(render_json, tree) == _outcome(oracle_json, tree)
+
+
+def test_render_json_writes_report_objects_in_one_walk():
+    report = {
+        "config": _Row(np.array([0.5, math.nan]), {1: np.float64(-math.inf), False: None}),
+        "inputs": _Node((np.int64(3), np.bool_(True)), np.arange(4).reshape(2, 2)),
+        "timing_ms": math.inf,
+    }
+    assert render_json(report) == oracle_json(report)
+    assert json.loads(render_json(report)) == {
+        "config": {"values": [0.5, "nan"], "extra": {"1": "-inf", "False": None}},
+        "inputs": {"left": [3, True], "right": [[0, 1], [2, 3]]},
+        "timing_ms": "inf",
+    }

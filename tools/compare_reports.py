@@ -13,8 +13,10 @@ compared, with ``timing_ms`` masked.  The commands are:
 - the fixed commands of ``_PATH_COMMANDS``, which reach paths that neither
   of the above takes: the ratio-class checks of ``classify --claim``, the
   continuity value ``L(h)(1) = h(1)`` of ``apply-l``, ``uct hi``, ``uct
-  cond310`` on both ladders, a bare ``classify --integer-mode``, and a spent
-  budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``;
+  cond310`` on both ladders, a bare ``classify --integer-mode``, a spent
+  budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``, an
+  integral that overflows in ``apply-l`` and ``uct asym``, and a power with
+  an exponent array in ``uct scan``;
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -67,6 +69,12 @@ _PATH_COMMANDS = [
     ["uct", "asym", "--h", "1", "--lambda", "2", "--max-evals", "30"],
     ["classify", "1/(1+ln(x))", "--claim", "z0", "--max-evals", "15"],
     ["classify", "x^0.5", "--claim", "r_alpha:0.5", "--max-evals", "100"],
+    # integrals that overflow: exit 3 (the budget keeps an older tree fast)
+    ["apply-l", "1.7e308", "--x", "10", "--max-evals", "3000"],
+    ["uct", "asym", "--h", "1e308", "--lambda", "2", "--bound", "1.5e308",
+     "--max-evals", "3000"],
+    # an exponent array that holds 0.5 and 2
+    ["uct", "scan", "--g", "x^u"],
 ]
 
 
