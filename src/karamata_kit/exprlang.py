@@ -46,6 +46,7 @@ __all__ = [
     "fold",
     "format_expr",
     "variables",
+    "occurrences",
     "FUNCTIONS",
 ]
 
@@ -301,13 +302,17 @@ def evaluate(expr: Expr, env: Env) -> float:
     return float(eval_array(expr, env))
 
 
-def eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"]) -> np.ndarray:
+def eval_array(
+    expr: Expr, env: Mapping[str, "np.ndarray | float"], owned: str | None = None
+) -> np.ndarray:
     """Evaluate ``expr`` over numpy arrays, element by element.
 
     The result is broadcast against the environment arrays, so constant
-    expressions still come back with the sample shape."""
+    expressions still come back with the sample shape.  No array of ``env``
+    is written except that of ``owned``, a variable that occurs once in
+    ``expr`` and whose float array the caller hands over to compute in."""
     with np.errstate(all="ignore"):
-        out = np.asarray(_eval_array(expr, env), dtype=float)
+        out = np.asarray(_eval_array(expr, env, owned)[0])
         # one sum, which is finite only if every value is; a sum of finite
         # values that overflows takes the element-wise test
         if not math.isfinite(np.add.reduce(out, axis=None)) and not np.isfinite(out).all():
@@ -318,58 +323,54 @@ def eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"]) -> np.ndarra
     return out
 
 
-def _eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"]):
+_BIN_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_CALL_UFUNCS = dict(ln=np.log, exp=np.exp, sin=np.sin, cos=np.cos, sqrt=np.sqrt, abs=np.abs)
+
+
+def _eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"], owned):
+    """The value of ``expr`` as a float array or numpy scalar, and whether a
+    parent may write into it: an intermediate the walk made, or ``owned``'s."""
     if isinstance(expr, Const):
-        return expr.value
+        return np.asarray(expr.value, dtype=float), False
     if isinstance(expr, Var):
         try:
-            return env[expr.name]
+            return np.asarray(env[expr.name], dtype=float), expr.name == owned
         except KeyError:
             raise UnboundVariableError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Neg):
-        return -np.asarray(_eval_array(expr.arg, env), dtype=float)
     if isinstance(expr, Bin):
-        lhs = np.asarray(_eval_array(expr.lhs, env), dtype=float)
-        rhs = np.asarray(_eval_array(expr.rhs, env), dtype=float)
-        op = expr.op
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if np.any(rhs == 0.0):
-                raise DomainError(f"division by zero in '{format_expr(expr)}'")
-            return lhs / rhs
-        if op == "^":
-            return _pow_array(lhs, rhs, expr)
-        raise EvalError(f"unknown operator {op!r}")
+        lhs, lhs_fresh = _eval_array(expr.lhs, env, owned)
+        rhs, rhs_fresh = _eval_array(expr.rhs, env, owned)
+        ufunc = _BIN_UFUNCS.get(expr.op)
+        if ufunc is None:
+            if expr.op == "^":
+                return _pow_array(lhs, rhs, expr), True
+            raise EvalError(f"unknown operator {expr.op!r}")
+        if ufunc is np.divide and np.any(rhs == 0.0):
+            raise DomainError(f"division by zero in '{format_expr(expr)}'")
+        if lhs_fresh and lhs.ndim and (rhs.ndim == 0 or rhs.shape == lhs.shape):
+            return ufunc(lhs, rhs, out=lhs), True
+        if rhs_fresh and rhs.ndim and (lhs.ndim == 0 or lhs.shape == rhs.shape):
+            return ufunc(lhs, rhs, out=rhs), True
+        return ufunc(lhs, rhs), True
     if isinstance(expr, Call):
-        args = [np.asarray(_eval_array(a, env), dtype=float) for a in expr.args]
-        name = expr.func
-        if name == "ln":
-            if np.any(args[0] <= 0.0):
-                raise DomainError(f"ln of non-positive value in '{format_expr(expr)}'")
-            return np.log(args[0])
-        if name == "exp":
-            res = np.exp(args[0])
-            if np.any(~np.isfinite(res)):
-                raise DomainError(f"overflow in '{format_expr(expr)}'")
-            return res
-        if name == "sin":
-            return np.sin(args[0])
-        if name == "cos":
-            return np.cos(args[0])
-        if name == "sqrt":
-            if np.any(args[0] < 0.0):
-                raise DomainError(f"sqrt of negative value in '{format_expr(expr)}'")
-            return np.sqrt(args[0])
-        if name == "abs":
-            return np.abs(args[0])
-        if name == "pow":
-            return _pow_array(args[0], args[1], expr)
-        raise EvalError(f"unknown function {name!r}")
+        args = [_eval_array(a, env, owned) for a in expr.args]
+        ufunc = _CALL_UFUNCS.get(expr.func)
+        if ufunc is None:
+            if expr.func == "pow":
+                return _pow_array(args[0][0], args[1][0], expr), True
+            raise EvalError(f"unknown function {expr.func!r}")
+        ((arg, fresh),) = args
+        if ufunc is np.log and np.any(arg <= 0.0):
+            raise DomainError(f"ln of non-positive value in '{format_expr(expr)}'")
+        if ufunc is np.sqrt and np.any(arg < 0.0):
+            raise DomainError(f"sqrt of negative value in '{format_expr(expr)}'")
+        res = ufunc(arg, out=arg) if fresh and arg.ndim else ufunc(arg)
+        if ufunc is np.exp and np.any(~np.isfinite(res)):
+            raise DomainError(f"overflow in '{format_expr(expr)}'")
+        return res, True
+    if isinstance(expr, Neg):
+        arg, fresh = _eval_array(expr.arg, env, owned)
+        return (np.negative(arg, out=arg) if fresh and arg.ndim else np.negative(arg)), True
     raise EvalError(f"not an expression node: {expr!r}")
 
 
@@ -407,20 +408,29 @@ def _pow_array(base: np.ndarray, exponent: np.ndarray, node: Expr) -> np.ndarray
     return res
 
 
+def _children(expr: Expr) -> tuple:
+    if isinstance(expr, Neg):
+        return (expr.arg,)
+    if isinstance(expr, Bin):
+        return (expr.lhs, expr.rhs)
+    return expr.args if isinstance(expr, Call) else ()
+
+
 def variables(expr: Expr) -> frozenset[str]:
     """Free variable names appearing in ``expr``."""
     if isinstance(expr, Var):
         return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return variables(expr.arg)
-    if isinstance(expr, Bin):
-        return variables(expr.lhs) | variables(expr.rhs)
-    if isinstance(expr, Call):
-        out: frozenset[str] = frozenset()
-        for a in expr.args:
-            out |= variables(a)
-        return out
-    return frozenset()
+    return frozenset().union(*map(variables, _children(expr)))
+
+
+def occurrences(expr: Expr, name: str) -> int:
+    """How many times the variable ``name`` occurs in ``expr``."""
+    if isinstance(expr, Var):
+        return int(expr.name == name)
+    count = 0
+    for child in _children(expr):
+        count += occurrences(child, name)
+    return count
 
 
 # ---------------------------------------------------------------------------

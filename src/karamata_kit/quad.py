@@ -8,10 +8,10 @@ estimate meets the tolerance share allocated proportionally to the panel's
 length.  All pending panels of a refinement wave are evaluated together,
 in fixed blocks of ``_BLOCK`` panels whose work arrays stay in cache, so
 oscillatory integrands stay affordable.  Every panel is measured on its own,
-so the results do not depend on the block size.  A wave of more than one
-block measures its blocks on a thread pool (numpy's ufuncs and reductions
-release the GIL), each block writing into its own slice of the wave, so the
-results do not depend on the worker count either.
+so the results do not depend on the block size.  The calling thread and a
+thread pool measure the blocks of a larger wave together (numpy's ufuncs and
+reductions release the GIL), each block writing into its own slice of the
+wave, so the results do not depend on the worker count either.
 
 A block is measured by one of two rules, which give the same bits.  The
 row rule, for blocks of at most ``_SMALL_BLOCK`` panels, takes numpy's row
@@ -41,11 +41,12 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprlang import Expr, eval_array
+from .exprlang import Expr, eval_array, occurrences
 
 __all__ = [
     "QuadTolerance",
@@ -165,8 +166,7 @@ def thread_count() -> int:
     return max(1, min(wanted, cores))
 
 
-# one lazily built pool per worker count; concurrent.futures is imported
-# only when the first pool is built, never at package import
+# one pool per worker count, built at first use, of one thread fewer: the caller works too
 _pools: dict = {}
 
 
@@ -178,7 +178,7 @@ def _pool(workers: int):
         # a pool starts its threads with its first tasks, so a pool that
         # loses this race is dropped without having started any
         pool = _pools.setdefault(
-            workers, ThreadPoolExecutor(workers, thread_name_prefix="karamata-quad")
+            workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="karamata-quad")
         )
     return pool
 
@@ -192,37 +192,50 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
     """Kronrod value and QUADPACK-style error per panel.
 
     A wave is measured ``_BLOCK`` panels at a time, so that the arrays of a
-    block stay in cache.  The blocks of a larger wave go to
-    ``thread_count()`` workers, each under a copy of the caller's context
-    (numpy's ``errstate`` among it).  ``map`` re-raises in block order, so
-    an integrand that fails raises the first failing block's error, as the
-    serial loop does."""
+    block stay in cache.  The caller and up to ``thread_count() - 1`` pool
+    threads, each under its own copy of the caller's context (numpy's
+    ``errstate`` among it), take a larger wave's blocks in order from one
+    iterator.  A failing block ends the hand-out, and once every block handed
+    out is done the lowest failing block's error is raised, as in serial."""
     n = lo.size
     if n <= _BLOCK:
         return _rule_block(f, lo, hi)
     resk = np.empty(n)
     err = np.empty(n)
+    blocks = range(0, n, _BLOCK)
+    starts = iter(blocks)
+    lock, errors = threading.Lock(), {}
 
-    def measure(start):
-        b = slice(start, start + _BLOCK)
-        resk[b], err[b] = _rule_block(f, lo[b], hi[b])
+    def drain():
+        while True:
+            with lock:
+                start = None if errors else next(starts, None)
+            if start is None:
+                return
+            b = slice(start, start + _BLOCK)
+            try:
+                resk[b], err[b] = _rule_block(f, lo[b], hi[b])
+            except Exception as exc:  # raised by the caller, lowest block first
+                errors[start] = exc
 
-    starts = range(0, n, _BLOCK)
     workers = thread_count()
-    if workers == 1:
-        for start in starts:
-            measure(start)
-    else:
-        # one copy per block: two threads cannot enter one context at once
-        contexts = [contextvars.copy_context() for _ in starts]
-        for _ in _pool(workers).map(lambda ctx, start: ctx.run(measure, start), contexts, starts):
-            pass
+    helpers = [
+        _pool(workers).submit(contextvars.copy_context().run, drain)
+        for _ in range(min(workers, len(blocks)) - 1)
+    ]
+    drain()
+    for helper in helpers:
+        # a helper still queued behind another caller's wave finds no block
+        if not helper.cancel():
+            helper.result()
+    if errors:
+        raise errors[min(errors)]
     return resk, err
 
 
 def _rule_block(f, lo, hi):
-    """Kronrod value and error of each panel of one block; ``f`` must return
-    a new array.
+    """Kronrod value and error of each panel of one block; ``f`` must not
+    return its argument or a view of it, which the column rule overwrites.
 
     ``f`` sees the nodes as (panels, 15), each panel's nodes side by side:
     numpy's float64 sin runs about 15 % slower on the node-major order."""
@@ -432,9 +445,11 @@ class IntegralCache:
             else:
                 a = math.log(self.frontier)
                 b = math.log(x_next)
+                # the walk may compute in the fresh exp(points) if one leaf reads it
+                owned = self.var if occurrences(self.integrand, self.var) == 1 else None
 
                 def f(points: np.ndarray) -> np.ndarray:
-                    return eval_array(self.integrand, {self.var: np.exp(points)})
+                    return eval_array(self.integrand, {self.var: np.exp(points)}, owned)
 
                 seg = _adaptive(f, a, b, self.tol, remaining)
                 value = self.value + seg.value

@@ -23,6 +23,7 @@ from karamata_kit.exprlang import (
     evaluate,
     fold,
     format_expr,
+    occurrences,
     parse,
     variables,
 )
@@ -55,6 +56,13 @@ def test_constants_keep_symbolic_spelling():
 def test_variables_collects_names():
     assert variables(parse("x*u + sin(v)")) == frozenset({"x", "u", "v"})
     assert variables(parse("3.5")) == frozenset()
+
+
+def test_occurrences_counts_each_leaf():
+    e = parse("sin(x)*ln(x) - pow(u, x)")
+    assert (occurrences(e, "x"), occurrences(e, "u"), occurrences(e, "v")) == (3, 1, 0)
+    assert occurrences(parse("-sin(3*x)"), "x") == 1
+    assert occurrences(parse("pi"), "x") == 0
 
 
 def test_negative_number_parses_as_negation():
@@ -209,6 +217,37 @@ def test_eval_array_bits_do_not_depend_on_shape(text, constant):
         assert eval_array(e, {"x": shaped}).tobytes() == want
     points = [eval_array(e, {"x": np.array(x)}) for x in xs]  # 0-d
     assert np.array(points).tobytes() == want
+
+
+@pytest.mark.parametrize("text", [src for src, _, _ in CORPUS])
+def test_eval_array_never_writes_an_env_array(text):
+    # the walk computes in the arrays it made, never in the caller's, even
+    # where an intermediate has the shape of an env array
+    xs = np.random.default_rng(11).uniform(1.5, 5.0, 40)
+    e = parse(text)
+    for env in (
+        {"x": xs},
+        {"x": xs[:, None], "u": xs[None, :8]},
+        {"x": np.array(2.5), "u": np.array([0.5, 2.0])},
+    ):
+        before = {name: (a.tobytes(), a.shape) for name, a in env.items()}
+        try:
+            eval_array(e, env)
+        except DomainError:
+            pass
+        assert {name: (a.tobytes(), a.shape) for name, a in env.items()} == before
+
+
+@pytest.mark.parametrize("text", ["sin(3*x)", "-exp(-x)/2", "1 + ln(x)^2", "abs(cos(x))"])
+def test_eval_array_computes_in_the_owned_array(text):
+    # a variable that occurs once: the result is written into its array,
+    # with the bits of the plain evaluation
+    xs = np.random.default_rng(12).uniform(1.5, 5.0, 300)
+    want = eval_array(parse(text), {"x": xs})
+    owned = xs.copy()
+    got = eval_array(parse(text), {"x": owned}, "x")
+    assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(got, owned) == (text != "1 + ln(x)^2")  # ^ allocates
 
 
 def test_eval_array_raises_on_any_bad_element():

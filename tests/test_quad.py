@@ -515,8 +515,11 @@ def test_pooled_oscillatory_integral_is_bit_identical(three_cores):
     assert runs[1][0][0][2] == 858_315
     main = threading.get_ident()
     assert runs[1][1] == {main}  # serial: every block on the calling thread
-    assert len(runs[3][1] - {main}) >= 2  # pooled: blocks on worker threads
-    assert quad_mod._pools[3]._max_workers == 3
+    # pooled: the caller measures blocks next to a pool of workers - 1 threads
+    assert main in runs[2][1] and main in runs[3][1]
+    assert len(runs[3][1] - {main}) >= 2
+    assert quad_mod._pools[2]._max_workers == 1
+    assert quad_mod._pools[3]._max_workers == 2
 
 
 @pytest.mark.parametrize("text", ["sin(x)", "cos(3*x) * ln(x)"])
@@ -530,6 +533,28 @@ def test_pooled_cache_sweep_is_bit_identical(three_cores, text):
     runs = _pooled_runs(three_cores, sweep)
     assert runs[1][0] == runs[2][0] == runs[3][0]
     assert len(runs[3][1]) > 1
+
+
+@pytest.mark.parametrize(
+    "text", ["sin(x)*ln(x)", "sin(x)+x", "x*exp(-x)", "cos(3*x)*ln(x)", "sin(3*x)"]
+)
+def test_cache_integrand_keeps_the_bits_of_plain_eval_array(three_cores, text):
+    # IntegralCache hands its exp(points) buffer to eval_array only when h
+    # names x once (the last case); where x occurs twice, computing in that
+    # buffer would feed sin(x) to ln(x).  Serial and pooled, every result
+    # must equal the quadrature of eval_array on a copy of the points.
+    h = parse(text)
+    tol = QuadTolerance(max_evals=5_000_000)
+    x = 1e5
+    plain = quad_mod._adaptive(
+        lambda points: eval_array(h, {"x": np.exp(points).copy()}), 0.0, math.log(x), tol,
+        tol.max_evals,
+    )
+    runs = _pooled_runs(three_cores, lambda: [integrate_log(h, x, tol)])
+    for workers in (1, 2, 3):
+        assert runs[workers][0] == _hexes([plain])
+    # x exp(-x) is smooth: its waves never fill two blocks
+    assert (len(runs[3][1]) > 1) == (text != "x*exp(-x)")
 
 
 def test_pooled_wave_raises_the_first_failing_blocks_error(three_cores):

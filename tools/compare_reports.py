@@ -15,8 +15,9 @@ compared, with ``timing_ms`` masked.  The commands are:
   continuity value ``L(h)(1) = h(1)`` of ``apply-l``, ``uct hi``, ``uct
   cond310`` on both ladders, a bare ``classify --integer-mode``, a spent
   budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``, an
-  integral that overflows in ``apply-l`` and ``uct asym``, and a power with
-  an exponent array in ``uct scan``;
+  integral that overflows in ``apply-l`` and ``uct asym``, a power with
+  an exponent array in ``uct scan``, and pooled waves of two integrands
+  that name x twice, in ``apply-l`` at one x and in a sweep;
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -28,7 +29,9 @@ For each seed, both trees also run the library operations of the
 seed)``) and compare the ``repr`` of every result by SHA-256: of its
 ``tolist()`` for an array, of the hex of its floats with its evaluation
 count and convergence for an ``OperatorValue`` (one per point of a sweep),
-or of the exception it raised.
+or of the exception it raised.  CHANGE's ``osc_quad`` round also runs
+serially (``KARAMATA_KIT_THREADS=1``), and its results must equal those of
+the run with the variable unset.
 
 Each tree runs its commands and operations in one fresh interpreter, the
 commands through ``karamata_kit.cli.main``, as the benchmark does.  The
@@ -75,6 +78,9 @@ _PATH_COMMANDS = [
      "--max-evals", "3000"],
     # an exponent array that holds 0.5 and 2
     ["uct", "scan", "--g", "x^u"],
+    # pooled waves of integrands that name x twice
+    ["apply-l", "sin(x)*ln(x)", "--x", "1e5"],
+    ["apply-l", "cos(3*x)*ln(x)", "--grid-start", "10", "--ratio", "3.7", "--count", "8"],
 ]
 
 
@@ -135,13 +141,13 @@ def _exact(result):
     return result
 
 
-def _round_digests(seeds: list[int]) -> list[list]:
+def _round_digests(rounds: list[str], seeds: list[int]) -> list[list]:
     """[round, seed, label, SHA-256 of the result's repr] for each operation
-    of each compared round and seed."""
+    of each of ``rounds`` and seed."""
     import workloads
 
     digests = []
-    for name in _ROUNDS:
+    for name in rounds:
         for seed in seeds:
             for op in workloads.build(name, seed):
                 try:
@@ -154,8 +160,8 @@ def _round_digests(seeds: list[int]) -> list[list]:
 
 
 def _worker() -> None:
-    """Run the argv lists and round seeds read from stdin; print their
-    results as JSON."""
+    """Run the argv lists, rounds and round seeds read from stdin; print
+    their results as JSON."""
     from karamata_kit.cli import main
 
     job = json.load(sys.stdin)
@@ -168,16 +174,23 @@ def _worker() -> None:
             except SystemExit as exc:
                 code = exc.code
         results.append([code, _TIMING.sub('"timing_ms": 0', out.getvalue()), err.getvalue()])
-    json.dump({"cli": results, "rounds": _round_digests(job["seeds"])}, sys.stdout)
+    json.dump({"cli": results, "rounds": _round_digests(job["rounds"], job["seeds"])}, sys.stdout)
 
 
-def _run(src: Path, perfbench: Path, argvs: list[list[str]], seeds: list[int]) -> dict:
+def _run(
+    src: Path, perfbench: Path, argvs: list[list[str]], seeds: list[int],
+    rounds=_ROUNDS, threads: str = "",
+) -> dict:
+    """Run the worker on ``src``, with ``KARAMATA_KIT_THREADS`` set to
+    ``threads`` or, when that is empty, unset."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(perfbench)])}
     env.pop("KARAMATA_KIT_THREADS", None)
+    if threads:
+        env["KARAMATA_KIT_THREADS"] = threads
     proc = subprocess.run(
         [sys.executable, __file__, "--worker"],
-        input=json.dumps({"argvs": argvs, "seeds": seeds}), env=env, capture_output=True,
-        text=True,
+        input=json.dumps({"argvs": argvs, "rounds": rounds, "seeds": seeds}), env=env,
+        capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise SystemExit(f"error: worker for {src} failed:\n{proc.stderr}")
@@ -223,6 +236,7 @@ def main(argv=None) -> int:
     perfbench = change_root / "perfbench"
     parent = _run(parent_src, perfbench, argvs, seeds)
     change = _run(change_src, perfbench, argvs, seeds)
+    serial = _run(change_src, perfbench, [], seeds, ["osc_quad"], threads="1")["rounds"]
     differ = 0
     for argv, (pc, po, pe), (cc, co, ce) in zip(argvs, parent["cli"], change["cli"]):
         if (pc, po, pe) == (cc, co, ce):
@@ -256,11 +270,22 @@ def main(argv=None) -> int:
             f"{n_round - round_differ[name]} of {n_round} {name} results equal by repr "
             f"(seeds {args.seeds}); {round_differ[name]} differ"
         )
+    pooled = [d for d in change["rounds"] if d[0] == "osc_quad"]
+    thread_differ = 0
+    for (_, seed, label, sd), (*_, pd) in zip(serial, pooled):
+        if sd != pd:
+            thread_differ += 1
+            print(f"DIFF osc_quad seed {seed} {label}: KARAMATA_KIT_THREADS=1 differs from unset")
+    print(
+        f"{len(pooled) - thread_differ} of {len(pooled)} osc_quad results of CHANGE equal "
+        f"with KARAMATA_KIT_THREADS=1 and unset; {thread_differ} differ"
+    )
     print(
         f"{len(reports) - not_canonical} of {len(reports)} JSON reports of CHANGE in "
         f"canonical form; {not_canonical} not"
     )
-    return 0 if differ == 0 and not any(round_differ.values()) and not_canonical == 0 else 1
+    same = differ == 0 and not any(round_differ.values()) and thread_differ == 0
+    return 0 if same and not_canonical == 0 else 1
 
 
 if __name__ == "__main__":
