@@ -11,6 +11,13 @@ final increment is below tolerance).  Sequences with 1/ln(x)-type decay are
 the main customers, which is why the convergence test looks at the shrink
 factor instead of a bare Cauchy criterion with a tight tolerance.
 
+Sign changes are counted among the live samples of the centered tail,
+those that stand clear of the noise, between neighbours of one row; the
+noise-level samples between them are compacted away.  Increments are
+computed only for the last columns the rules read, after one range test
+over the whole array: when ``max - min`` is finite, no increment of finite
+samples can overflow.
+
 The rules live in one kernel, ``classify_rows``, which tests the m rows of
 an (m, n) array at once: every reduction runs along a contiguous row, so
 each row's verdict is the one it would get on its own.  ``classify_limit``
@@ -128,33 +135,54 @@ class LimitVerdict:
         return self.kind == "converges"
 
 
+# the verdict parts that do not depend on the row
+_NON_FINITE = LimitVerdict(kind="inconclusive", detail="non-finite samples")
+_DIVERGES_DETAIL = f"|samples| exceed {DIVERGE_THRESHOLD:g} and grow"
+
+
 def classify_rows(values, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[LimitVerdict, ...]:
     """Classify the tail behaviour of each row of an ``(m, n)`` array.
 
     Every row is a sequence of at least 8 samples taken along an ascending
     grid.  A row with a non-finite sample is ``inconclusive``; an increment,
     tail sum or tail deviation of finite samples that overflows raises
-    ``PreconditionError``."""
+    ``PreconditionError``.
+
+    One range test stands for the finiteness and overflow checks of most
+    calls: if ``max - min`` over the whole array is finite, every sample is
+    finite and no increment can overflow, since ``|a - b| <= max - min``.
+    Only otherwise are the rows checked one by one and every increment
+    computed under ``over="raise"``; the rules themselves read only the
+    last ``max(6, window)`` increments."""
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2:
         raise PreconditionError(f"classify_rows needs an (m, n) array, got shape {values.shape}")
-    n = values.shape[1]
+    m, n = values.shape
     if n < MIN_SAMPLES:
         raise PreconditionError(f"classify_limit needs >= {MIN_SAMPLES} samples, got {n}")
     if tol <= 0:
         raise PreconditionError("classification tolerance must be positive")
-    finite = np.logical_and.reduce(np.isfinite(values), axis=1).tolist()
-    if not all(finite):
-        values = np.where(np.array(finite)[:, None], values, 0.0)
+    # a nan or an infinity makes the range nan or inf; the initial 0.0 only
+    # widens it towards zero, and keeps an empty array reducible
+    top = float(np.maximum.reduce(values, axis=None, initial=0.0))
+    bottom = float(np.minimum.reduce(values, axis=None, initial=0.0))
+    finite = [True] * m
 
     with np.errstate(over="raise"):
-        try:
-            deltas = np.abs(values[:, 1:] - values[:, :-1])
-        except FloatingPointError:
-            raise PreconditionError(
-                "limit classification overflows: an increment between two finite samples"
-                " is not finite"
-            ) from None
+        if not top - bottom < math.inf:
+            finite = np.logical_and.reduce(np.isfinite(values), axis=1).tolist()
+            if not all(finite):
+                values = np.where(np.array(finite)[:, None], values, 0.0)
+            try:
+                np.subtract(values[:, 1:], values[:, :-1])
+            except FloatingPointError:
+                raise PreconditionError(
+                    "limit classification overflows: an increment between two finite"
+                    " samples is not finite"
+                ) from None
+        window_size = max(4, (n - 1) // 2)
+        k = max(6, window_size)
+        deltas = np.abs(values[:, -k:] - values[:, -k - 1 : -1])
 
         # divergence: the last four samples share a sign, grow in magnitude
         # and are already past the threshold; flipped to the sign of the
@@ -180,29 +208,28 @@ def classify_rows(values, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[LimitVerdi
             ) from None
 
     # oscillation: the centered tail keeps crossing zero without losing
-    # amplitude.  A change is a flip between consecutive signs that stand
-    # clear of the noise: each such sign is carried forward over the
-    # noise-level samples that follow it.
+    # amplitude.  A change is a flip of sign between neighbouring live
+    # samples of one row, those that stand clear of the noise; with no
+    # noise-level sample, every neighbour pair is live.
     tail_lo = np.minimum.reduce(tail, axis=1)
     tail_hi = np.maximum.reduce(tail, axis=1)
     scale = np.maximum(np.maximum(tail_hi, -tail_lo), 1.0)
     spread = np.abs(centered)
-    signs = np.sign(centered)
-    quiet = spread <= 1e-12 * scale[:, None]
-    if np.count_nonzero(quiet):
-        signs[quiet] = 0
-        index = np.arange(signs.size).reshape(signs.shape)
-        last_live = np.where(quiet, index[:, :1], index)
-        np.maximum.accumulate(last_live, axis=1, out=last_live)
-        signs = signs.ravel()[last_live]
-    changes = np.add.reduce(signs[:, 1:] * signs[:, :-1] < 0, axis=1)
-    half = spread.shape[1] // 2
-    amp_early = np.maximum.reduce(spread[:, :half], axis=1)
-    amp_late = np.maximum.reduce(spread[:, half:], axis=1)
+    live = spread > 1e-12 * scale[:, None]
+    up = centered > 0.0
+    if np.count_nonzero(live) == live.size:
+        changes = np.add.reduce(up[:, 1:] != up[:, :-1], axis=1)
+    else:
+        row = live.nonzero()[0]
+        up = up[live]
+        flips = (up[1:] != up[:-1]) & (row[1:] == row[:-1])
+        changes = np.bincount(row[1:][flips], minlength=m)
+    # the amplitudes of the early and the late half of the tail
+    amps = np.maximum.reduceat(spread, (0, spread.shape[1] // 2), axis=1)
 
     # convergence: increments shrink geometrically and the last one is small
     floor = 1e-11 * scale
-    window = deltas[:, -max(4, (n - 1) // 2) :]
+    window = deltas[:, -window_size:]
     shrinking = np.logical_and.reduce(
         window[:, 1:] <= np.maximum(SHRINK_FACTOR * window[:, :-1], floor[:, None]), axis=1
     )
@@ -214,8 +241,8 @@ def classify_rows(values, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[LimitVerdi
         values[:, -1].tolist(),
         deltas[:, -6:].tolist(),
         changes.tolist(),
-        amp_early.tolist(),
-        amp_late.tolist(),
+        amps[:, 0].tolist(),
+        amps[:, 1].tolist(),
         tail_lo.tolist(),
         tail_hi.tolist(),
         shrinking.tolist(),
@@ -227,12 +254,12 @@ def classify_rows(values, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[LimitVerdi
         ok, diverges, last, last_deltas, n_changes, early, late, lo, hi, shrinks, step, row_floor
     ) in rows:
         if not ok:
-            verdict = LimitVerdict(kind="inconclusive", detail="non-finite samples")
+            verdict = _NON_FINITE
         elif diverges:
             verdict = LimitVerdict(
                 kind="diverges",
                 sign=1 if last > 0 else -1,
-                detail=f"|samples| exceed {DIVERGE_THRESHOLD:g} and grow",
+                detail=_DIVERGES_DETAIL,
                 tail_deltas=tuple(last_deltas),
             )
         elif n_changes >= MIN_SIGN_CHANGES and late > tol and late >= 0.5 * early:

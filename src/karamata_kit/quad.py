@@ -347,7 +347,9 @@ def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> Quad
     ``max_evals`` (at least 15) caps the evaluations of this call.  The
     waves run with numpy's overflow and invalid warnings off, which the
     blocks on the pool inherit through their copied contexts.  A panel
-    whose value or error estimate is not finite is never accepted, only
+    whose value or error estimate is not finite is measured again on
+    ``h * 2**-4``, 15 more evaluations while the budget has them, and
+    scaled back by ``2**4``.  One still not finite is never accepted, only
     split, so a result that the budget cut short keeps an error of inf."""
     if b <= a:
         return QuadResult(0.0, 0.0, 0, True)
@@ -363,7 +365,19 @@ def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> Quad
             resk, err = _panel_rule(f, lo, hi)
             evals += 15 * lo.size
             overflowed = ~np.isfinite(resk + err)
-            if overflowed.any():  # |h| near the float range on a wide panel
+            rescue = np.count_nonzero(overflowed)
+            if rescue and evals + 15 * rescue <= max_evals:
+                # |h| near the float range: measure again on h * 2**-4,
+                # whose sums are exactly 2**-4 times the unbounded ones
+                # unless a value becomes subnormal
+                resk[overflowed], err[overflowed] = _panel_rule(
+                    lambda points: f(points) * 0.0625, lo[overflowed], hi[overflowed]
+                )
+                resk[overflowed] *= 16.0
+                err[overflowed] *= 16.0
+                evals += 15 * rescue
+                overflowed = ~np.isfinite(resk + err)
+            if overflowed.any():  # past the float range even so: split
                 resk[overflowed] = 0.0
                 err[overflowed] = math.inf
             value_estimate = done_value + float(resk.sum())

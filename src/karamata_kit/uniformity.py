@@ -15,6 +15,7 @@ map, and the integral-asymptotics residual table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -288,16 +289,37 @@ def condition_scan_310(
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
 _HALTON_BLOCK = 8192  # indices per pass; keeps the work arrays small
+_HALTON_TABLE_MAX = 8192  # entries of a base's low-digit table at most
+
+
+@functools.cache
+def _halton_table(base: int) -> tuple[np.ndarray, float]:
+    """The scalar loop's value after the k lowest digits of each of
+    0 .. base**k - 1, for the largest base**k <= ``_HALTON_TABLE_MAX``, and
+    the ``f`` it ends on (read-only, built on first use)."""
+    k = 1
+    while base ** (k + 1) <= _HALTON_TABLE_MAX:
+        k += 1
+    n, table, f = np.arange(base**k), np.zeros(base**k), 1.0
+    for _ in range(k):
+        f /= base
+        n, digit = np.divmod(n, base)
+        table += digit * f
+    table.flags.writeable = False
+    return table, f
 
 
 def halton_points(count: int, dims: int, skip: int = 20) -> np.ndarray:
     """Deterministic Halton sequence in (0, 1)^dims (bases 2, 3, 5, ...).
 
-    Point ``i`` is the radical inverse of ``i + 1 + skip``.  The digits of
-    a block of indices are peeled off at once, in the order of the scalar
-    loop (``f /= base``, then ``value += digit * f``); indices that have run
-    out of digits add an exact 0.0, so every point is bit-identical to the
-    one-index-at-a-time result."""
+    Point ``i`` is the radical inverse of ``i + 1 + skip``, computed with
+    the steps of the scalar loop (``f /= base``, then ``value += digit * f``),
+    lowest digit first.  The sum over an index's k lowest digits is looked
+    up in a table of ``base**k <= 8192`` entries, which those same steps
+    built (``_halton_table``); the higher digits of a block of indices are
+    then peeled off at once from the ``f`` the table ends on.  A digit
+    beyond an index's last, in the table or in the loop, adds an exact 0.0,
+    so every point is bit-identical to the one-index-at-a-time result."""
     if not 1 <= dims <= len(_HALTON_BASES):
         raise PreconditionError(f"dims must be in 1..{len(_HALTON_BASES)}, got {dims!r}")
     if count < 0 or skip < 0:
@@ -309,7 +331,9 @@ def halton_points(count: int, dims: int, skip: int = 20) -> np.ndarray:
         stop = min(start + _HALTON_BLOCK, count)
         indices = np.arange(start + 1 + skip, stop + 1 + skip, dtype=np.int64)
         for d, base in enumerate(_HALTON_BASES[:dims]):
-            n, value, f = indices, np.zeros(stop - start), 1.0
+            table, f = _halton_table(base)
+            n, low = np.divmod(indices, table.size)
+            value = table[low]
             # n is ascending, and stays so under floor division: the last
             # index is the last to run out of digits
             while n[-1] > 0:

@@ -127,7 +127,9 @@ def test_classify_rejects_bad_tolerance():
 # ---------------------------------------------------------------------------
 # the batched kernel against the frozen one-sequence oracle
 
-_ROW_KINDS = ("geometric", "alternating", "constant", "jitter", "growth", "non-finite", "any")
+_ROW_KINDS = (
+    "geometric", "alternating", "constant", "jitter", "growth", "non-finite", "wide", "any"
+)
 
 
 @st.composite
@@ -154,6 +156,13 @@ def _kernel_row(draw, n):
     elif kind == "non-finite":
         row = 1.0 + 0.5 ** k
         row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "wide":
+        # a swing from near the float maximum to its negative through 0,
+        # ahead of the tail: the range overflows, no increment does
+        row = 1.0 + 0.5 ** k
+        big = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e308, 1.7e308))
+        i = draw(st.integers(0, n // 2 - 3))
+        row[i : i + 3] = big, 0.0, -big
     else:
         row = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
     return row
@@ -246,6 +255,15 @@ def test_classify_overflowing_tail_deviation_raises():
     # first tail sample's distance from the tail mean, 2.1e308, is not
     with pytest.raises(PreconditionError, match="overflows: the sum of the tail"):
         classify_limit([0.0] * 4 + [1.7e308, 0.0, -1.7e308, -1.7e308])
+
+
+def test_classify_overflowing_range_without_an_overflowing_increment():
+    # max - min is past the float range, every step is 1e308
+    samples = [1e308, 0.0, -1e308, 0.0] * 3
+    v = classify_limit(samples)
+    assert repr(v) == repr(_reference_classify(samples))
+    assert (v.kind, v.sign_changes, v.band) == ("oscillates", 3, (-1e308, 1e308))
+    assert classify_rows([samples, np.ones(12)]) == (v, classify_limit(np.ones(12)))
 
 
 def test_classify_overflow_in_one_row_fails_the_batch():

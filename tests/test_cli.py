@@ -187,6 +187,28 @@ def test_overflow_exits_3_with_one_error_line(capsys, argv):
     assert err.startswith("error: ") and "overflow" in err
 
 
+# L(h)(x) in closed form; Si(1000) and Si(1) were frozen from scipy.special.sici
+_SI_1000_MINUS_SI_1 = 1.5702331219687713 - 0.9460830703671831
+
+
+@pytest.mark.parametrize(
+    "h, x, want",
+    [
+        ("1e308", "1.5", 1e308),
+        ("1e308*sin(x)", "1000", 1e308 * _SI_1000_MINUS_SI_1 / math.log(1000.0)),
+    ],
+)
+def test_huge_integrand_with_a_finite_integral_exits_0(capsys, h, x, want):
+    # every panel's weighted sum of |h| passes the float range; the integral
+    # and L(h)(x) do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        report = run_json(capsys, ["apply-l", h, "--x", x])
+    (point,) = report["results"]["points"]
+    assert point["value"] == pytest.approx(want, rel=1e-9)
+    assert point["quad"]["converged"] is True
+
+
 def test_underflowing_ratio_exits_3_with_one_error_line(capsys):
     argv = ["classify", "exp(700*cos(ln(x)))", "--lambdas=1e-10", "--integer-mode"]
     code, out, err = run_cli(capsys, argv)

@@ -263,6 +263,19 @@ def test_a_panel_too_wide_for_its_values_is_split_not_rejected():
     assert got.value == pytest.approx(8e307 * integrate_log(parse("sin(x)"), 1000.0).value, rel=1e-9)
 
 
+def test_an_overflowing_panel_is_measured_again_within_the_budget():
+    # the one panel's weighted sums of 1e308 pass the float range; its
+    # integral, 1e308 * ln 1.5, does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        got = integrate_log(parse("1e308"), 1.5)
+        assert got.converged and got.evaluations == 30
+        assert got.value == pytest.approx(1e308 * math.log(1.5), rel=1e-12)
+        # a budget of one panel leaves no evaluations for a second measurement
+        with pytest.raises(PreconditionError, match="overflows"):
+            integrate_log(parse("1e308"), 1.5, QuadTolerance(max_evals=29))
+
+
 def test_cache_with_less_than_one_panel_left_evaluates_nothing():
     cache = IntegralCache(parse("sin(x)"), tol=QuadTolerance(max_evals=20))
     first = cache.extend(1e3)

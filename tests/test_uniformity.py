@@ -1,6 +1,9 @@
 """Scan, hypothesis-inequality, closure, interval and asymptotics tests."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from karamata_kit import (
     parse,
     uct_scan,
 )
+from karamata_kit import uniformity
 from karamata_kit.exprlang import EvalError, eval_array
 from karamata_kit.uniformity import halton_points
 
@@ -282,8 +286,10 @@ def _halton_reference(count, dims, skip):
     return out
 
 
-@pytest.mark.parametrize("skip", [0, 20, 999, 10**9])
-@pytest.mark.parametrize("count", [0, 1, 7, 10_000])
+# 8,193 indices cross a block; past 3**20 and 2**62 the high digits run
+# beyond every base's low-digit table
+@pytest.mark.parametrize("skip", [0, 20, 999, 10**9, 3**20, 2**62])
+@pytest.mark.parametrize("count", [0, 1, 7, 8_193, 10_000])
 def test_halton_points_match_the_scalar_loop_bit_for_bit(count, skip):
     got = halton_points(count, 6, skip=skip)
     want = _halton_reference(count, 6, skip)
@@ -291,6 +297,20 @@ def test_halton_points_match_the_scalar_loop_bit_for_bit(count, skip):
     assert got.tobytes() == want.tobytes()
     for dims in range(1, 6):
         assert halton_points(count, dims, skip=skip).tobytes() == want[:, :dims].tobytes()
+
+
+def test_importing_the_package_builds_no_halton_table():
+    # the tables are built on first use, so set-up pays nothing for them
+    src = os.path.dirname(os.path.dirname(uniformity.__file__))
+    code = (
+        "import karamata_kit; "
+        "print(karamata_kit.uniformity._halton_table.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "0"
 
 
 @pytest.mark.parametrize(
