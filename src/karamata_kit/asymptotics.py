@@ -57,6 +57,7 @@ __all__ = [
     "exponent_profile",
     "class_preservation_check",
     "DEFAULT_LAMBDAS",
+    "DEFAULT_GRID",
     "DEFAULT_INTEGER_GRID",
 ]
 
@@ -112,6 +113,7 @@ class GeometricGrid:
         return [self.start * self.ratio**k for k in range(self.count)]
 
 
+DEFAULT_GRID = GeometricGrid(10.0, 10.0, 8)
 DEFAULT_INTEGER_GRID = GeometricGrid(1000.0, 2.0, 33, integer_mode=True)
 
 # ratio residuals of slowly varying functions decay like 1/ln x, so the
@@ -159,7 +161,7 @@ def classify_rows(values, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[LimitVerdi
         raise PreconditionError(f"classify_rows needs an (m, n) array, got shape {values.shape}")
     m, n = values.shape
     if n < MIN_SAMPLES:
-        raise PreconditionError(f"classify_limit needs >= {MIN_SAMPLES} samples, got {n}")
+        raise PreconditionError(f"classify_rows needs >= {MIN_SAMPLES} samples, got {n}")
     if tol <= 0:
         raise PreconditionError("classification tolerance must be positive")
     # a nan or an infinity makes the range nan or inf; the initial 0.0 only
@@ -298,6 +300,8 @@ def classify_limit(samples, tol: float = DEFAULT_CLASSIFY_TOL) -> LimitVerdict:
     values = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
     if values.ndim != 1:
         raise PreconditionError(f"classify_limit needs a 1-D sequence, got shape {values.shape}")
+    if values.size < MIN_SAMPLES:
+        raise PreconditionError(f"classify_limit needs >= {MIN_SAMPLES} samples, got {values.size}")
     return classify_rows(values[None, :], tol)[0]
 
 
@@ -362,7 +366,7 @@ def _check_product(lam: float, x: float, what: str) -> None:
 def rv_index(
     F: Expr,
     lambdas=DEFAULT_LAMBDAS,
-    grid: GeometricGrid = GeometricGrid(10.0, 10.0, 8),
+    grid: GeometricGrid = DEFAULT_GRID,
     var: str = "x",
     classify_tol: float = RATIO_CLASSIFY_TOL,
     spread_tol: float = SPREAD_TOL,

@@ -6,6 +6,16 @@ unexpected internal error.  KARAMATA_KIT_THREADS must be an integer when
 set (exit 2 otherwise); it sets the quadrature's worker threads
 (``quad.thread_count``), which change no result.
 
+The parser is built from one table, ``_COMMANDS``: each command name, with
+``uct <name>`` for the uniformity commands, maps to its runner, its help,
+the help of its expression and its flags in ``--help`` order.  A flag is a
+``RunConfig`` key, spelled ``--<key with - for _>``, or a ``(key,
+*spellings)`` tuple; a spelling without dashes is a positional argument.
+Each flag's kind is its key's annotation in ``RunConfig``
+(``config._KINDS``): ``bool`` gives ``--flag/--no-flag``, ``int`` and
+``float`` convert the value, and a key ``RunConfig`` lacks fails when the
+parser is built.  Every command also takes ``--config`` and ``_COMMON``.
+
 Each command has a runner that takes the merged ``RunConfig`` and returns
 ``(inputs, results, verdicts, rows)``: the echo of its inputs, its results,
 its verdicts and its CSV rows, which ``main`` turns into the report.  A
@@ -26,6 +36,7 @@ import time
 
 from . import __version__
 from .asymptotics import (
+    DEFAULT_GRID,
     DEFAULT_INTEGER_GRID,
     DEFAULT_LAMBDAS,
     RATIO_CLASSIFY_TOL,
@@ -37,7 +48,7 @@ from .asymptotics import (
     rv_index,
     sv_test,
 )
-from .config import ConfigError, RunConfig, load_config_file, merge_config
+from .config import _KINDS, FORMATS, ConfigError, RunConfig, load_config_file, merge_config
 from .exprlang import EvalError, ExprSyntaxError, format_expr, parse
 from .karamata import apply_L_detailed, apply_L_points, invert_L
 from .quad import PreconditionError, QuadTolerance, thread_count
@@ -72,8 +83,8 @@ def _expr(cfg: RunConfig, flag: str, key: str = "expr"):
     return expr, {key: text, key.removesuffix("expr") + "canonical": format_expr(expr)}
 
 
-# the default x grids; a command's grid flags override each field
-_LADDER = GeometricGrid(10.0, 10.0, 8)
+# the default x grid of uct asym, DEFAULT_GRID elsewhere; a command's grid
+# flags override each field
 _E_LADDER = GeometricGrid(math.exp(9), math.e, 8)
 
 
@@ -155,7 +166,7 @@ def _run_apply_l(cfg: RunConfig):
         points = [apply_L_detailed(h, cfg.x, tol, var=cfg.var)]
         inputs["x"] = cfg.x
     else:
-        grid = _grid(cfg, _LADDER)
+        grid = _grid(cfg, DEFAULT_GRID)
         points = apply_L_points(h, grid.points(), tol, var=cfg.var)
         inputs["grid"] = grid
     rows = [(p.x, None, p.value) for p in points]
@@ -178,7 +189,7 @@ def _run_classify(cfg: RunConfig):
     if cfg.integer_mode:
         grid = _grid(cfg, DEFAULT_INTEGER_GRID)
     elif (cfg.grid_start, cfg.grid_ratio, cfg.grid_count) != (None, None, None):
-        grid = _grid(cfg, _LADDER)
+        grid = _grid(cfg, DEFAULT_GRID)
     else:
         grid = None
 
@@ -216,7 +227,7 @@ def _run_classify(cfg: RunConfig):
 
 def _run_uct_scan(cfg: RunConfig):
     G, inputs = _expr(cfg, "--g")
-    grid = _grid(cfg, _LADDER)
+    grid = _grid(cfg, DEFAULT_GRID)
     report = uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, *_tols(cfg))
     inputs.update(u=[cfg.u_lo, cfg.u_hi], grid=grid)
     return inputs, *_scan(report)
@@ -224,7 +235,7 @@ def _run_uct_scan(cfg: RunConfig):
 
 def _run_uct_karamata(cfg: RunConfig):
     F, inputs = _expr(cfg, "--f")
-    grid = _grid(cfg, _LADDER)
+    grid = _grid(cfg, DEFAULT_GRID)
     report = karamata_uct_check(
         F, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, *_tols(cfg), var=cfg.var
     )
@@ -235,7 +246,7 @@ def _run_uct_karamata(cfg: RunConfig):
 def _run_uct_guct(cfg: RunConfig):
     H, inputs = _expr(cfg, "--h-expr", "h_expr")
     m, m_inputs = _expr(cfg, "--m-expr", "m_expr")
-    grid = _grid(cfg, _LADDER)
+    grid = _grid(cfg, DEFAULT_GRID)
     report = guct_diagnose(
         H, m, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, cfg.samples, *_tols(cfg)
     )
@@ -251,7 +262,7 @@ def _run_uct_guct(cfg: RunConfig):
 
 def _run_uct_hi(cfg: RunConfig):
     H, inputs = _expr(cfg, "--h")
-    xs = _grid(cfg, _LADDER).points()
+    xs = _grid(cfg, DEFAULT_GRID).points()
     v_lo = cfg.v_lo if cfg.v_lo is not None else cfg.u_lo
     v_hi = cfg.v_hi if cfg.v_hi is not None else cfg.u_hi
     region = Region(x=(xs[0], xs[-1]), u=(cfg.u_lo, cfg.u_hi), v=(v_lo, v_hi))
@@ -263,7 +274,7 @@ def _run_uct_hi(cfg: RunConfig):
 
 def _run_uct_cond310(cfg: RunConfig):
     xi, inputs = _expr(cfg, "--xi")
-    grid = _grid(cfg, DEFAULT_INTEGER_GRID if cfg.integer_mode else _LADDER)
+    grid = _grid(cfg, DEFAULT_INTEGER_GRID if cfg.integer_mode else DEFAULT_GRID)
     report = condition_scan_310(
         xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, grid.integer_mode,
         *_tols(cfg), var=cfg.var,
@@ -276,7 +287,7 @@ def _run_uct_mult_closure(cfg: RunConfig):
     f, inputs = _expr(cfg, "--f")
     lam = _require(cfg.lam, "--lambda")
     mu = _require(cfg.mu, "--mu")
-    grid = _grid(cfg, _LADDER)
+    grid = _grid(cfg, DEFAULT_GRID)
     report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, classify_tol=_tols(cfg)[0])
     inputs.update({"lambda": lam, "mu": mu, "grid": grid})
     verdicts = {"identity": "ok" if report.identity_ok else "broken"}
@@ -317,158 +328,107 @@ def _run_uct_asym(cfg: RunConfig):
     return inputs, {"asym": report}, verdicts, rows
 
 
-_RUNNERS = {
-    "apply-l": _run_apply_l,
-    "invert-l": _run_invert_l,
-    "classify": _run_classify,
-    "uct scan": _run_uct_scan,
-    "uct karamata": _run_uct_karamata,
-    "uct guct": _run_uct_guct,
-    "uct hi": _run_uct_hi,
-    "uct cond310": _run_uct_cond310,
-    "uct mult-closure": _run_uct_mult_closure,
-    "uct expand-interval": _run_uct_expand_interval,
-    "uct asym": _run_uct_asym,
+# flag groups; ``_EXPR`` is the expression as a positional argument
+_COMMON = ("out", "format", "var")
+_GRID = ("grid_start", ("grid_ratio", "--grid-ratio", "--ratio"),
+         ("grid_count", "--grid-count", "--count"), "integer_mode")
+_QUAD = ("abs_tol", "rel_tol", "max_evals")
+_TOLS = ("classify_tol", "value_tol")
+_U = ("u_lo", "u_hi")
+_LAMBDA = ("lam", "--lambda")
+_EXPR = ("expr", "expr")
+
+_HELP = {
+    "out": "output path (both: <out>.json/<out>.csv)",
+    "var": "independent variable name (default x)",
+    "integer_mode": "walk consecutive integers instead of a geometric ladder",
+    "x": "single evaluation point",
+    "lambdas": "comma-separated ratio set",
+    "profile": "include the exponent profile ln F/ln x",
+    "claim": "also check operator class preservation: z0, r0, r_alpha:<a>, bounded:<lo>,<hi>",
+    "h_expr": "expression H in x and u",
+    "m_expr": "nondecreasing expression m in x",
+    "bound": "upper bound M for h",
 }
 
+# name: (runner, help, help of its expression, flags after --config and
+# _COMMON in --help order)
+_COMMANDS = {
+    "apply-l": (_run_apply_l, "log-averaged operator at a point or along a grid",
+                "integrand expression h", (_EXPR, *_GRID, *_QUAD, "x")),
+    "invert-l": (_run_invert_l, "closed-form inverse of the operator",
+                 "target expression f", (_EXPR,)),
+    "classify": (_run_classify, "variation classification: index, slow variation",
+                 "positive expression F",
+                 (_EXPR, *_GRID, *_TOLS, *_QUAD, "lambdas", "profile", "claim")),
+    "uct scan": (_run_uct_scan, "scan |G(x, u)| for uniform decay in u",
+                 "expression G in x and u",
+                 (*_GRID, *_TOLS, ("expr", "--g", "--expr"), *_U, "u_count")),
+    "uct karamata": (_run_uct_karamata, "slow-variation ratio residual over a lambda window",
+                     "positive expression F",
+                     (*_GRID, *_TOLS, ("expr", "--f", "--expr"),
+                      ("lambda_lo", "--a", "--lambda-lo"), ("lambda_hi", "--b", "--lambda-hi"),
+                      "lambda_count")),
+    "uct guct": (_run_uct_guct, "hypotheses plus conclusion for the product form H*m", None,
+                 (*_GRID, *_TOLS, "h_expr", "m_expr", *_U, "u_count", "samples")),
+    "uct hi": (_run_uct_hi, "triangle-style inequality check on Halton samples",
+               "expression H in x and u",
+               (*_GRID, ("expr", "--h", "--expr"), *_U, "v_lo", "v_hi", "samples")),
+    "uct cond310": (_run_uct_cond310, "exponent drift residual (xi(lx)-xi(x)) ln x",
+                    "exponent expression xi",
+                    (*_GRID, *_TOLS, ("expr", "--xi", "--expr"),
+                     "lambda_lo", "lambda_hi", "lambda_count")),
+    "uct mult-closure": (_run_uct_mult_closure, "two-step decomposition of the ratio residual",
+                         "expression f",
+                         (*_GRID, *_TOLS, ("expr", "--f", "--expr"), _LAMBDA, "mu")),
+    "uct expand-interval": (_run_uct_expand_interval,
+                            "n-fold product expansion of a ratio window", None, ("a", "b", "n")),
+    "uct asym": (_run_uct_asym, "window-integral asymptotic residual table",
+                 "bounded positive expression h",
+                 (*_GRID, *_QUAD, *_TOLS, ("expr", "--h", "--expr"), _LAMBDA, "bound")),
+}
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--out", default=None, help="output path (both: <out>.json/<out>.csv)")
-    p.add_argument("--format", default=None, choices=["json", "csv", "both"])
-    p.add_argument("--var", default=None, help="independent variable name (default x)")
-
-
-def _add_grid(p):
-    p.add_argument("--grid-start", type=float, default=None)
-    p.add_argument("--grid-ratio", "--ratio", dest="grid_ratio", type=float, default=None)
-    p.add_argument("--grid-count", "--count", dest="grid_count", type=int, default=None)
-    p.add_argument(
-        "--integer-mode", action=argparse.BooleanOptionalAction, default=None,
-        help="walk consecutive integers instead of a geometric ladder",
-    )
-
-
-def _add_quad(p):
-    p.add_argument("--abs-tol", type=float, default=None)
-    p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--max-evals", type=int, default=None)
-
-
-def _add_classify_tols(p):
-    p.add_argument("--classify-tol", type=float, default=None)
-    p.add_argument("--value-tol", type=float, default=None)
+# what each RunConfig kind asks of argparse
+_KIND_ARGS = {
+    "bool": {"action": argparse.BooleanOptionalAction},
+    "int": {"type": int},
+    "float": {"type": float},
+    "str": {},
+}
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  ``parse_args`` returns a
-    fresh namespace on every call and every default is None, so reusing the
-    parser carries no state from one ``main`` call to the next."""
+    """The argument parser, built once per process from ``_COMMANDS``.
+    ``parse_args`` returns a fresh namespace on every call and every flag's
+    default is None, so reusing the parser carries no state from one
+    ``main`` call to the next."""
     top = argparse.ArgumentParser(
         prog="karamata-kit",
         description="Numerical toolkit for slow variation and log-averaged operators.",
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("apply-l", help="log-averaged operator at a point or along a grid")
-    p.add_argument("expr", nargs="?", default=None, help="integrand expression h")
-    _add_common(p)
-    _add_grid(p)
-    _add_quad(p)
-    p.add_argument("--x", type=float, default=None, help="single evaluation point")
-
-    p = sub.add_parser("invert-l", help="closed-form inverse of the operator")
-    p.add_argument("expr", nargs="?", default=None, help="target expression f")
-    _add_common(p)
-
-    p = sub.add_parser("classify", help="variation classification: index, slow variation")
-    p.add_argument("expr", nargs="?", default=None, help="positive expression F")
-    _add_common(p)
-    _add_grid(p)
-    _add_classify_tols(p)
-    _add_quad(p)
-    p.add_argument("--lambdas", default=None, help="comma-separated ratio set")
-    p.add_argument("--profile", action=argparse.BooleanOptionalAction, default=None,
-                   help="include the exponent profile ln F/ln x")
-    p.add_argument("--claim", default=None,
-                   help="also check operator class preservation: z0, r0, r_alpha:<a>, bounded:<lo>,<hi>")
-
-    uct = sub.add_parser("uct", help="uniformity scans and residual diagnostics")
-    usub = uct.add_subparsers(dest="uct_cmd", required=True)
-
-    p = usub.add_parser("scan", help="scan |G(x, u)| for uniform decay in u")
-    _add_common(p)
-    _add_grid(p)
-    _add_classify_tols(p)
-    p.add_argument("--g", "--expr", dest="expr", default=None, help="expression G in x and u")
-    p.add_argument("--u-lo", type=float, default=None)
-    p.add_argument("--u-hi", type=float, default=None)
-    p.add_argument("--u-count", type=int, default=None)
-
-    p = usub.add_parser("karamata", help="slow-variation ratio residual over a lambda window")
-    _add_common(p)
-    _add_grid(p)
-    _add_classify_tols(p)
-    p.add_argument("--f", "--expr", dest="expr", default=None, help="positive expression F")
-    p.add_argument("--a", "--lambda-lo", dest="lambda_lo", type=float, default=None)
-    p.add_argument("--b", "--lambda-hi", dest="lambda_hi", type=float, default=None)
-    p.add_argument("--lambda-count", type=int, default=None)
-
-    p = usub.add_parser("guct", help="hypotheses plus conclusion for the product form H*m")
-    _add_common(p)
-    _add_grid(p)
-    _add_classify_tols(p)
-    p.add_argument("--h-expr", default=None, help="expression H in x and u")
-    p.add_argument("--m-expr", default=None, help="nondecreasing expression m in x")
-    p.add_argument("--u-lo", type=float, default=None)
-    p.add_argument("--u-hi", type=float, default=None)
-    p.add_argument("--u-count", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = usub.add_parser("hi", help="triangle-style inequality check on Halton samples")
-    _add_common(p)
-    _add_grid(p)
-    p.add_argument("--h", "--expr", dest="expr", default=None, help="expression H in x and u")
-    p.add_argument("--u-lo", type=float, default=None)
-    p.add_argument("--u-hi", type=float, default=None)
-    p.add_argument("--v-lo", type=float, default=None)
-    p.add_argument("--v-hi", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = usub.add_parser("cond310", help="exponent drift residual (xi(lx)-xi(x)) ln x")
-    _add_common(p)
-    _add_grid(p)
-    _add_classify_tols(p)
-    p.add_argument("--xi", "--expr", dest="expr", default=None, help="exponent expression xi")
-    p.add_argument("--lambda-lo", type=float, default=None)
-    p.add_argument("--lambda-hi", type=float, default=None)
-    p.add_argument("--lambda-count", type=int, default=None)
-
-    p = usub.add_parser("mult-closure", help="two-step decomposition of the ratio residual")
-    _add_common(p)
-    _add_grid(p)
-    _add_classify_tols(p)
-    p.add_argument("--f", "--expr", dest="expr", default=None, help="expression f")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-
-    p = usub.add_parser("expand-interval", help="n-fold product expansion of a ratio window")
-    _add_common(p)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-
-    p = usub.add_parser("asym", help="window-integral asymptotic residual table")
-    _add_common(p)
-    _add_grid(p)
-    _add_quad(p)
-    _add_classify_tols(p)
-    p.add_argument("--h", "--expr", dest="expr", default=None, help="bounded positive expression h")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--bound", type=float, default=None, help="upper bound M for h")
-
+    uct = None  # made at the first "uct ..." command, so that it lists last
+    for name, (runner, help_, expr_help, flags) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and uct is None:
+            uct = sub.add_parser(group, help="uniformity scans and residual diagnostics")
+            uct = uct.add_subparsers(dest="uct_cmd", required=True)
+        p = (uct if group else sub).add_parser(leaf, help=help_)
+        p.set_defaults(command=name, runner=runner)
+        p.add_argument("--config", help="JSON config file")
+        for flag in (*_COMMON, *flags):
+            key, *names = (flag, "--" + flag.replace("_", "-")) if isinstance(flag, str) else flag
+            kwargs = dict(_KIND_ARGS[_KINDS[key]])
+            kwargs["help"] = expr_help if key == "expr" else _HELP.get(key)
+            if key == "format":
+                kwargs["choices"] = FORMATS
+            if names[0].startswith("-"):
+                kwargs["dest"] = key
+            else:
+                kwargs["nargs"] = "?"
+            p.add_argument(*names, **kwargs)
     return top
 
 
@@ -479,19 +439,14 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
 
-    command = args.command
-    if command == "uct":
-        command = f"uct {args.uct_cmd}"
-
     try:
         file_values = load_config_file(args.config) if args.config else None
         cfg = merge_config(file_values, vars(args))
         thread_count()  # validates KARAMATA_KIT_THREADS before any work
-        runner = _RUNNERS[command]
         t0 = time.perf_counter()
-        inputs, results, verdicts, rows = runner(cfg)
+        inputs, results, verdicts, rows = args.runner(cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        report = build_report(command, cfg, inputs, results, verdicts, elapsed_ms)
+        report = build_report(args.command, cfg, inputs, results, verdicts, elapsed_ms)
         emit(report, rows, cfg.format, cfg.out)
         return 4 if "budget" in verdicts else 0
     except (ExprSyntaxError, ConfigError) as exc:

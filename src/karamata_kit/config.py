@@ -12,7 +12,12 @@ import json
 import math
 from dataclasses import dataclass
 
+from .asymptotics import MIN_SAMPLES
+from .uniformity import MIN_PARAM_COUNT, REFINE_COUNT
+
 __all__ = ["RunConfig", "ConfigError", "load_config_file", "merge_config"]
+
+FORMATS = ("json", "csv", "both")
 
 
 class ConfigError(ValueError):
@@ -43,10 +48,10 @@ class RunConfig:
     # parameter windows
     lambda_lo: float = 1.0
     lambda_hi: float = 2.0
-    lambda_count: int = 33
+    lambda_count: int = REFINE_COUNT
     u_lo: float = 0.0
     u_hi: float = 1.0
-    u_count: int = 33
+    u_count: int = REFINE_COUNT
     v_lo: float | None = None
     v_hi: float | None = None
     # sampling / bounds
@@ -152,10 +157,10 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be positive, got {value!r}")
     if cfg.grid_ratio is not None and not cfg.integer_mode and cfg.grid_ratio <= 1:
         raise ConfigError(f"grid_ratio must exceed 1, got {cfg.grid_ratio!r}")
-    if cfg.grid_count is not None and cfg.grid_count < 8:
-        raise ConfigError(f"grid_count must be at least 8, got {cfg.grid_count!r}")
-    if cfg.u_count < 9 or cfg.lambda_count < 9:
-        raise ConfigError("u_count and lambda_count must be at least 9")
+    if cfg.grid_count is not None and cfg.grid_count < MIN_SAMPLES:
+        raise ConfigError(f"grid_count must be at least {MIN_SAMPLES}, got {cfg.grid_count!r}")
+    if cfg.u_count < MIN_PARAM_COUNT or cfg.lambda_count < MIN_PARAM_COUNT:
+        raise ConfigError(f"u_count and lambda_count must be at least {MIN_PARAM_COUNT}")
     if cfg.samples < 1:
         raise ConfigError(f"samples must be positive, got {cfg.samples!r}")
     for key, cap in (
@@ -169,5 +174,5 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be at most {cap:,}, got {value!r}")
     if cfg.max_evals < 15:
         raise ConfigError(f"max_evals must be at least 15, got {cfg.max_evals!r}")
-    if cfg.format not in ("json", "csv", "both"):
+    if cfg.format not in FORMATS:
         raise ConfigError(f"format must be json, csv, or both, got {cfg.format!r}")

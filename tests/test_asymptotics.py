@@ -237,6 +237,13 @@ def test_kernel_returns_one_verdict_per_row():
         classify_limit(np.ones((2, 9)))
 
 
+def test_too_few_samples_name_the_function_called():
+    with pytest.raises(PreconditionError, match=r"^classify_rows needs >= 8 samples, got 5$"):
+        classify_rows(np.ones((2, 5)))
+    with pytest.raises(PreconditionError, match=r"^classify_limit needs >= 8 samples, got 5$"):
+        classify_limit(np.ones(5))
+
+
 # ---------------------------------------------------------------------------
 # overflow among finite samples
 

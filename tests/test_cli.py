@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report shape, determinism, config."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -18,7 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import karamata_kit
-from karamata_kit import config, quad
+from karamata_kit import cli, config, quad
 from karamata_kit.asymptotics import DEFAULT_LAMBDAS
 from karamata_kit.cli import main
 
@@ -443,6 +444,45 @@ def test_version_flag(capsys):
     code, out, err = run_cli(capsys, ["--version"])
     assert code == 0
     assert "karamata-kit" in out + err
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+def _leaf_parsers(parser, prefix=""):
+    """{command name: its parser} of every command under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            leaves = {}
+            for name, sub in action.choices.items():
+                leaves.update(_leaf_parsers(sub, f"{prefix}{name} "))
+            return leaves
+    return {prefix.strip(): parser}
+
+
+def test_command_flags_and_run_config_fields_agree():
+    kinds = config._KINDS
+    leaves = _leaf_parsers(cli._parser())
+    assert len(leaves) == 11
+    settable = set()
+    for name, parser in leaves.items():
+        assert parser.get_default("command") == name
+        actions = [a for a in parser._actions if a.dest != "help"]
+        keys = {a.dest for a in actions}
+        assert keys - kinds.keys() == {"config"}, name
+        for a in actions:
+            kind = kinds.get(a.dest, "str")
+            assert isinstance(a, argparse.BooleanOptionalAction) == (kind == "bool"), a.dest
+            assert a.type is {"int": int, "float": float}.get(kind), a.dest
+        settable |= keys
+    assert settable >= kinds.keys()
+
+
+def test_a_flag_without_a_run_config_field_fails_the_build(monkeypatch):
+    runner, help_, expr_help, flags = cli._COMMANDS["invert-l"]
+    monkeypatch.setitem(cli._COMMANDS, "invert-l", (runner, help_, expr_help, (*flags, "lamda")))
+    with pytest.raises(KeyError, match="lamda"):
+        cli._parser.__wrapped__()
 
 
 def _fresh_process(argv):

@@ -32,7 +32,7 @@ from karamata_kit import (
 )
 from karamata_kit import quad as quad_mod
 from karamata_kit.config import ConfigError
-from karamata_kit.exprlang import DomainError
+from karamata_kit.exprlang import Bin, Const, DomainError
 
 from expr_corpus import CORPUS
 
@@ -274,6 +274,21 @@ def test_an_overflowing_panel_is_measured_again_within_the_budget():
         # a budget of one panel leaves no evaluations for a second measurement
         with pytest.raises(PreconditionError, match="overflows"):
             integrate_log(parse("1e308"), 1.5, QuadTolerance(max_evals=29))
+
+
+@pytest.mark.parametrize("k", [1, 7, 100, 1000])
+def test_a_power_of_two_scales_the_integral_bit_for_bit(k):
+    # 2**k * h(t) is exact, so every panel sum and error estimate scales by
+    # 2**k and every bisection decision stays the same.  abs_tol does not
+    # scale with the integrand, so it is set below every relative share.
+    c = 2.0**k
+    tol = QuadTolerance(abs_tol=1e-300)
+    for text, _, hi in CORPUS:
+        h = parse(text)
+        base = integrate_log(h, hi, tol)
+        got = integrate_log(Bin("*", Const(c), h), hi, tol)
+        want = ((c * base.value).hex(), (c * base.error_estimate).hex(), base.evaluations)
+        assert (got.value.hex(), got.error_estimate.hex(), got.evaluations) == want, text
 
 
 def test_cache_with_less_than_one_panel_left_evaluates_nothing():

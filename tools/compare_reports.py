@@ -17,8 +17,11 @@ compared, with ``timing_ms`` masked.  The commands are:
   budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``, an
   integral that overflows in ``apply-l`` and ``uct asym``, a power with
   an exponent array in ``uct scan``, pooled waves of two integrands that
-  name x twice, in ``apply-l`` at one x and in a sweep, and the Halton
-  samples of ``uct hi`` at the 100,000 cap and of ``uct guct``;
+  name x twice, in ``apply-l`` at one x and in a sweep, the Halton
+  samples of ``uct hi`` at the 100,000 cap and of ``uct guct``, the
+  ``--help`` of the program, of ``uct`` and of each command, ``--version``,
+  and four commands the parser rejects with exit 2: a fractional
+  ``--u-count``, an unknown ``--format``, an unknown flag and a bare ``uct``;
 - the commands of ``_EXPECTED_DIFFERENCES``, two integrals of integrands
   near the float range that exit 3 without the overflow rescue and 0 with
   it: they are listed as ``EXPECTED DIFF`` when they differ, and do not
@@ -91,6 +94,18 @@ _PATH_COMMANDS = [
     # high digits, and the Halton samples of a GUCT diagnosis
     ["uct", "hi", "--h", "abs(ln(x+u) - ln(x))", "--samples", "100000"],
     ["uct", "guct", "--h-expr", "abs(ln(x+u) - ln(x))", "--m-expr", "1", "--samples", "20000"],
+    # the parser: every help text, and rejections that exit 2 with the usage
+    ["--help"],
+    ["--version"],
+    ["uct", "--help"],
+    *([name, "--help"] for name in ("apply-l", "invert-l", "classify")),
+    *(["uct", name, "--help"] for name in (
+        "scan", "karamata", "guct", "hi", "cond310", "mult-closure", "expand-interval", "asym",
+    )),
+    ["uct", "scan", "--u-count", "1.5"],
+    ["classify", "ln(x)", "--format", "xml"],
+    ["apply-l", "sin(x)", "--y", "1"],
+    ["uct"],
 ]
 
 # commands listed, not counted, when they differ: integrals of an integrand
