@@ -155,7 +155,23 @@ def classify_rows(values, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[LimitVerdi
     finite and no increment can overflow, since ``|a - b| <= max - min``.
     Only otherwise are the rows checked one by one and every increment
     computed under ``over="raise"``; the rules themselves read only the
-    last ``max(6, window)`` increments."""
+    last ``max(6, window)`` increments.
+
+    This is two passes: ``_row_numbers``, which makes every check, raises
+    every error and reduces each row to the few numbers its verdict reads,
+    and ``_row_verdicts``, which builds the verdicts of a range of rows from
+    those numbers and cannot fail.  A uniformity scan runs the first at once
+    and the second for its column verdicts only when
+    ``ScanReport.column_verdicts`` is first read; that read costs what
+    building them at once did."""
+    return _row_verdicts(_row_numbers(values, tol))
+
+
+def _row_numbers(values, tol: float) -> tuple:
+    """The numeric pass of ``classify_rows``: ``(tol, finite, *parts)``,
+    where ``finite`` is a list and each of the ten parts an array with
+    one entry per row, in the order ``_row_verdicts`` reads them.  The parts
+    own their memory, so they keep no (m, n) array alive."""
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2:
         raise PreconditionError(f"classify_rows needs an (m, n) array, got shape {values.shape}")
@@ -236,25 +252,33 @@ def classify_rows(values, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[LimitVerdi
         window[:, 1:] <= np.maximum(SHRINK_FACTOR * window[:, :-1], floor[:, None]), axis=1
     )
 
-    # the verdicts, from plain per-row values
-    rows = zip(
+    return (
+        tol,
         finite,
-        diverging.tolist(),
-        values[:, -1].tolist(),
-        deltas[:, -6:].tolist(),
-        changes.tolist(),
-        amps[:, 0].tolist(),
-        amps[:, 1].tolist(),
-        tail_lo.tolist(),
-        tail_hi.tolist(),
-        shrinking.tolist(),
-        window[:, -1].tolist(),
-        floor.tolist(),
+        diverging,
+        values[:, -1].copy(),
+        deltas[:, -6:].copy(),
+        changes,
+        amps[:, 0],
+        amps[:, 1],
+        tail_lo,
+        tail_hi,
+        shrinking,
+        floor,
     )
+
+
+def _row_verdicts(numbers: tuple, rows: slice | None = None) -> tuple[LimitVerdict, ...]:
+    """The verdicts of the ``rows`` of ``_row_numbers``'s ``numbers`` (all
+    of them by default), built from plain per-row values."""
+    tol, finite, *parts = numbers
+    if rows is not None:
+        finite, parts = finite[rows], [part[rows] for part in parts]
     verdicts = []
     for (
-        ok, diverges, last, last_deltas, n_changes, early, late, lo, hi, shrinks, step, row_floor
-    ) in rows:
+        ok, diverges, last, last_deltas, n_changes, early, late, lo, hi, shrinks, row_floor
+    ) in zip(finite, *(part.tolist() for part in parts)):
+        step = last_deltas[-1]  # the last increment of the convergence window
         if not ok:
             verdict = _NON_FINITE
         elif diverges:

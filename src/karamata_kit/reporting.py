@@ -13,7 +13,6 @@ whatever the command exposes as (x, param, residual) rows.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import io
@@ -143,18 +142,15 @@ def _render_object(pairs, newline: str) -> str:
 
 
 def render_csv(rows) -> str:
-    """Rows are (x, param, residual) triples; param may be None."""
+    """Rows are (x, param, residual) triples; param may be None, which is
+    written as an empty field.  Every other field is the repr of a float,
+    which never needs quoting, so each line is one join of those strings."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "param", "residual"])
+    buf.write("x,param,residual\n")
     for x, param, residual in rows:
-        writer.writerow(
-            [
-                repr(float(x)),
-                "" if param is None else repr(float(param)),
-                repr(float(residual)),
-            ]
-        )
+        p = "" if param is None else float.__repr__(float(param))
+        buf.write(",".join((float.__repr__(float(x)), p, float.__repr__(float(residual)))))
+        buf.write("\n")
     return buf.getvalue()
 
 

@@ -8,6 +8,12 @@ supremum sequence.  A Uniform verdict is grid-relative; a
 NotUniform verdict exhibits a witness: the tail of the supremum sequence
 stays above a positive floor while no longer decreasing.
 
+A scan makes every check and computes every number at once, but builds its
+report's ``residuals`` (one tuple of floats per x) and ``column_verdicts``
+(one verdict per parameter) only on their first read, and keeps them.  A
+caller that reads only the suprema and the verdict never pays for them;
+reading one costs what building it at once did.
+
 Also here: the triangle-style inequality check on low-discrepancy samples,
 the multiplicative-closure decomposition identity, the interval expansion
 map, and the integral-asymptotics residual table.
@@ -28,6 +34,8 @@ from .asymptotics import (
     RATIO_CLASSIFY_TOL,
     VALUE_TOL,
     _check_product,
+    _row_numbers,
+    _row_verdicts,
     _values,
     classify_rows,
 )
@@ -58,19 +66,58 @@ MIN_PARAM_COUNT = 9
 REFINE_COUNT = 33
 
 
+class _Deferred(functools.partial):
+    """A field value not built yet: calling it builds the value."""
+
+
+class _BuiltOnRead:
+    """A dataclass field whose stored value may be a ``_Deferred``, which is
+    built on the first read and then kept in its place; any other value is
+    returned as given.  Read on the class, it raises AttributeError, so the
+    field has no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if type(value) is _Deferred:
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class ScanReport:
+    """The result of a uniformity scan.
+
+    A scan builds ``residuals`` and ``column_verdicts`` on their first read
+    (by ``repr``, ``==``, ``hash``, ``dataclasses.replace`` or a renderer,
+    too) and keeps them; that read costs what building them at once did.
+    Until then the report holds the read-only residual matrix and the
+    numbers behind each column verdict, and pickles and copies with them.
+    Every error of the scan is raised by the scan call itself."""
+
     xs: tuple[float, ...]
     params: tuple[float, ...]
-    residuals: tuple[tuple[float, ...], ...]  # one row per x, signed values
+    residuals: tuple[tuple[float, ...], ...] = _BuiltOnRead()  # one row per x, signed values
     suprema: tuple[float, ...]  # per-x max |residual|, after refinement
     sup_params: tuple[float, ...]  # parameter attaining each supremum
     verdict: str  # uniform | not_uniform | inconclusive
     witness_param: float | None
     floor: float | None
     suprema_verdict: LimitVerdict | None
-    column_verdicts: tuple[LimitVerdict, ...] | None  # per base param
+    column_verdicts: tuple[LimitVerdict, ...] | None = _BuiltOnRead()  # per base param
     note: str = ""
+
+
+def _tuples(rows: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """``ScanReport.residuals`` of the residual matrix ``rows``."""
+    return tuple(map(tuple, rows.tolist()))
 
 
 def _grid_suprema(grid_fn, xs: np.ndarray, params: np.ndarray):
@@ -128,9 +175,11 @@ def _scan(
         )
         note = f"fewer than {MIN_SAMPLES} x samples; suprema not classified"
     else:
-        # every column and, as the last row, the suprema in one kernel call
-        verdicts = classify_rows(np.vstack((rows.T, suprema)), classify_tol)
-        column_verdicts, sup_verdict = verdicts[:-1], verdicts[-1]
+        # every column and, as the last row, the suprema in one numeric pass;
+        # the column verdicts are built on their first read
+        numbers = _row_numbers(np.vstack((rows.T, suprema)), classify_tol)
+        (sup_verdict,) = _row_verdicts(numbers, slice(-1, None))
+        column_verdicts = _Deferred(_row_verdicts, numbers, slice(-1))
         tail = suprema[suprema.size // 2 :]
         floor = float(np.min(tail))
         still_decreasing = bool(
@@ -146,10 +195,11 @@ def _scan(
             verdict, witness = "inconclusive", None
             note = "suprema neither settled below tolerance nor stabilized above it"
 
+    rows.flags.writeable = False
     return ScanReport(
         xs=tuple(xs.tolist()),
         params=tuple(params.tolist()),
-        residuals=tuple(map(tuple, rows.tolist())),
+        residuals=_Deferred(_tuples, rows),
         suprema=tuple(suprema.tolist()),
         sup_params=tuple(sup_params.tolist()),
         verdict=verdict,

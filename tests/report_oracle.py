@@ -8,11 +8,16 @@ numpy values, tuples and non-finite floats into a plain tree, which
 allow_nan=False) + "\n"`` for every input, or raise the same exception.  It
 is kept unchanged so that the renderer is checked against a conversion
 other than itself.  Do not edit it to follow the library.
+
+``oracle_csv`` is the CSV writer that ``render_csv`` replaced, built on
+``csv.writer``; ``render_csv(rows)`` must equal ``oracle_csv(rows)``.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -48,3 +53,19 @@ def to_jsonable(obj):
 def oracle_json(tree) -> str:
     """What the report pipeline has always written for ``tree``."""
     return json.dumps(to_jsonable(tree), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def oracle_csv(rows) -> str:
+    """Rows are (x, param, residual) triples; param may be None."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "param", "residual"])
+    for x, param, residual in rows:
+        writer.writerow(
+            [
+                repr(float(x)),
+                "" if param is None else repr(float(param)),
+                repr(float(residual)),
+            ]
+        )
+    return buf.getvalue()

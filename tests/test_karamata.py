@@ -1,10 +1,14 @@
-"""Operator tests: fixed points, linearity, the symbolic inverse, grids."""
+"""Operator tests: fixed points, linearity, the symbolic inverse, grids, and
+oracles that need no truth table: identities within the error estimates,
+and the symbolic derivative and inverse against sympy."""
 
 import math
+import operator
 import warnings
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +21,14 @@ from karamata_kit import (
     apply_L_grid,
     apply_L_points,
     classify_limit,
+    differentiate,
     evaluate,
     invert_L,
     parse,
 )
+from karamata_kit.exprlang import Bin, Const, Neg, Var
+
+from expr_corpus import CORPUS
 
 
 # ---------------------------------------------------------------------------
@@ -178,3 +186,89 @@ def test_monotone_average_lags_increasing_h():
     h = parse("ln(x)")
     for x in (10.0, 1e3, 1e6):
         assert apply_L(h, x) < evaluate(h, {"x": x})
+
+
+# ---------------------------------------------------------------------------
+# identities that need no truth table, each bounded by the operator-level
+# error estimates (quad error / ln x) of its terms plus a few ulps
+
+IDENTITY_XS = [10.0, 1e3, 1e5]
+
+
+def _operator(text, x):
+    """``(L(h)(x), its error bound)`` for the expression ``text``."""
+    v = apply_L_detailed(parse(text), x)
+    assert v.quad.converged
+    return v.value, v.quad.error_estimate / math.log(x)
+
+
+def _slack(*terms):
+    return 4 * math.ulp(sum(abs(t) for t in terms))
+
+
+@pytest.mark.parametrize("c", ["7", "-2.5", "pi"])
+@pytest.mark.parametrize("x", IDENTITY_XS)
+def test_a_constant_is_its_own_average_within_the_estimate(c, x):
+    value, bound = _operator(c, x)
+    want = evaluate(parse(c), {})
+    assert abs(value - want) <= bound + _slack(value, want)
+
+
+@pytest.mark.parametrize("x", IDENTITY_XS)
+def test_linearity_holds_within_the_estimates(x):
+    combo, e_combo = _operator("2*sin(x) - 3/(1+ln(x))", x)
+    s, e_s = _operator("sin(x)", x)
+    g, e_g = _operator("1/(1+ln(x))", x)
+    gap = abs(combo - (2 * s - 3 * g))
+    assert gap <= e_combo + 2 * e_s + 3 * e_g + _slack(combo, 2 * s, 3 * g)
+
+
+@pytest.mark.parametrize("h", ["sin(x)", "1/(1+ln(x))"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("x", IDENTITY_XS)
+def test_the_substitution_t_equals_s_to_the_k_holds_within_the_estimates(h, k, x):
+    # t = s^k turns dt/t into k ds/s and ln x into k ln(x^(1/k)), so
+    # L(h)(x) = L(h(s^k))(x^(1/k))
+    direct, e_direct = _operator(h, x)
+    substituted, e_sub = _operator(h.replace("x", f"(x^{k})"), x ** (1 / k))
+    assert abs(direct - substituted) <= e_direct + e_sub + _slack(direct, substituted)
+
+
+# ---------------------------------------------------------------------------
+# differentiate and invert_L against sympy at 40 digits
+
+_SYMPY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
+_SYMPY_FUNCS = {"ln": sympy.log, "exp": sympy.exp, "sin": sympy.sin, "cos": sympy.cos,
+                "sqrt": sympy.sqrt, "abs": sympy.Abs, "pow": sympy.Pow}
+
+
+def _sympy_of(expr, x):
+    """``expr`` as a sympy expression in the symbol ``x``, its constants the
+    exact values of the floats the evaluator uses."""
+    if isinstance(expr, Const):
+        return sympy.Rational(expr.value)
+    if isinstance(expr, Var):
+        return x
+    if isinstance(expr, Neg):
+        return -_sympy_of(expr.arg, x)
+    if isinstance(expr, Bin):
+        return _SYMPY_OPS[expr.op](_sympy_of(expr.lhs, x), _sympy_of(expr.rhs, x))
+    return _SYMPY_FUNCS[expr.func](*(_sympy_of(arg, x) for arg in expr.args))
+
+
+@pytest.mark.parametrize("source, lo, hi", CORPUS, ids=[s for s, _, _ in CORPUS])
+def test_derivative_and_inverse_match_sympy(source, lo, hi):
+    x = sympy.Symbol("x", positive=True)
+    tree = parse(source)
+    f = _sympy_of(tree, x)
+    df = sympy.diff(f, x)
+    pairs = [(differentiate(tree, "x"), df), (invert_L(tree), f + x * df * sympy.log(x))]
+    for point in np.linspace(lo, hi, 7).tolist():
+        for ours, truth in pairs:
+            got = evaluate(ours, {"x": point})
+            want = float(truth.subs(x, sympy.Rational(point)).evalf(40))
+            # a derivative that is 0 to 40 digits (2 sin(x/2)^2 + cos(x) is
+            # constant) is the difference of terms of order 1
+            scale = abs(want) if abs(want) > 1e-30 else 1.0
+            assert abs(got - want) <= 1e-13 * scale, (point, got, want)

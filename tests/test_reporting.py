@@ -1,7 +1,8 @@
 """Report rendering: that ``render_json`` writes exactly what ``json.dumps``
 does, and on report objects exactly what ``json.dumps`` wrote of the tree
 that ``to_jsonable``, the frozen oracle in ``report_oracle``, makes of them.
-The first tests pin the oracle itself."""
+The first tests pin the oracle itself.  The last checks that ``render_csv``
+writes what the ``csv.writer`` it replaced wrote."""
 
 import json
 import math
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karamata_kit.reporting import render_json
-from report_oracle import oracle_json, to_jsonable
+from karamata_kit.reporting import render_csv, render_json
+from report_oracle import oracle_csv, oracle_json, to_jsonable
 
 
 @pytest.mark.parametrize(
@@ -274,3 +275,19 @@ def test_render_json_writes_report_objects_in_one_walk():
         "inputs": {"left": [3, True], "right": [[0, 1], [2, 3]]},
         "timing_ms": "inf",
     }
+
+
+# ---------------------------------------------------------------------------
+# render_csv against the csv.writer it replaced
+
+_CSV_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-(2**53), 2**53),
+)
+
+
+@given(st.lists(st.tuples(_CSV_NUMBERS, st.none() | _CSV_NUMBERS, _CSV_NUMBERS), max_size=20))
+@settings(max_examples=200)
+def test_render_csv_writes_what_csv_writer_wrote(rows):
+    assert render_csv(rows) == oracle_csv(rows)

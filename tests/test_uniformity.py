@@ -1,9 +1,14 @@
 """Scan, hypothesis-inequality, closure, interval and asymptotics tests."""
 
+import concurrent.futures
+import copy
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,9 +17,12 @@ from hypothesis import strategies as st
 
 from karamata_kit import (
     GeometricGrid,
+    LimitVerdict,
     PreconditionError,
     QuadTolerance,
     Region,
+    ScanReport,
+    classify_rows,
     condition_scan_310,
     evaluate,
     guct_diagnose,
@@ -26,7 +34,7 @@ from karamata_kit import (
     parse,
     uct_scan,
 )
-from karamata_kit import uniformity
+from karamata_kit import asymptotics, uniformity
 from karamata_kit.exprlang import EvalError, eval_array
 from karamata_kit.uniformity import halton_points
 
@@ -165,6 +173,150 @@ def test_scan_is_bit_identical_to_row_by_row_reference(kind, text, window, grid)
     assert rep.residuals == rows
     assert rep.suprema == suprema
     assert rep.sup_params == sup_params
+
+
+# ---------------------------------------------------------------------------
+# residuals and column verdicts, built on their first read
+
+_LAZY = ("residuals", "column_verdicts")
+_CHEAP = ("verdict", "suprema", "sup_params", "suprema_verdict", "xs", "params")
+
+_SCANS = {
+    "uct": lambda: uct_scan(parse("x*u*exp(-x*u)"), (1e-3, 1.0), GeometricGrid(2.0, 1.5, 20)),
+    "karamata": lambda: karamata_uct_check(
+        parse("exp(sin(x))"), (0.5, 2.0), GeometricGrid(5.0, 1.7, 15), lambda_count=40
+    ),
+    "cond310": lambda: condition_scan_310(
+        parse("ln(ln(x))/ln(x)"), (0.2, 5.0), GeometricGrid(10.0, 3.0, 9)
+    ),
+    "cond310_integer": lambda: condition_scan_310(
+        parse("sin(x)/ln(x)"), (0.5, 2.0), GeometricGrid(1000.0, 2.0, 33), integer_mode=True
+    ),
+    "guct": lambda: guct_diagnose(
+        parse("abs(ln(x+u) - ln(x))"), parse("1"), (0.5, 2.0), X_GRID, sample_count=50
+    ).scan,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCANS))
+def test_lazy_fields_are_what_an_eager_scan_built(kind):
+    rep = _SCANS[kind]()
+    matrix = vars(rep)["residuals"].args[0]
+    assert not matrix.flags.writeable
+    eager = classify_rows(np.vstack((matrix.T, rep.suprema)), 1e-2)
+    assert rep.residuals == tuple(map(tuple, matrix.tolist()))
+    assert [repr(v) for v in rep.column_verdicts] == [repr(v) for v in eager[:-1]]
+    assert repr(rep.suprema_verdict) == repr(eager[-1])
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of what the builders made: residual tuples and verdicts."""
+    counts = {"residuals": 0, "verdicts": 0}
+    tuples, verdicts = uniformity._tuples, asymptotics._row_verdicts
+
+    def counted_tuples(rows):
+        counts["residuals"] += 1
+        return tuples(rows)
+
+    def counted_verdicts(*args):
+        built = verdicts(*args)
+        counts["verdicts"] += len(built)
+        return built
+
+    monkeypatch.setattr(uniformity, "_tuples", counted_tuples)
+    monkeypatch.setattr(uniformity, "_row_verdicts", counted_verdicts)
+    monkeypatch.setattr(asymptotics, "_row_verdicts", counted_verdicts)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["uct", "karamata", "cond310", "cond310_integer"])
+def test_reading_the_suprema_builds_no_residual_tuple_or_column_verdict(kind, builds):
+    rep = _SCANS[kind]()
+    for name in _CHEAP:
+        getattr(rep, name)
+    # the suprema verdict alone, and nothing stored for the lazy fields yet
+    assert builds == {"residuals": 0, "verdicts": 1}
+    assert not any(isinstance(vars(rep)[name], tuple) for name in _LAZY)
+
+    residuals, columns = rep.residuals, rep.column_verdicts
+    assert builds == {"residuals": 1, "verdicts": 1 + len(rep.params)}
+    assert len(residuals) == len(rep.xs) and len(columns) == len(rep.params)
+    # kept: a second read builds nothing
+    assert rep.residuals is residuals and rep.column_verdicts is columns
+    assert builds == {"residuals": 1, "verdicts": 1 + len(rep.params)}
+
+
+def test_a_scan_of_few_rows_keeps_no_column_verdicts(builds):
+    rep = uct_scan(parse("u/x"), (0.0, 1.0), GeometricGrid(10.0, 10.0, 4))
+    assert vars(rep)["column_verdicts"] is None
+    assert rep.column_verdicts is None and rep.suprema_verdict is None
+    assert builds["verdicts"] == 0
+
+
+def _same_report(a, b):
+    assert a == b and repr(a) == repr(b) and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("how", ["pickle", "deepcopy", "replace"])
+def test_a_scan_report_pickles_and_copies_with_its_lazy_fields(how, read_first):
+    copy_of = {
+        "pickle": lambda rep: pickle.loads(pickle.dumps(rep)),
+        "deepcopy": copy.deepcopy,
+        "replace": dataclasses.replace,
+    }[how]
+    reference = _SCANS["karamata"]()
+    rep = _SCANS["karamata"]()
+    if read_first:
+        repr(rep)
+    twin = copy_of(rep)
+    _same_report(twin, reference)
+    _same_report(rep, reference)
+
+
+def test_a_hand_built_scan_report_keeps_what_it_was_given():
+    rows, verdicts = [[0.5, 0.25]], (LimitVerdict(kind="inconclusive"),)
+    rep = ScanReport(
+        xs=(10.0,), params=(1.0, 2.0), residuals=rows, suprema=(0.5,), sup_params=(1.0,),
+        verdict="inconclusive", witness_param=None, floor=None, suprema_verdict=None,
+        column_verdicts=verdicts,
+    )
+    assert rep.residuals is rows and rep.column_verdicts is verdicts
+    empty = dataclasses.replace(rep, residuals=None, column_verdicts=None)
+    assert empty.residuals is None and empty.column_verdicts is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.residuals = ()
+    assert [f.name for f in dataclasses.fields(ScanReport)] == [
+        "xs", "params", "residuals", "suprema", "sup_params", "verdict", "witness_param",
+        "floor", "suprema_verdict", "column_verdicts", "note",
+    ]
+
+
+def _read_at_once(barrier, rep, name):
+    barrier.wait()
+    return getattr(rep, name)
+
+
+def test_threads_reading_a_lazy_field_at_once_get_the_same_tuple():
+    reference = _SCANS["uct"]()
+    threads = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            for _ in range(5):
+                rep = _SCANS["uct"]()
+                for name in _LAZY:
+                    barrier = threading.Barrier(threads, timeout=10)
+                    futures = [
+                        pool.submit(_read_at_once, barrier, rep, name) for _ in range(threads)
+                    ]
+                    for future in futures:
+                        assert future.result(timeout=10) == getattr(reference, name)
+                    assert getattr(rep, name) == getattr(reference, name)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

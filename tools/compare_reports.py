@@ -18,7 +18,8 @@ compared, with ``timing_ms`` masked.  The commands are:
   integral that overflows in ``apply-l`` and ``uct asym``, a power with
   an exponent array in ``uct scan``, pooled waves of two integrands that
   name x twice, in ``apply-l`` at one x and in a sweep, the Halton
-  samples of ``uct hi`` at the 100,000 cap and of ``uct guct``, the
+  samples of ``uct hi`` at the 100,000 cap and of ``uct guct``, a
+  300 x 257 ``uct scan`` and ``uct karamata``, each as JSON and as CSV, the
   ``--help`` of the program, of ``uct`` and of each command, ``--version``,
   and four commands the parser rejects with exit 2: a fractional
   ``--u-count``, an unknown ``--format``, an unknown flag and a bare ``uct``;
@@ -94,6 +95,14 @@ _PATH_COMMANDS = [
     # high digits, and the Halton samples of a GUCT diagnosis
     ["uct", "hi", "--h", "abs(ln(x+u) - ln(x))", "--samples", "100000"],
     ["uct", "guct", "--h-expr", "abs(ln(x+u) - ln(x))", "--m-expr", "1", "--samples", "20000"],
+    # full-size scans, whose residuals and column verdicts are built on
+    # their first read, written as JSON and as CSV
+    *([*argv, *fmt] for argv in (
+        ["uct", "scan", "--g", "x*u*exp(-x*u)", "--u-lo", "1e-3", "--count", "300",
+         "--ratio", "1.02", "--u-count", "257"],
+        ["uct", "karamata", "--f", "ln(x)", "--a", "1", "--b", "3", "--count", "300",
+         "--ratio", "1.05", "--lambda-count", "257"],
+    ) for fmt in ([], ["--format", "csv"])),
     # the parser: every help text, and rejections that exit 2 with the usage
     ["--help"],
     ["--version"],
