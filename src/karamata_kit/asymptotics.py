@@ -105,6 +105,10 @@ class GeometricGrid:
                 f"grid points overflow: the last point is not finite "
                 f"(start {self.start!r}, ratio {self.ratio!r}, count {self.count!r})"
             )
+        if self.integer_mode and not round(self.start) > 1:
+            raise PreconditionError(
+                f"integer grid start must round to an integer > 1, got {self.start!r}"
+            )
 
     def points(self) -> list[float]:
         if self.integer_mode:

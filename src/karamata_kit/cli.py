@@ -18,9 +18,11 @@ parser is built.  Every command also takes ``--config`` and ``_COMMON``.
 
 Each command has a runner that takes the merged ``RunConfig`` and returns
 ``(inputs, results, verdicts, rows)``: the echo of its inputs, its results,
-its verdicts and its CSV rows, which ``main`` turns into the report.  A
-runner whose quadrature ran out of budget sets ``verdicts["budget"] =
-"exhausted"``, and ``main`` exits 4 whenever that verdict is present.
+its verdicts and its CSV rows, which ``main`` turns into the report.  The
+rows are an iterable of (x, param, residual), read at most once, and only
+when a CSV is written.  A runner whose quadrature ran out of budget sets
+``verdicts["budget"] = "exhausted"``, and ``main`` exits 4 whenever that
+verdict is present.
 
 ``main`` may be called repeatedly in one process: each call parses only its
 own arguments, and the parser is built once, at the first call.
@@ -152,10 +154,8 @@ def _budget(converged: bool) -> dict:
 def _scan(report) -> tuple:
     """Results, verdicts and CSV rows of a uniformity scan: one row per
     (x, parameter) cell."""
-    rows = []
-    for x, row in zip(report.xs, report.residuals):
-        for p, r in zip(report.params, row):
-            rows.append((x, p, r))
+    rows = ((x, p, r) for x, row in zip(report.xs, report.residuals)
+            for p, r in zip(report.params, row))
     return {"scan": report}, {"scan": report.verdict}, rows
 
 
@@ -169,7 +169,7 @@ def _run_apply_l(cfg: RunConfig):
         grid = _grid(cfg, DEFAULT_GRID)
         points = apply_L_points(h, grid.points(), tol, var=cfg.var)
         inputs["grid"] = grid
-    rows = [(p.x, None, p.value) for p in points]
+    rows = ((p.x, None, p.value) for p in points)
     verdicts = _budget(all(p.quad is None or p.quad.converged for p in points))
     return inputs, {"points": points}, verdicts, rows
 
@@ -203,10 +203,8 @@ def _run_classify(cfg: RunConfig):
     inputs.update(lambdas=list(lams), grid="defaults" if grid is None else grid)
     results = {"index": index, "sv": sv}
     verdicts = {"index": index.verdict, "sv": sv.verdict}
-    rows = []
-    for track in index.tracks:
-        for x, est in zip(track.xs, track.estimates):
-            rows.append((x, track.lam, est))
+    rows = ((x, track.lam, est) for track in index.tracks
+            for x, est in zip(track.xs, track.estimates))
 
     if cfg.profile:
         prof = exponent_profile(F, **kwargs)
@@ -268,7 +266,7 @@ def _run_uct_hi(cfg: RunConfig):
     region = Region(x=(xs[0], xs[-1]), u=(cfg.u_lo, cfg.u_hi), v=(v_lo, v_hi))
     report = hi_check(H, cfg.samples, region)
     inputs.update(region=region, samples=cfg.samples)
-    rows = [(v.x, v.u, v.lhs - v.rhs) for v in report.violations]
+    rows = ((v.x, v.u, v.lhs - v.rhs) for v in report.violations)
     return inputs, {"hi": report}, {"hi": "ok" if report.ok else "violated"}, rows
 
 
@@ -295,11 +293,8 @@ def _run_uct_mult_closure(cfg: RunConfig):
         verdicts["step_lam"] = report.verdicts[0].kind
         verdicts["step_mu"] = report.verdicts[1].kind
         verdicts["combined"] = report.verdicts[2].kind
-    rows = []
-    for i, x in enumerate(report.xs):
-        rows.append((x, lam, report.step_lam[i]))
-        rows.append((x, mu, report.step_mu[i]))
-        rows.append((x, lam * mu, report.combined[i]))
+    cols = zip(report.xs, report.step_lam, report.step_mu, report.combined)
+    rows = (row for x, a, b, c in cols for row in ((x, lam, a), (x, mu, b), (x, lam * mu, c)))
     return inputs, {"closure": report}, verdicts, rows
 
 
@@ -324,7 +319,7 @@ def _run_uct_asym(cfg: RunConfig):
         verdicts["residual"] = report.residual_verdict.kind
         verdicts["lcond"] = report.lcond_verdict.kind
     verdicts.update(_budget(report.quad_converged))
-    rows = [(r.x, lam, r.residual) for r in report.rows]
+    rows = ((r.x, lam, r.residual) for r in report.rows)
     return inputs, {"asym": report}, verdicts, rows
 
 

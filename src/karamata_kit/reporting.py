@@ -142,9 +142,10 @@ def _render_object(pairs, newline: str) -> str:
 
 
 def render_csv(rows) -> str:
-    """Rows are (x, param, residual) triples; param may be None, which is
-    written as an empty field.  Every other field is the repr of a float,
-    which never needs quoting, so each line is one join of those strings."""
+    """Rows are (x, param, residual) triples, any iterable of them, read
+    once; param may be None, which is written as an empty field.  Every other
+    field is the repr of a float, which never needs quoting, so each line is
+    one join of those strings."""
     buf = io.StringIO()
     buf.write("x,param,residual\n")
     for x, param, residual in rows:
@@ -155,23 +156,18 @@ def render_csv(rows) -> str:
 
 
 def emit(report: dict, rows, fmt: str, out: str | None) -> None:
-    """Write the report in the requested format(s).
+    """Write the report in the requested format(s), JSON before CSV.
 
     With --out, json goes to <out> (or <out>.json under both) and csv to
-    <out>.csv; without it everything lands on stdout."""
-    chunks: list[tuple[str, str]] = []
-    if fmt in ("json", "both"):
-        chunks.append(("json", render_json(report)))
-    if fmt in ("csv", "both"):
-        chunks.append(("csv", render_csv(rows)))
-    if out is None:
-        for _, text in chunks:
+    <out>.csv; without it everything lands on stdout.  Each text is written
+    before the next is rendered, so ``rows`` is read only when a CSV is
+    written, and once."""
+    for kind in ("json", "csv"):
+        if fmt not in (kind, "both"):
+            continue
+        text = render_json(report) if kind == "json" else render_csv(rows)
+        if out is None:
             sys.stdout.write(text)
-        return
-    for kind, text in chunks:
-        if fmt == "both":
-            path = f"{out}.{kind}"
         else:
-            path = out
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            with open(f"{out}.{kind}" if fmt == "both" else out, "w", encoding="utf-8") as fh:
+                fh.write(text)

@@ -70,6 +70,13 @@ def test_grid_rejects_non_finite_last_point(start, ratio, count, integer_mode):
         GeometricGrid(start, ratio, count, integer_mode)
 
 
+def test_integer_grid_must_start_above_one():
+    # round(1.4) = 1, where ln F / ln x is 0/0
+    with pytest.raises(PreconditionError, match="got 1.4"):
+        GeometricGrid(1.4, 2.0, 8, integer_mode=True)
+    assert GeometricGrid(1.5, 2.0, 8, integer_mode=True).points()[0] == 2.0
+
+
 # ---------------------------------------------------------------------------
 # sequence classification
 

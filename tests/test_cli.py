@@ -210,6 +210,16 @@ def test_huge_integrand_with_a_finite_integral_exits_0(capsys, h, x, want):
     assert point["quad"]["converged"] is True
 
 
+def test_integer_grid_rounding_to_one_exits_3_with_one_error_line(capsys):
+    argv = ["classify", "x^2", "--integer-mode", "--grid-start", "1.4", "--profile"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: integer grid start must round to an integer > 1, got 1.4\n"
+
+
 def test_underflowing_ratio_exits_3_with_one_error_line(capsys):
     argv = ["classify", "exp(700*cos(ln(x)))", "--lambdas=1e-10", "--integer-mode"]
     code, out, err = run_cli(capsys, argv)
@@ -348,7 +358,8 @@ _FUZZ_COMMANDS = {
     # first, so that hypothesis's simplest example, with no flags, runs it
     "classify": (["classify"], ["exp(700*cos(ln(x)))", "ln(x)", "x^0.5", "x^(-40)",
                                 "exp(sqrt(ln(x)))"], {},
-                 {"--lambdas": _FUZZ_LAMBDAS, **_FUZZ_COMMON}),
+                 {"--lambdas": _FUZZ_LAMBDAS, "--profile": (st.booleans(), None),
+                  **_FUZZ_COMMON}),
 }
 
 
@@ -683,6 +694,60 @@ def test_format_both_writes_two_files(capsys, tmp_path):
     assert lines[0] == "x,param,residual"
 
 
+def _command_name(argv):
+    return argv[1] if argv[0] == "uct" else argv[0]
+
+
+# one command of each row shape: scan cells, sweep points, index tracks,
+# closure triples and Halton violations
+_ROW_SHAPES = [
+    ["uct", "scan", "--g", "u/x"],
+    ["apply-l", "1/(1+ln(x))", "--grid-start", "10", "--ratio", "10", "--count", "8"],
+    ["classify", "ln(x)", "--lambdas", "2,10"],
+    ["uct", "mult-closure", "--f", "ln(ln(x))", "--lambda", "2", "--mu", "3"],
+    ["uct", "hi", "--h", "exp(-u)", "--samples", "200"],
+]
+
+
+@pytest.mark.parametrize("argv", _ROW_SHAPES, ids=_command_name)
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+def test_out_files_hold_what_stdout_prints(capsys, tmp_path, argv, fmt):
+    code, printed, _ = run_cli(capsys, [*argv, "--format", fmt])
+    assert code == 0
+    base = tmp_path / "report"
+    code, out, _ = run_cli(capsys, [*argv, "--format", fmt, "--out", str(base)])
+    assert code == 0 and out == ""
+    if fmt == "both":
+        written = (tmp_path / "report.json").read_text() + (tmp_path / "report.csv").read_text()
+    else:
+        written = base.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["report.csv", "report.json"] if fmt == "both" else ["report"]
+    )
+    # the report echoes --out in its config
+    written = written.replace(f'"out": {json.dumps(str(base))}', '"out": null', 1)
+    assert _without_timing(written) == _without_timing(printed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *_ROW_SHAPES,
+        ["uct", "karamata", "--f", "ln(x)"],
+        ["uct", "cond310", "--xi", "1/ln(x)"],
+        ["uct", "guct", "--h-expr", "abs(ln(x+u) - ln(x))", "--m-expr", "1", "--samples", "200"],
+        ["uct", "asym", "--h", "1", "--lambda", "2"],
+    ],
+    ids=_command_name,
+)
+def test_runner_rows_are_a_lazy_iterator(argv):
+    args = cli._parser().parse_args(argv)
+    *_, rows = args.runner(config.merge_config(None, vars(args)))
+    assert iter(rows) is rows
+    rows = list(rows)
+    assert rows and all(len(row) == 3 for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # config file layering: flags > file > defaults
 
@@ -819,3 +884,26 @@ def test_csv_bytes_identical_across_thread_counts(capsys, monkeypatch, block_thr
         assert serial == pooled, argv
         assert serial[0] == 0, argv
         assert on_workers == (argv is not scan), argv
+
+
+# ---------------------------------------------------------------------------
+# the README's experiment scripts
+
+@pytest.mark.parametrize(
+    "script, lines",
+    [
+        ("oscillation_smoothing.py",
+         ["verdict: not_slowly_varying", "classification: converges, value 0.042270"]),
+        ("uniformity_ladder.py", ["verdict: inconclusive"]),
+    ],
+)
+def test_experiment_script_runs_clean(script, lines):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # no numpy warning leaks
+    assert set(lines) <= set(proc.stdout.splitlines())

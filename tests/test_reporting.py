@@ -1,8 +1,9 @@
 """Report rendering: that ``render_json`` writes exactly what ``json.dumps``
 does, and on report objects exactly what ``json.dumps`` wrote of the tree
 that ``to_jsonable``, the frozen oracle in ``report_oracle``, makes of them.
-The first tests pin the oracle itself.  The last checks that ``render_csv``
-writes what the ``csv.writer`` it replaced wrote."""
+The first tests pin the oracle itself.  Then come checks that ``render_csv``
+writes what the ``csv.writer`` it replaced wrote, and that ``emit`` writes
+one format at a time and reads the rows only for a CSV."""
 
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karamata_kit.reporting import render_csv, render_json
+from karamata_kit.reporting import build_report, emit, render_csv, render_json
 from report_oracle import oracle_csv, oracle_json, to_jsonable
 
 
@@ -291,3 +292,43 @@ _CSV_NUMBERS = st.one_of(
 @settings(max_examples=200)
 def test_render_csv_writes_what_csv_writer_wrote(rows):
     assert render_csv(rows) == oracle_csv(rows)
+
+
+# ---------------------------------------------------------------------------
+# emit: one format at a time, the rows read only for a CSV
+
+
+class _Rows:
+    """(x, param, residual) rows that count how often they are iterated."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.rows)
+
+
+class _Unreadable:
+    def __iter__(self):
+        raise AssertionError("rows read for a JSON report")
+
+
+_REPORT = build_report("uct scan", {"format": "json"}, {"g": "u/x"}, {"sup": [0.5]}, {}, 1.5)
+
+
+def test_emit_json_never_reads_the_rows(capsys):
+    emit(_REPORT, _Unreadable(), "json", None)
+    assert capsys.readouterr().out == render_json(_REPORT)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "both"])
+def test_emit_reads_the_rows_once(capsys, fmt):
+    rows = _Rows([(10.0, 0.5, 0.05), (100.0, None, math.inf)])
+    emit(_REPORT, rows, fmt, None)
+    assert rows.reads == 1
+    want = render_csv(rows.rows)
+    if fmt == "both":
+        want = render_json(_REPORT) + want
+    assert capsys.readouterr().out == want

@@ -15,18 +15,17 @@ compared, with ``timing_ms`` masked.  The commands are:
   continuity value ``L(h)(1) = h(1)`` of ``apply-l``, ``uct hi``, ``uct
   cond310`` on both ladders, a bare ``classify --integer-mode``, a spent
   budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``, an
-  integral that overflows in ``apply-l`` and ``uct asym``, a power with
+  integral that overflows in ``apply-l`` and ``uct asym``, two integrals of
+  integrands near the float range whose panels overflow although the
+  integral does not, in ``apply-l``, a power with
   an exponent array in ``uct scan``, pooled waves of two integrands that
   name x twice, in ``apply-l`` at one x and in a sweep, the Halton
   samples of ``uct hi`` at the 100,000 cap and of ``uct guct``, a
-  300 x 257 ``uct scan`` and ``uct karamata``, each as JSON and as CSV, the
+  300 x 257 ``uct scan`` and ``uct karamata``, each as JSON and as CSV, a
+  ``uct scan`` and an ``apply-l`` sweep under ``--format both``, the
   ``--help`` of the program, of ``uct`` and of each command, ``--version``,
   and four commands the parser rejects with exit 2: a fractional
   ``--u-count``, an unknown ``--format``, an unknown flag and a bare ``uct``;
-- the commands of ``_EXPECTED_DIFFERENCES``, two integrals of integrands
-  near the float range that exit 3 without the overflow rescue and 0 with
-  it: they are listed as ``EXPECTED DIFF`` when they differ, and do not
-  count as a difference;
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -45,9 +44,8 @@ the run with the variable unset.
 Each tree runs its commands and operations in one fresh interpreter, the
 commands through ``karamata_kit.cli.main``, as the benchmark does.  The
 script prints one line per command or operation that differs, with a short
-diff for a command, and a summary line.  It exits 0 when everything but
-the expected differences is identical and every report canonical, and 1
-otherwise.
+diff for a command, and a summary line.  It exits 0 when everything is
+identical and every report canonical, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -86,6 +84,9 @@ _PATH_COMMANDS = [
     ["apply-l", "1.7e308", "--x", "10", "--max-evals", "3000"],
     ["uct", "asym", "--h", "1e308", "--lambda", "2", "--bound", "1.5e308",
      "--max-evals", "3000"],
+    # integrals whose panels overflow although the integral does not: exit 0
+    ["apply-l", "1e308", "--x", "1.5"],
+    ["apply-l", "1e308*sin(x)", "--x", "1000"],
     # an exponent array that holds 0.5 and 2
     ["uct", "scan", "--g", "x^u"],
     # pooled waves of integrands that name x twice
@@ -103,6 +104,10 @@ _PATH_COMMANDS = [
         ["uct", "karamata", "--f", "ln(x)", "--a", "1", "--b", "3", "--count", "300",
          "--ratio", "1.05", "--lambda-count", "257"],
     ) for fmt in ([], ["--format", "csv"])),
+    # JSON then CSV on stdout
+    ["uct", "scan", "--g", "x*u*exp(-x*u)", "--u-lo", "1e-3", "--format", "both"],
+    ["apply-l", "1/(1+ln(x))", "--grid-start", "10", "--ratio", "10", "--count", "8",
+     "--format", "both"],
     # the parser: every help text, and rejections that exit 2 with the usage
     ["--help"],
     ["--version"],
@@ -115,15 +120,6 @@ _PATH_COMMANDS = [
     ["classify", "ln(x)", "--format", "xml"],
     ["apply-l", "sin(x)", "--y", "1"],
     ["uct"],
-]
-
-# commands listed, not counted, when they differ: integrals of an integrand
-# near the float range whose panels overflow although the integral does not,
-# which exit 3 in a tree without the overflow rescue of ``quad._adaptive``
-# and 0 with it
-_EXPECTED_DIFFERENCES = [
-    ["apply-l", "1e308", "--x", "1.5"],
-    ["apply-l", "1e308*sin(x)", "--x", "1000"],
 ]
 
 
@@ -274,22 +270,18 @@ def main(argv=None) -> int:
     n_readme = len(argvs)
     argvs += _desk_commands(change_root, change_src, seeds)
     n_desk = len(argvs) - n_readme
-    argvs += _PATH_COMMANDS + _EXPECTED_DIFFERENCES + [shlex.split(c) for c in args.command]
+    argvs += _PATH_COMMANDS + [shlex.split(c) for c in args.command]
 
     perfbench = change_root / "perfbench"
     parent = _run(parent_src, perfbench, argvs, seeds)
     change = _run(change_src, perfbench, argvs, seeds)
     serial = _run(change_src, perfbench, [], seeds, ["osc_quad"], threads="1")["rounds"]
-    differ = expected = 0
+    differ = 0
     for argv, (pc, po, pe), (cc, co, ce) in zip(argvs, parent["cli"], change["cli"]):
         if (pc, po, pe) == (cc, co, ce):
             continue
-        if argv in _EXPECTED_DIFFERENCES:
-            expected += 1
-            print(f"EXPECTED DIFF karamata-kit {shlex.join(argv)}")
-        else:
-            differ += 1
-            print(f"DIFF karamata-kit {shlex.join(argv)}")
+        differ += 1
+        print(f"DIFF karamata-kit {shlex.join(argv)}")
         if pc != cc:
             print(f"  exit code: parent {pc}, change {cc}")
         for lines in (_diff(po, co, "stdout"), _diff(pe, ce, "stderr")):
@@ -307,10 +299,9 @@ def main(argv=None) -> int:
             round_differ[name] += 1
             print(f"DIFF {name} seed {seed} {label}: repr differs")
     print(
-        f"{len(argvs) - differ - expected} of {len(argvs)} commands identical apart from "
+        f"{len(argvs) - differ} of {len(argvs)} commands identical apart from "
         f"timing_ms ({n_readme} README, {n_desk} desk_reports for seeds {args.seeds}, "
-        f"{len(_PATH_COMMANDS)} fixed, {len(_EXPECTED_DIFFERENCES)} expected to differ, "
-        f"{len(args.command)} extra); {differ} differ, {expected} as expected"
+        f"{len(_PATH_COMMANDS)} fixed, {len(args.command)} extra); {differ} differ"
     )
     for name in _ROUNDS:
         n_round = sum(1 for d in change["rounds"] if d[0] == name)
