@@ -75,8 +75,8 @@ class RunConfig:
 
 # Size caps.  A scan holds a (grid_count, u_count or lambda_count) residual
 # matrix and reports every cell, so these two caps bound it at 1e6 cells.
-# A CLI scan of that size peaks at about 145 MB RSS as JSON, 156 MB as CSV
-# and 155 MB as both, against about 31 MB for a default scan (Python 3.11,
+# A CLI scan of that size peaks at about 145 MB RSS as JSON or both and
+# 85 MB as CSV, against about 31 MB for a default scan (Python 3.11,
 # numpy 2.4, x86-64 Linux).  hi_check holds about ten float64 arrays of
 # ``samples`` values and reports every violating one.
 MAX_GRID_COUNT = 1_000

@@ -16,12 +16,14 @@ wave, so the results do not depend on the worker count either.
 A block is measured by one of two rules, which give the same bits.  The
 row rule, for blocks of at most ``_SMALL_BLOCK`` panels, takes numpy's row
 sum of each panel's 15 weighted values, laid out as (panels, 15).  The
-column rule, for larger blocks, reads the same values as (15, panels), one
-row per node, so that each weighted sum is a handful of whole-row
-operations, taken in exactly the order of numpy's own contiguous 15-term
-sum: the pairwise tree ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``, then
-``a8 ... a14`` one at a time, all added to the +0.0 numpy starts its sums
-from (so a total of -0.0 comes out as +0.0).
+column rule, for larger blocks, lays the block out node-major: its nodes,
+values and work buffer are C-contiguous (15, panels) arrays, one row per
+node, and the integrand sees the nodes as their (panels, 15) transpose.
+Each weighted sum is then a handful of operations on whole contiguous rows,
+taken in exactly the order of numpy's own contiguous 15-term sum: the
+pairwise tree ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``, then ``a8 ... a14``
+one at a time, all added to the +0.0 numpy starts its sums from (so a total
+of -0.0 comes out as +0.0).
 
 The column rule sums only the seven Gauss products at the odd nodes, as
 ``((p1+p3)+(p5+p7))+p9+p11+p13``.  The eight it skips are products with a
@@ -96,12 +98,10 @@ _NODES = np.concatenate([-_XGK[:7], [_XGK[7]], _XGK[6::-1]])
 _WEIGHTS_K = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
-# the column rule's weights: one per row of a (15, panels) array
+# the column rule's nodes and weights: one per row of a (15, panels) array
+_NODE_COLUMN = _NODES[:, None]
 _WEIGHTS_K_COLUMN = _WEIGHTS_K[:, None]
 _WEIGHTS_G_ODD = _WEIGHTS_G[1::2, None]
-# the nodes of 64 panels side by side (7.5 KiB), which scale a block's
-# nodes in runs of 960 values where a (panels, 15) broadcast takes 15
-_NODE_ROW = np.tile(_NODES, 64)
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,9 @@ class QuadTolerance:
         for tol in (self.abs_tol, self.rel_tol):
             if not (tol > 0) or not math.isfinite(tol):
                 raise PreconditionError("tolerances must be positive and finite")
-        if self.max_evals < 15:
-            raise PreconditionError("evaluation budget must allow one panel")
+        # every comparison with a nan budget is false: it would cap nothing
+        if not (15 <= self.max_evals < math.inf):
+            raise PreconditionError("evaluation budget must be finite and allow one panel")
 
 
 @dataclass(frozen=True)
@@ -237,8 +238,10 @@ def _rule_block(f, lo, hi):
     """Kronrod value and error of each panel of one block; ``f`` must not
     return its argument or a view of it, which the column rule overwrites.
 
-    ``f`` sees the nodes as (panels, 15), each panel's nodes side by side:
-    numpy's float64 sin runs about 15 % slower on the node-major order."""
+    ``f`` sees the nodes as (panels, 15), panel i's nodes in row i in
+    ascending order.  Under the column rule this is the transpose of a
+    node-major array; returning values in its layout, as numpy's ufuncs
+    do, lets the rule read whole rows.  Any layout gives the same bits."""
     if lo.size <= _SMALL_BLOCK:
         return _row_rule(f, lo, hi)
     return _column_rule(f, lo, hi)
@@ -264,23 +267,17 @@ def _row_rule(f, lo, hi):
 
 
 def _column_rule(f, lo, hi):
-    """The rule on the values read as (15, panels), with the weighted sums
-    in the order of the module docstring.
+    """The rule on (15, panels) arrays, one row per node, with the weighted
+    sums in the order of the module docstring.
 
-    The values stay where ``f`` wrote them and are read through a transposed
-    view; the ``points`` buffer, free once ``f`` has returned, holds the
-    weighted values of each sum in turn."""
-    n = lo.size
+    ``f`` gets the node-major nodes ``p`` transposed, and its values are read
+    transposed back; ``p``, free once ``f`` has returned, holds the weighted
+    values of each sum in turn."""
     width = hi - lo
     half = 0.5 * width
-    points = np.repeat(half, 15)
-    whole = points[: points.size - points.size % _NODE_ROW.size].reshape(-1, _NODE_ROW.size)
-    whole *= _NODE_ROW
-    rest = points[whole.size:]
-    rest *= _NODE_ROW[: rest.size]
-    points += np.repeat(0.5 * (lo + hi), 15)
-    fx = f(points.reshape(n, 15)).T
-    p = points.reshape(15, n)
+    p = np.multiply(_NODE_COLUMN, half)
+    p += 0.5 * (lo + hi)
+    fx = f(p.T).T
     resk = _node_sums(np.multiply(fx, _WEIGHTS_K_COLUMN, out=p)) * half
     # the node sum overwrote row 7 of the Kronrod products
     np.multiply(fx[7], _WEIGHTS_K[7], out=p[7])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
+import itertools
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -145,14 +145,25 @@ def render_csv(rows) -> str:
     """Rows are (x, param, residual) triples, any iterable of them, read
     once; param may be None, which is written as an empty field.  Every other
     field is the repr of a float, which never needs quoting, so each line is
-    one join of those strings."""
-    buf = io.StringIO()
-    buf.write("x,param,residual\n")
-    for x, param, residual in rows:
-        p = "" if param is None else float.__repr__(float(param))
-        buf.write(",".join((float.__repr__(float(x)), p, float.__repr__(float(residual)))))
-        buf.write("\n")
-    return buf.getvalue()
+    one format of those strings."""
+    return "".join(_csv_chunks(rows))
+
+
+# lines per piece of CSV text that ``emit`` writes: about 150 KB of scan rows
+_CSV_BATCH = 4096
+
+
+def _csv_chunks(rows):
+    """The CSV text of ``rows``, header first, in pieces of ``_CSV_BATCH``
+    lines, so that a writer never holds the whole text."""
+    r = float.__repr__
+    lines = (
+        f"{r(float(x))},{'' if param is None else r(float(param))},{r(float(residual))}\n"
+        for x, param, residual in rows
+    )
+    yield "x,param,residual\n"
+    while chunk := "".join(itertools.islice(lines, _CSV_BATCH)):
+        yield chunk
 
 
 def emit(report: dict, rows, fmt: str, out: str | None) -> None:
@@ -161,13 +172,13 @@ def emit(report: dict, rows, fmt: str, out: str | None) -> None:
     With --out, json goes to <out> (or <out>.json under both) and csv to
     <out>.csv; without it everything lands on stdout.  Each text is written
     before the next is rendered, so ``rows`` is read only when a CSV is
-    written, and once."""
+    written, and once; a CSV is rendered and written piece by piece."""
     for kind in ("json", "csv"):
         if fmt not in (kind, "both"):
             continue
-        text = render_json(report) if kind == "json" else render_csv(rows)
+        pieces = [render_json(report)] if kind == "json" else _csv_chunks(rows)
         if out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         else:
             with open(f"{out}.{kind}" if fmt == "both" else out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)

@@ -219,6 +219,21 @@ def test_eval_array_bits_do_not_depend_on_shape(text, constant):
     assert np.array(points).tobytes() == want
 
 
+@pytest.mark.parametrize("text, lo, hi", CORPUS)
+def test_eval_array_bits_do_not_depend_on_memory_order(text, lo, hi):
+    # the quadrature's column rule hands its (panels, 15) nodes over as the
+    # transpose of a node-major array; every value must keep its bits
+    xs = np.random.default_rng(13).uniform(lo, hi, (600, 15))
+    node_major = np.ascontiguousarray(xs.T).T
+    assert not node_major.flags.c_contiguous
+    e = parse(text)
+    want = eval_array(e, {"x": xs}).tobytes()
+    assert eval_array(e, {"x": node_major}).tobytes() == want
+    if occurrences(e, "x") == 1:
+        for x in (xs, node_major):
+            assert eval_array(e, {"x": x.copy(order="K")}, "x").tobytes() == want
+
+
 @pytest.mark.parametrize("text", [src for src, _, _ in CORPUS])
 def test_eval_array_never_writes_an_env_array(text):
     # the walk computes in the arrays it made, never in the caller's, even

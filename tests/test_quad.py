@@ -167,6 +167,10 @@ def test_tolerance_validation():
             QuadTolerance(abs_tol=bad)
         with pytest.raises(PreconditionError):
             QuadTolerance(rel_tol=bad)
+        # every budget comparison is false for nan: it would lift the cap
+        with pytest.raises(PreconditionError, match="finite"):
+            QuadTolerance(max_evals=bad)
+    assert QuadTolerance(max_evals=10**400).max_evals == 10**400  # an int past the floats
 
 
 def test_budget_exhaustion_reports_honestly():
@@ -354,8 +358,7 @@ def _reference_rule(f, lo, hi):
 
 def _wave_sizes():
     # 160 and 161 take the row rule inside its range, small and small + 1
-    # at its edge.  half + 1 leaves one panel past the last whole 64-panel
-    # node row; block + half + 7 ends in a partial block that takes the
+    # at its edge.  block + half + 7 ends in a partial block that takes the
     # column rule, 3 * block + 7 in one that takes the row rule
     small, block = quad_mod._SMALL_BLOCK, quad_mod._BLOCK
     half = block // 2
@@ -412,7 +415,15 @@ def _antisymmetric(points):
     return np.hstack([left, mid, -left[:, ::-1]])
 
 
-@pytest.mark.parametrize("f", [_zero_at_gauss_nodes, _antisymmetric])
+def _zero_at_gauss_nodes_c_ordered(points):
+    # the values as a C-ordered (panels, 15) array, which the column rule
+    # reads through a strided view
+    return np.ascontiguousarray(_zero_at_gauss_nodes(points))
+
+
+@pytest.mark.parametrize(
+    "f", [_zero_at_gauss_nodes, _zero_at_gauss_nodes_c_ordered, _antisymmetric]
+)
 @pytest.mark.parametrize(
     "n", [1, 161, quad_mod._SMALL_BLOCK + 1, quad_mod._BLOCK, 2 * quad_mod._BLOCK + 1]
 )
@@ -421,6 +432,45 @@ def test_gauss_sum_of_the_odd_nodes_matches_row_sums(f, n):
     # ones are +-0, which may flip the sign of a zero Gauss value only
     lo, hi = _wave(np.random.default_rng(7 * n), n)
     _assert_same_bits(quad_mod._panel_rule(f, lo, hi), _reference_rule(f, lo, hi))
+
+
+def test_column_rule_hands_f_each_panels_nodes_as_a_row():
+    n = quad_mod._SMALL_BLOCK + 100
+    lo, hi = _wave(np.random.default_rng(17), n)
+    seen = []
+
+    def f(points):
+        seen.append(points.copy())
+        return np.sin(points)
+
+    quad_mod._column_rule(f, lo, hi)
+    (points,) = seen
+    half = 0.5 * (hi - lo)
+    want = half[:, None] * quad_mod._NODES + (0.5 * (lo + hi))[:, None]
+    assert points.shape == (n, 15)
+    assert np.array_equal(points.view(np.int64), want.view(np.int64))
+    assert (np.diff(points, axis=1) > 0.0).all()
+
+
+@pytest.mark.parametrize("text", ["sin(x)", "sin(x)*ln(x)"])
+def test_column_rule_reads_the_cache_integrands_values_node_major(monkeypatch, text):
+    # the values IntegralCache's integrand returns for the column rule are
+    # the transpose of a C-contiguous (15, panels) array, so every weighted
+    # sum reads whole rows
+    column_rule = quad_mod._column_rule
+    layouts = []
+
+    def spy(f, lo, hi):
+        def recorded(points):
+            fx = f(points)
+            layouts.append(fx.T.flags.c_contiguous and fx.shape == (lo.size, 15))
+            return fx
+
+        return column_rule(recorded, lo, hi)
+
+    monkeypatch.setattr(quad_mod, "_column_rule", spy)
+    integrate_log(parse(text), 1e5, QuadTolerance(max_evals=5_000_000))
+    assert layouts and all(layouts)
 
 
 @pytest.mark.parametrize("small_block", [1, 160, quad_mod._SMALL_BLOCK, quad_mod._BLOCK])

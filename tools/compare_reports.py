@@ -18,8 +18,9 @@ compared, with ``timing_ms`` masked.  The commands are:
   integral that overflows in ``apply-l`` and ``uct asym``, two integrals of
   integrands near the float range whose panels overflow although the
   integral does not, in ``apply-l``, a power with
-  an exponent array in ``uct scan``, pooled waves of two integrands that
-  name x twice, in ``apply-l`` at one x and in a sweep, the Halton
+  an exponent array in ``uct scan``, pooled waves of three integrands that
+  name x twice, in ``apply-l`` at one x, once through powers, and in a
+  sweep, the Halton
   samples of ``uct hi`` at the 100,000 cap and of ``uct guct``, a
   300 x 257 ``uct scan`` and ``uct karamata``, each as JSON and as CSV, a
   ``uct scan`` and an ``apply-l`` sweep under ``--format both``, the
@@ -89,8 +90,9 @@ _PATH_COMMANDS = [
     ["apply-l", "1e308*sin(x)", "--x", "1000"],
     # an exponent array that holds 0.5 and 2
     ["uct", "scan", "--g", "x^u"],
-    # pooled waves of integrands that name x twice
+    # pooled waves of integrands that name x twice, one through the powers
     ["apply-l", "sin(x)*ln(x)", "--x", "1e5"],
+    ["apply-l", "sin(x)^2 + x^0.5/x", "--x", "1e5"],
     ["apply-l", "cos(3*x)*ln(x)", "--grid-start", "10", "--ratio", "3.7", "--count", "8"],
     # Halton samples at the cap, whose indices reach every low-digit table's
     # high digits, and the Halton samples of a GUCT diagnosis
