@@ -189,11 +189,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pools.clear)
 
 
-def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
+def _panel_rule(f, lo: np.ndarray, hi: np.ndarray, workers: int):
     """Kronrod value and QUADPACK-style error per panel.
 
     A wave is measured ``_BLOCK`` panels at a time, so that the arrays of a
-    block stay in cache.  The caller and up to ``thread_count() - 1`` pool
+    block stay in cache.  The caller and up to ``workers - 1`` pool
     threads, each under its own copy of the caller's context (numpy's
     ``errstate`` among it), take a larger wave's blocks in order from one
     iterator.  A failing block ends the hand-out, and once every block handed
@@ -219,7 +219,6 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
             except Exception as exc:  # raised by the caller, lowest block first
                 errors[start] = exc
 
-    workers = thread_count()
     helpers = [
         _pool(workers).submit(contextvars.copy_context().run, drain)
         for _ in range(min(workers, len(blocks)) - 1)
@@ -342,14 +341,24 @@ def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> Quad
     """Bisection-adaptive Gauss-Kronrod over [a, b], batched per wave.
 
     ``max_evals`` (at least 15) caps the evaluations of this call.  The
+    worker count is read once, before the first wave.  The
     waves run with numpy's overflow and invalid warnings off, which the
     blocks on the pool inherit through their copied contexts.  A panel
     whose value or error estimate is not finite is measured again on
     ``h * 2**-4``, 15 more evaluations while the budget has them, and
     scaled back by ``2**4``.  One still not finite is never accepted, only
-    split, so a result that the budget cut short keeps an error of inf."""
+    split, so a result that the budget cut short keeps an error of inf.
+
+    One wave is held at a time: while a wave is measured, its ``lo``,
+    ``hi``, ``resk`` and ``err`` are the only arrays of its size, so the
+    working memory is four float64 arrays per panel of the widest wave,
+    plus about 1.5 MB of block work per thread.  The tolerance test after
+    the wave adds a fifth array and a mask, 41 bytes a panel in all.
+    ``L(sin)`` peaks (tracemalloc) at 6.3 MB serially and 8.1-8.3 MB on two
+    threads at x = 1e6 (150,070 panels), and at 17.1 MB at 3e6 (416,522)."""
     if b <= a:
         return QuadResult(0.0, 0.0, 0, True)
+    workers = thread_count()
     span = b - a
     lo = np.array([a])
     hi = np.array([b])
@@ -359,31 +368,35 @@ def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> Quad
     converged = True
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            resk, err = _panel_rule(f, lo, hi)
+            resk, err = _panel_rule(f, lo, hi, workers)
             evals += 15 * lo.size
-            overflowed = ~np.isfinite(resk + err)
-            rescue = np.count_nonzero(overflowed)
-            if rescue and evals + 15 * rescue <= max_evals:
-                # |h| near the float range: measure again on h * 2**-4,
-                # whose sums are exactly 2**-4 times the unbounded ones
-                # unless a value becomes subnormal
-                resk[overflowed], err[overflowed] = _panel_rule(
-                    lambda points: f(points) * 0.0625, lo[overflowed], hi[overflowed]
-                )
-                resk[overflowed] *= 16.0
-                err[overflowed] *= 16.0
-                evals += 15 * rescue
-                overflowed = ~np.isfinite(resk + err)
-            if overflowed.any():  # past the float range even so: split
-                resk[overflowed] = 0.0
+            local_tol = resk + err  # its sum is finite only if every panel's is
+            if not math.isfinite(float(local_tol.sum())):
+                overflowed = ~np.isfinite(local_tol)
+                rescue = np.count_nonzero(overflowed)
+                if rescue and evals + 15 * rescue <= max_evals:
+                    # |h| near the float range: measure again on h * 2**-4,
+                    # whose sums are exactly 2**-4 times the unbounded ones
+                    # unless a value becomes subnormal
+                    resk[overflowed], err[overflowed] = _panel_rule(
+                        lambda points: f(points) * 0.0625, lo[overflowed], hi[overflowed], workers
+                    )
+                    resk[overflowed] *= 16.0
+                    err[overflowed] *= 16.0
+                    evals += 15 * rescue
+                    overflowed = ~np.isfinite(resk + err)
+                resk[overflowed] = 0.0  # past the float range even so: split
                 err[overflowed] = math.inf
+                del overflowed
             value_estimate = done_value + float(resk.sum())
             tol_total = max(tol.abs_tol, tol.rel_tol * abs(value_estimate))
-            local_tol = tol_total * (hi - lo) / span
-            ok = err <= local_tol
+            np.subtract(hi, lo, out=local_tol)  # then tol_total * (hi - lo) / span
+            local_tol *= tol_total
+            ok = err <= np.divide(local_tol, span, out=local_tol)
+            del local_tol
             done_value += float(resk[ok].sum())
             done_error += float(err[ok].sum())
-            keep = ~ok
+            keep = np.logical_not(ok, out=ok)
             lo, hi = lo[keep], hi[keep]
             if not lo.size:
                 break
@@ -395,6 +408,7 @@ def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> Quad
                 done_error += float(err[keep].sum())
                 converged = False
                 break
+            del resk, err, ok, keep
             lo, hi = _bisect(lo, hi)
     return QuadResult(done_value, done_error, evals, converged)
 

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from karamata_kit import quad as quad_mod
 from karamata_kit.config import ConfigError
 from karamata_kit.exprlang import Bin, Const, DomainError
 
+import quad_oracle
 from expr_corpus import CORPUS
 
 SI_1 = 0.9460830703671831
@@ -316,6 +318,11 @@ def _wave(rng, n, lo=0.0, hi=12.0):
     return edges[0::2], edges[1::2]
 
 
+def _measure(f, lo, hi):
+    # the blocked rule on the worker count KARAMATA_KIT_THREADS gives
+    return quad_mod._panel_rule(f, lo, hi, quad_mod.thread_count())
+
+
 def test_panel_rule_does_not_depend_on_block_size(monkeypatch):
     rng = np.random.default_rng(2024)
     n = 3 * quad_mod._BLOCK + 7
@@ -325,9 +332,9 @@ def test_panel_rule_does_not_depend_on_block_size(monkeypatch):
     def f(points):
         return eval_array(h, {"x": np.exp(points)})
 
-    resk, err = quad_mod._panel_rule(f, lo, hi)
+    resk, err = _measure(f, lo, hi)
     monkeypatch.setattr(quad_mod, "_BLOCK", n + 1)
-    ref_resk, ref_err = quad_mod._panel_rule(f, lo, hi)
+    ref_resk, ref_err = _measure(f, lo, hi)
     assert np.array_equal(resk, ref_resk)
     assert np.array_equal(err, ref_err)
 
@@ -382,7 +389,7 @@ def test_panel_rule_matches_row_sums_bit_for_bit(n):
     for k, (text, lo, hi) in enumerate(CORPUS):
         f = _log_integrand(text)
         a, b = _wave(np.random.default_rng(1000 * n + k), n, math.log(lo), math.log(hi))
-        _assert_same_bits(quad_mod._panel_rule(f, a, b), _reference_rule(f, a, b))
+        _assert_same_bits(_measure(f, a, b), _reference_rule(f, a, b))
 
 
 @pytest.mark.parametrize("n", _wave_sizes())
@@ -392,7 +399,7 @@ def test_negative_zero_integrand_sums_to_positive_zero(n):
         return np.full_like(points, -0.0)
 
     lo, hi = _wave(np.random.default_rng(n), n)
-    resk, err = quad_mod._panel_rule(f, lo, hi)
+    resk, err = _measure(f, lo, hi)
     _assert_same_bits((resk, err), _reference_rule(f, lo, hi))
     assert not np.signbit(resk).any()
 
@@ -431,7 +438,7 @@ def test_gauss_sum_of_the_odd_nodes_matches_row_sums(f, n):
     # the column rule adds only the seven nonzero Gauss products; the skipped
     # ones are +-0, which may flip the sign of a zero Gauss value only
     lo, hi = _wave(np.random.default_rng(7 * n), n)
-    _assert_same_bits(quad_mod._panel_rule(f, lo, hi), _reference_rule(f, lo, hi))
+    _assert_same_bits(_measure(f, lo, hi), _reference_rule(f, lo, hi))
 
 
 def test_column_rule_hands_f_each_panels_nodes_as_a_row():
@@ -480,7 +487,7 @@ def test_both_node_sum_branches_agree(monkeypatch, small_block):
     f = _log_integrand("sin(x) * ln(x) + 1/(1+x)")
     for n in (2, 3, 15, 160, 161, 256, 257, 2048, 2049):
         lo, hi = _wave(np.random.default_rng(n), n)
-        _assert_same_bits(quad_mod._panel_rule(f, lo, hi), _reference_rule(f, lo, hi))
+        _assert_same_bits(_measure(f, lo, hi), _reference_rule(f, lo, hi))
 
 
 @pytest.mark.parametrize("text", ["sin(x)", "cos(3*x) * ln(x)"])
@@ -654,7 +661,7 @@ def test_pooled_wave_raises_the_first_failing_blocks_error(three_cores):
     for workers in ("1", "2", "3"):
         three_cores.setenv("KARAMATA_KIT_THREADS", workers)
         with pytest.raises(DomainError, match="^block 1$"):
-            quad_mod._panel_rule(f, lo, hi)
+            _measure(f, lo, hi)
 
 
 def test_pooled_wave_keeps_the_callers_errstate(three_cores):
@@ -670,10 +677,10 @@ def test_pooled_wave_keeps_the_callers_errstate(three_cores):
     plain, strict = {}, {}
     for workers in ("1", "2", "3"):
         three_cores.setenv("KARAMATA_KIT_THREADS", workers)
-        plain[workers] = [a.tobytes() for a in quad_mod._panel_rule(f, lo, hi)]
+        plain[workers] = [a.tobytes() for a in _measure(f, lo, hi)]
         with np.errstate(all="raise"):
             with pytest.raises(FloatingPointError, match="underflow"):
-                quad_mod._panel_rule(f, lo, hi)
+                _measure(f, lo, hi)
             strict[workers] = _hexes([integrate_log(h, 1e5, tol)])
     assert plain["1"] == plain["2"] == plain["3"]
     assert strict["1"] == strict["2"] == strict["3"]
@@ -693,7 +700,7 @@ def test_pooled_waves_from_many_callers_lose_no_block(monkeypatch):
     def caller(first):
         try:
             for k in range(first, len(waves), 4):
-                results[k] = quad_mod._panel_rule(f, *waves[k])
+                results[k] = _measure(f, *waves[k])
         except Exception as exc:
             errors.append(exc)
 
@@ -758,10 +765,10 @@ def test_single_block_waves_never_touch_the_pool(three_cores):
     three_cores.setenv("KARAMATA_KIT_THREADS", "3")
     f = _log_integrand("1/(1+ln(x))")
     lo, hi = _wave(np.random.default_rng(5), quad_mod._BLOCK)
-    quad_mod._panel_rule(f, lo, hi)
+    _measure(f, lo, hi)
     assert integrate_log(parse("1/(1+ln(x))"), 1e8).converged
     with pytest.raises(AssertionError, match="pool"):
-        quad_mod._panel_rule(f, *_wave(np.random.default_rng(5), quad_mod._BLOCK + 1))
+        _measure(f, *_wave(np.random.default_rng(5), quad_mod._BLOCK + 1))
 
 
 def test_import_does_not_load_the_pool_module():
@@ -772,3 +779,102 @@ def test_import_does_not_load_the_pool_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the wave loop: its frozen oracle, its memory, its worker count
+
+def _oracle_outcome(text, x, tol, workers):
+    try:
+        got = quad_oracle.adaptive(
+            _log_integrand(text), 0.0, math.log(x), tol, tol.max_evals, workers
+        )
+    except Exception as exc:
+        return repr(exc)
+    return _hexes([got])
+
+
+def _integral_outcome(text, x, tol):
+    try:
+        return _hexes([integrate_log(parse(text), x, tol)])
+    except Exception as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_wave_loop_matches_its_frozen_oracle(three_cores, workers):
+    three_cores.setenv("KARAMATA_KIT_THREADS", str(workers))
+    for text, _, hi in CORPUS:
+        for x in (hi, 10.0 * hi):
+            want = _oracle_outcome(text, x, QuadTolerance(), workers)
+            assert _integral_outcome(text, x, QuadTolerance()) == want, (text, x)
+    # the budget runs out inside waves of several blocks
+    tol = QuadTolerance(max_evals=2_000_000)
+    want = _oracle_outcome("sin(x)", 1e6, tol, workers)
+    assert want[0][2:] == (1_265_475, False)
+    assert _integral_outcome("sin(x)", 1e6, tol) == want
+
+
+@pytest.mark.parametrize(
+    "text, x, max_evals",
+    [("8e307*sin(x)", 1000.0, 1_000_000), ("1e308", 1.5, 1_000_000), ("1e308", 1.5, 29),
+     ("1.7e308", 10.0, 3000), ("x*1e300", 4.000000000000001, 1_000_000)],
+)
+def test_wave_loop_rescues_overflowing_panels_as_its_frozen_oracle(text, x, max_evals):
+    # integrals near the float range, whose panels are measured again on
+    # h * 2**-4 or split; an integral that overflows is compared before
+    # IntegralCache rejects it
+    tol = QuadTolerance(max_evals=max_evals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        got = quad_mod._adaptive(_log_integrand(text), 0.0, math.log(x), tol, max_evals)
+        want = _oracle_outcome(text, x, tol, quad_mod.thread_count())
+    assert _hexes([got]) == want
+
+
+def test_wave_loop_holds_one_wave_at_a_time(monkeypatch):
+    # while a wave is measured only its lo, hi, resk and err are alive, 32
+    # bytes a panel, next to one block's work; the tolerance test after it
+    # adds a fifth array and a mask
+    monkeypatch.setenv("KARAMATA_KIT_THREADS", "1")
+    h = parse("sin(x)")
+    tol = QuadTolerance(max_evals=50_000_000)
+    panel_rule = quad_mod._panel_rule
+    waves = []
+
+    def spy(f, lo, hi, workers):
+        waves.append(lo.size)
+        return panel_rule(f, lo, hi, workers)
+
+    monkeypatch.setattr(quad_mod, "_panel_rule", spy)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = integrate_log(h, 1e6, tol)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert got.evaluations == 9_054_825
+    assert max(waves) == 150_070
+    assert peak <= 40 * max(waves) + 2 * 2**20
+
+
+def test_a_malformed_thread_count_fails_before_the_first_wave(monkeypatch):
+    # read once per integral, before any block: an integral of one-block
+    # waves fails as one of pooled waves does, and neither measures a block
+    rule_block = quad_mod._rule_block
+    blocks = []
+
+    def spy(f, lo, hi):
+        blocks.append(lo.size)
+        return rule_block(f, lo, hi)
+
+    monkeypatch.setattr(quad_mod, "_rule_block", spy)
+    monkeypatch.setenv("KARAMATA_KIT_THREADS", "abc")
+    for x in (1e3, 1e6):
+        with pytest.raises(ConfigError, match="KARAMATA_KIT_THREADS must be an integer"):
+            integrate_log(parse("sin(x)"), x)
+    assert blocks == []

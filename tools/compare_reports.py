@@ -10,8 +10,8 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the fixed commands of ``_PATH_COMMANDS``, which reach paths that neither
-  of the above takes: the ratio-class checks of ``classify --claim``, the
+- the 48 fixed commands of ``_PATH_COMMANDS``, which reach paths that
+  neither of the above takes: the ratio-class checks of ``classify --claim``, the
   continuity value ``L(h)(1) = h(1)`` of ``apply-l``, ``uct hi``, ``uct
   cond310`` on both ladders, a bare ``classify --integer-mode``, a spent
   budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``, an
@@ -20,7 +20,8 @@ compared, with ``timing_ms`` masked.  The commands are:
   integral does not, in ``apply-l``, a power with
   an exponent array in ``uct scan``, pooled waves of three integrands that
   name x twice, in ``apply-l`` at one x, once through powers, and in a
-  sweep, the Halton
+  sweep, waves of more than 400,000 panels and a budget that runs out
+  inside pooled waves, in ``apply-l``, the Halton
   samples of ``uct hi`` at the 100,000 cap and of ``uct guct``, a
   300 x 257 ``uct scan`` and ``uct karamata``, each as JSON and as CSV, a
   ``uct scan`` and an ``apply-l`` sweep under ``--format both``, the
@@ -94,6 +95,10 @@ _PATH_COMMANDS = [
     ["apply-l", "sin(x)*ln(x)", "--x", "1e5"],
     ["apply-l", "sin(x)^2 + x^0.5/x", "--x", "1e5"],
     ["apply-l", "cos(3*x)*ln(x)", "--grid-start", "10", "--ratio", "3.7", "--count", "8"],
+    # waves of more than 400,000 panels, and a budget spent inside pooled
+    # waves (exit 4)
+    ["apply-l", "cos(x)", "--x", "3e6"],
+    ["apply-l", "sin(x)", "--x", "1e6", "--max-evals", "2000000"],
     # Halton samples at the cap, whose indices reach every low-digit table's
     # high digits, and the Halton samples of a GUCT diagnosis
     ["uct", "hi", "--h", "abs(ln(x+u) - ln(x))", "--samples", "100000"],
