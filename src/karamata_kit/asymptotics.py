@@ -382,6 +382,25 @@ def _log_ratios(base: np.ndarray, shifted: np.ndarray, lams=None) -> np.ndarray:
     return out
 
 
+def _lambda_list(lambdas) -> list[float]:
+    """The lambdas as floats; each must be finite, positive and != 1."""
+    lams = [float(l) for l in lambdas]
+    if not lams:
+        raise PreconditionError("need at least one lambda")
+    for lam in lams:
+        if not math.isfinite(lam):
+            raise PreconditionError(f"lambda must be finite, got {lam!r}")
+        if lam <= 0 or lam == 1.0:
+            raise PreconditionError(f"lambda must be positive and != 1, got {lam!r}")
+    return lams
+
+
+def _first_reject(verdicts) -> int | None:
+    """The index of the first lambda track whose verdict oscillates or
+    diverges, which rejects every ratio class; None if there is none."""
+    return next((i for i, v in enumerate(verdicts) if v.kind in ("oscillates", "diverges")), None)
+
+
 def _check_product(lam: float, x: float, what: str) -> None:
     """Reject a scan whose largest shifted argument ``lam * x`` overflows.
 
@@ -404,45 +423,28 @@ def rv_index(
     ``rho_hat`` averages the estimate at the largest x over the lambda set;
     ``spread`` is the largest pairwise disagreement there.
     """
-    lams = [float(l) for l in lambdas]
-    if not lams:
-        raise PreconditionError("need at least one lambda")
-    for lam in lams:
-        if lam <= 0 or lam == 1.0:
-            raise PreconditionError(f"lambda must be positive and != 1, got {lam!r}")
+    lams = _lambda_list(lambdas)
     xs = np.asarray(grid.points())
     _check_product(max(lams), float(xs[-1]), "lam * x")
     ests = _log_ratios(*_grid_values(F, lams, xs, var), lams)
     short = LimitVerdict(kind="inconclusive", detail="grid too short to classify")
     verdicts = classify_rows(ests, classify_tol) if xs.size >= MIN_SAMPLES else [short] * len(ests)
     grid_xs = tuple(xs.tolist())
-    tracks = [
+    tracks = tuple(
         IndexTrack(lam=lam, xs=grid_xs, estimates=tuple(est.tolist()), verdict=verdict)
         for lam, est, verdict in zip(lams, ests, verdicts)
-    ]
+    )
     finals = [float(est[-1]) for est in ests]
     rho_hat = float(np.mean(finals))
     spread = float(np.max(finals) - np.min(finals)) if len(finals) > 1 else 0.0
 
-    witness = None
-    verdict = "regularly_varying"
-    for track in tracks:
-        if track.verdict.kind in ("oscillates", "diverges"):
-            verdict = "not_regularly_varying"
-            witness = track.lam
-            break
+    reject = _first_reject(verdicts)
+    witness = None if reject is None else lams[reject]
+    if reject is not None or spread > spread_tol:
+        verdict = "not_regularly_varying"
     else:
-        if spread > spread_tol:
-            verdict = "not_regularly_varying"
-        elif any(t.verdict.kind != "converges" for t in tracks):
-            verdict = "inconclusive"
-    return IndexEstimate(
-        rho_hat=rho_hat,
-        spread=spread,
-        verdict=verdict,
-        witness_lambda=witness,
-        tracks=tuple(tracks),
-    )
+        verdict = "regularly_varying" if all(v.converges for v in verdicts) else "inconclusive"
+    return IndexEstimate(rho_hat, spread, verdict, witness, tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -485,92 +487,64 @@ def sv_test(
     Runs the supplied grid and always adds an integer-step pass (integers
     interact with lambda = pi in the classic counterexample, which a
     geometric grid can miss), unless the supplied grid already is one.
+
+    The verdict is the first that applies: ``not_slowly_varying`` for the
+    first track, on any pass in pass order, whose ratio oscillates or
+    diverges; ``not_slowly_varying`` for the first track of the supplied
+    grid whose ratio settles at a value off 1 by more than ``value_tol``,
+    the only witness that carries an ``implied_index``; ``slowly_varying``
+    if every track of the supplied grid converges; else ``inconclusive``.
+    The auto-added integer pass spans a narrow multiplicative window, so its
+    ratios sit near their current value rather than the limit; it only
+    contributes oscillation and divergence evidence.
     """
     lams = [float(l) for l in lambdas]
-    if math.pi not in lams:
-        lams.append(math.pi)
+    lams = _lambda_list(lams if math.pi in lams else [*lams, math.pi])
     grids = [grid] if grid.integer_mode else [grid, DEFAULT_INTEGER_GRID]
 
     passes = []
-    witness: float | None = None
-    implied: float | None = None
-    reason = ""
-    saw_reject_oscillation = False
-    saw_reject_index = False
-    all_converge_to_one = True
     for g in grids:
-        # the auto-added integer pass spans a narrow multiplicative window,
-        # so its ratios sit near their current value rather than the limit;
-        # it only contributes oscillation/divergence evidence
-        aux_pass = g is not grid
         xs = np.asarray(g.points())
-        _check_product(max(lams, key=abs), float(xs[-1]), "lam * x")
+        _check_product(max(lams), float(xs[-1]), "lam * x")
         log_ratios = _log_ratios(*_grid_values(F, lams, xs, var))
         with np.errstate(over="ignore"):
             ratios = np.exp(log_ratios)
         # a ratio of finite values past the float range has no verdict
-        for lam, ratio in zip(lams, ratios):
-            bad = np.flatnonzero(np.isinf(ratio) | (ratio == 0.0))
-            if bad.size:
-                how = "overflows" if np.isinf(ratio[bad[0]]) else "underflows to 0"
-                raise PreconditionError(
-                    f"F(lam x)/F(x) {how} at lam = {lam!r}, x = {float(xs[bad[0]])!r}"
-                )
+        bad = np.isinf(ratios) | (ratios == 0.0)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            how = "overflows" if np.isinf(ratios[i, j]) else "underflows to 0"
+            raise PreconditionError(
+                f"F(lam x)/F(x) {how} at lam = {lams[i]!r}, x = {float(xs[j])!r}"
+            )
         verdicts = classify_rows(ratios, classify_tol)
         grid_xs = tuple(xs.tolist())
-        tracks = []
-        for lam, ratio, log_ratio, verdict in zip(lams, ratios, log_ratios, verdicts):
-            tracks.append(
-                RatioTrack(
-                    lam=lam,
-                    xs=grid_xs,
-                    ratios=tuple(ratio.tolist()),
-                    log_ratios=tuple(log_ratio.tolist()),
-                    verdict=verdict,
-                )
-            )
-            if verdict.kind in ("oscillates", "diverges"):
-                all_converge_to_one = False
-                if not saw_reject_oscillation:
-                    saw_reject_oscillation = True
-                    witness = lam
-                    reason = (
-                        f"ratio F({lam:g} x)/F(x) {verdict.kind} along the"
-                        f" {'integer' if g.integer_mode else 'geometric'} grid"
-                    )
-            elif aux_pass:
-                pass
-            elif verdict.kind == "converges":
-                assert verdict.value is not None
-                if abs(verdict.value - 1.0) > value_tol:
-                    all_converge_to_one = False
-                    if not (saw_reject_oscillation or saw_reject_index):
-                        saw_reject_index = True
-                        witness = lam
-                        implied = math.log(verdict.value) / math.log(lam)
-                        reason = (
-                            f"ratio stabilizes at {verdict.value:.6g} != 1;"
-                            f" implied index {implied:.4g}"
-                        )
-            else:
-                all_converge_to_one = False
-        passes.append(SvPass(integer_mode=g.integer_mode, tracks=tuple(tracks)))
+        tracks = tuple(
+            RatioTrack(lam, grid_xs, tuple(ratio.tolist()), tuple(log_ratio.tolist()), verdict)
+            for lam, ratio, log_ratio, verdict in zip(lams, ratios, log_ratios, verdicts)
+        )
+        passes.append(SvPass(integer_mode=g.integer_mode, tracks=tracks))
+    passes = tuple(passes)
 
-    if saw_reject_oscillation or saw_reject_index:
-        verdict_name = "not_slowly_varying"
-    elif all_converge_to_one:
-        verdict_name = "slowly_varying"
+    for sv_pass in passes:
+        reject = _first_reject(t.verdict for t in sv_pass.tracks)
+        if reject is not None:
+            t = sv_pass.tracks[reject]
+            along = "integer" if sv_pass.integer_mode else "geometric"
+            reason = f"ratio F({t.lam:g} x)/F(x) {t.verdict.kind} along the {along} grid"
+            return SvReport("not_slowly_varying", reason, t.lam, None, passes)
+    supplied = passes[0].tracks
+    for t in supplied:
+        value = t.verdict.value
+        if t.verdict.converges and abs(value - 1.0) > value_tol:
+            implied = math.log(value) / math.log(t.lam)
+            reason = f"ratio stabilizes at {value:.6g} != 1; implied index {implied:.4g}"
+            return SvReport("not_slowly_varying", reason, t.lam, implied, passes)
+    if all(t.verdict.converges for t in supplied):
         reason = "every ratio sequence stabilizes at 1 within tolerance"
-    else:
-        verdict_name = "inconclusive"
-        reason = "some ratio sequences were inconclusive at this tolerance"
-    return SvReport(
-        verdict=verdict_name,
-        reason=reason,
-        witness_lambda=witness,
-        implied_index=implied,
-        passes=tuple(passes),
-    )
+        return SvReport("slowly_varying", reason, None, None, passes)
+    reason = "some ratio sequences were inconclusive at this tolerance"
+    return SvReport("inconclusive", reason, None, None, passes)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +592,13 @@ class ClaimedClass:
             raise PreconditionError(f"unknown class {self.kind!r}")
         if self.kind == "r_alpha" and self.alpha is None:
             raise PreconditionError("r_alpha needs alpha")
+        if self.kind == "r_alpha" and not math.isfinite(self.alpha):
+            raise PreconditionError(f"r_alpha needs a finite alpha, got {self.alpha!r}")
         if self.kind == "bounded":
             if self.bounds is None or not self.bounds[0] <= self.bounds[1]:
                 raise PreconditionError("bounded needs lo <= hi")
+            if not all(math.isfinite(b) for b in self.bounds):
+                raise PreconditionError(f"bounded needs finite bounds, got {self.bounds!r}")
 
     def describe(self) -> str:
         if self.kind == "r_alpha":
@@ -663,24 +641,17 @@ def _ratio_membership(base, shifted, claimed: ClaimedClass, classify_tol: float,
     if np.any(shifted <= 0) or np.any(base <= 0):
         return False, {"error": "values not positive, ratio test undefined"}
     ests = _log_ratios(base, shifted, lams)
-    finals = []
-    detail: dict = {"lambdas": lams, "tracks": {}}
-    ok = True
-    for lam, est, verdict in zip(lams, ests, classify_rows(ests, classify_tol)):
-        detail["tracks"][f"{lam:g}"] = {
-            "estimates": est.tolist(),
-            "verdict": verdict,
-        }
-        finals.append(float(est[-1]))
-        if verdict.kind in ("oscillates", "diverges"):
-            ok = False
+    verdicts = classify_rows(ests, classify_tol)
+    tracks = {
+        f"{lam:g}": {"estimates": est.tolist(), "verdict": verdict}
+        for lam, est, verdict in zip(lams, ests, verdicts)
+    }
     target = 0.0 if claimed.kind == "r0" else float(claimed.alpha)
-    measured = float(np.mean(finals))
-    detail["measured_index"] = measured
-    detail["target_index"] = target
+    measured = float(np.mean([float(est[-1]) for est in ests]))
+    detail = {"lambdas": lams, "tracks": tracks, "measured_index": measured, "target_index": target}
     # desk-scale bias of the log-ratio estimator is ~1/ln(max x); 0.1 leaves
     # room for one ln-factor of slow variation on top of the pure index
-    ok = ok and abs(measured - target) <= 0.1
+    ok = _first_reject(verdicts) is None and abs(measured - target) <= 0.1
     return ok, detail
 
 
@@ -709,7 +680,8 @@ def class_preservation_check(
         l_values = np.array([v.value for v in values])
         con_ok, con_detail = _membership(l_values, claimed, classify_tol)
     else:
-        lam_set = sorted({float(l) for l in lambdas})
+        lam_set = sorted(set(_lambda_list(lambdas)))
+        _check_product(lam_set[-1], float(xs[-1]), "lam * x")
         h_base, h_shifted = _grid_values(h, lam_set, xs, var, positive=False)
         hyp_ok, hyp_detail = _ratio_membership(h_base, h_shifted, claimed, classify_tol, lam_set)
         # one cache sweep over the ascending union of the grid and the block

@@ -669,6 +669,8 @@ def integral_asym_residual(
     the residual is exactly ``(ln lam)^2 c / (ln lam + ln x)``."""
     if lam <= 1.0:
         raise PreconditionError(f"lam must exceed 1, got {lam!r}")
+    if not math.isfinite(bound):
+        raise PreconditionError(f"bound must be finite, got {bound!r}")
     if bound <= 0:
         raise PreconditionError("bound must be positive")
     xs = np.asarray(x_grid.points())

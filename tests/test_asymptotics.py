@@ -337,6 +337,46 @@ def test_rv_rejects_bad_lambdas():
         rv_index(parse("x"), lambdas=())
 
 
+@pytest.mark.parametrize(
+    "lambdas, message",
+    [
+        ((), "need at least one lambda"),
+        ((1.0,), "lambda must be positive and != 1, got 1.0"),
+        ((0.0,), "lambda must be positive and != 1, got 0.0"),
+        ((-2.0,), "lambda must be positive and != 1, got -2.0"),
+        ((2.0, math.nan), "lambda must be finite, got nan"),
+        ((math.inf,), "lambda must be finite, got inf"),
+    ],
+)
+def test_ratio_tests_share_one_lambda_check(lambdas, message):
+    # every ratio classifier raises the same error before evaluating
+    # anything: no math domain error, no leaked numpy warning, no nan index
+    runs = [
+        lambda: rv_index(parse("x^2"), lambdas=lambdas),
+        lambda: class_preservation_check(parse("x+1"), ClaimedClass("r0"), lambdas=lambdas),
+    ]
+    if lambdas:  # sv_test adds pi, so only an empty set passes there
+        runs.append(lambda: sv_test(parse("x^2"), lambdas=lambdas))
+    for run in runs:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            run()
+
+
+def test_ratio_tests_reject_an_overflowing_lambda_block():
+    # the class check once leaked an overflow warning, then a DomainError
+    grid = GeometricGrid(1e290, 10.0, 8)
+    runs = [
+        lambda: rv_index(parse("ln(x)"), lambdas=(1e20,), grid=grid),
+        lambda: sv_test(parse("ln(x)"), lambdas=(1e20,), grid=grid),
+        lambda: class_preservation_check(
+            parse("ln(x)"), ClaimedClass("r0"), grid=grid, lambdas=(1e20,)
+        ),
+    ]
+    for run in runs:
+        with pytest.raises(PreconditionError, match=r"^lam \* x overflows: 1e\+20 \* "):
+            run()
+
+
 def test_rv_requires_positive_function():
     with pytest.raises(PreconditionError) as exc:
         rv_index(parse("10 - x"))
@@ -457,6 +497,19 @@ def test_counterexample_integer_grid_log_ratios_track_minus_sin():
         assert lr == pytest.approx(-math.sin(n), abs=1e-6)
 
 
+@pytest.mark.parametrize("lambdas", [(2.0, 10.0), (10.0, 2.0)])
+def test_sv_implied_index_does_not_depend_on_lambda_order(lambdas):
+    # the ratio at lambda = 2 settles at 2^0.5, while the one at 10
+    # oscillates; an oscillating track outranks a settled one, so the
+    # witness is 10 in either order and carries no implied index
+    F = parse("x^0.5*exp(sin(6.283185307179586*ln(x)/ln(2)))")
+    rep = sv_test(F, lambdas=lambdas)
+    assert rep.verdict == "not_slowly_varying"
+    assert rep.witness_lambda == 10.0
+    assert rep.reason == "ratio F(10 x)/F(x) oscillates along the geometric grid"
+    assert rep.implied_index is None
+
+
 def test_sv_always_includes_an_integer_pass():
     rep = sv_test(parse("ln(x)"))
     modes = [p.integer_mode for p in rep.passes]
@@ -567,3 +620,10 @@ def test_claimed_class_validation():
         ClaimedClass("r_alpha")
     with pytest.raises(PreconditionError):
         ClaimedClass("bounded", bounds=(2.0, 1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="^r_alpha needs a finite alpha"):
+            ClaimedClass("r_alpha", alpha=bad)
+    with pytest.raises(PreconditionError, match="^bounded needs finite bounds"):
+        ClaimedClass("bounded", bounds=(0.0, math.inf))
+    with pytest.raises(PreconditionError, match="^bounded needs finite bounds"):
+        ClaimedClass("bounded", bounds=(-math.inf, 0.0))

@@ -610,6 +610,17 @@ def test_classify_claim_flag_adds_class_check(capsys):
     assert report["verdicts"]["preservation"] == "holds"
 
 
+@pytest.mark.parametrize(
+    "claim", ["r_alpha:nan", "r_alpha:inf", "r_alpha:1e400", "bounded:0,inf"]
+)
+def test_non_finite_claim_exits_2(capsys, claim):
+    code, out, err = run_cli(capsys, ["classify", "x", "--claim", claim])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: bad --claim {claim!r}: ")
+
+
 def test_invert_l_prints_symbolic_inverse(capsys):
     report = run_json(capsys, ["invert-l", "ln(x)"])
     assert report["results"]["inverse"] == "2.0 * ln(x)"

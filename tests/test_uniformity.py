@@ -685,3 +685,12 @@ def test_asym_validation():
         integral_asym_residual(parse("1"), 1.0, grid, bound=1.0)
     with pytest.raises(PreconditionError):
         integral_asym_residual(parse("1"), 2.0, grid, bound=0.0)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf])
+def test_asym_rejects_a_non_finite_bound(bound):
+    # "0 < h <= nan" once passed as a bound that holds
+    with pytest.raises(PreconditionError, match="^bound must be finite, got"):
+        integral_asym_residual(parse("1"), 2.0, GeometricGrid(10.0, 10.0, 8), bound)
+    with pytest.raises(PreconditionError, match="^bound must be positive$"):
+        integral_asym_residual(parse("1"), 2.0, GeometricGrid(10.0, 10.0, 8), 0.0)

@@ -10,8 +10,9 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the 48 fixed commands of ``_PATH_COMMANDS``, which reach paths that
-  neither of the above takes: the ratio-class checks of ``classify --claim``, the
+- the 53 fixed commands of ``_PATH_COMMANDS``, which reach paths that
+  neither of the above takes: the ratio-class checks of ``classify --claim``,
+  the ``sv_test`` and ``rv_index`` verdicts of five ``classify`` runs, the
   continuity value ``L(h)(1) = h(1)`` of ``apply-l``, ``uct hi``, ``uct
   cond310`` on both ladders, a bare ``classify --integer-mode``, a spent
   budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``, an
@@ -76,6 +77,17 @@ _PATH_COMMANDS = [
     ["uct", "cond310", "--xi", "1/ln(x)"],
     ["uct", "cond310", "--xi", "1/ln(x)", "--integer-mode"],
     ["classify", "ln(x)", "--integer-mode"],
+    # the sv_test and rv_index verdicts the README commands do not reach: an
+    # oscillating witness next to a settled ratio, with a spread that
+    # rejects the index and the ratio claim; a ratio claim on an oscillating
+    # track; a ratio that settles off 1; both verdicts inconclusive; slowly
+    # varying with an inconclusive index
+    ["classify", "x^0.5*exp(sin(6.283185307179586*ln(x)/ln(2)))", "--lambdas", "10,2",
+     "--claim", "r_alpha:0.5"],
+    ["classify", "exp(sin(ln(x)))", "--claim", "r0"],
+    ["classify", "exp(ln(x)^0.9)"],
+    ["classify", "ln(x)^(1+sin(ln(ln(x))))"],
+    ["classify", "2+sin(ln(ln(x)))"],
     # spent budgets: exit 4 with the report written
     ["apply-l", "sin(x)", "--grid-start", "10", "--ratio", "10", "--count", "8",
      "--max-evals", "3000"],
