@@ -365,8 +365,10 @@ def _values(F: Expr, xs: np.ndarray, var: str, positive: bool = True) -> np.ndar
 
 def _grid_values(F: Expr, lams, xs: np.ndarray, var: str, positive: bool = True):
     """F on the grid and on the (lambda, x) block ``lam * x``, one
-    ``eval_array`` call each.  The block is evaluated flat, so that a
-    non-positive value names its x."""
+    ``eval_array`` call each; with no lambdas the block is empty.  The
+    block is evaluated flat, so that a non-positive value names its x."""
+    if lams:
+        _check_product(max(lams), float(xs[-1]), "lam * x")
     block = np.multiply.outer(lams, xs)
     base = _values(F, xs, var, positive)
     return base, _values(F, block.ravel(), var, positive).reshape(block.shape)
@@ -416,7 +418,6 @@ def rv_index(
     grid: GeometricGrid = DEFAULT_GRID,
     var: str = "x",
     classify_tol: float = RATIO_CLASSIFY_TOL,
-    spread_tol: float = SPREAD_TOL,
 ) -> IndexEstimate:
     """Estimate the variation index from ``ln(F(lam x)/F(x)) / ln(lam)``.
 
@@ -425,7 +426,6 @@ def rv_index(
     """
     lams = _lambda_list(lambdas)
     xs = np.asarray(grid.points())
-    _check_product(max(lams), float(xs[-1]), "lam * x")
     ests = _log_ratios(*_grid_values(F, lams, xs, var), lams)
     short = LimitVerdict(kind="inconclusive", detail="grid too short to classify")
     verdicts = classify_rows(ests, classify_tol) if xs.size >= MIN_SAMPLES else [short] * len(ests)
@@ -440,7 +440,7 @@ def rv_index(
 
     reject = _first_reject(verdicts)
     witness = None if reject is None else lams[reject]
-    if reject is not None or spread > spread_tol:
+    if reject is not None or spread > SPREAD_TOL:
         verdict = "not_regularly_varying"
     else:
         verdict = "regularly_varying" if all(v.converges for v in verdicts) else "inconclusive"
@@ -505,7 +505,6 @@ def sv_test(
     passes = []
     for g in grids:
         xs = np.asarray(g.points())
-        _check_product(max(lams), float(xs[-1]), "lam * x")
         log_ratios = _log_ratios(*_grid_values(F, lams, xs, var))
         with np.errstate(over="ignore"):
             ratios = np.exp(log_ratios)
@@ -620,24 +619,19 @@ class ClassCheckReport:
     notes: str = ""
 
 
-def _membership(values: np.ndarray, claimed: ClaimedClass, classify_tol: float):
-    """Class membership test for a plain value sequence (z0 / bounded)."""
+def _membership(base, shifted, claimed: ClaimedClass, classify_tol: float, value_tol: float, lams):
+    """Class membership of the values on the grid (``base``); r0 and
+    r_alpha also read the values on the (lambda, x) block (``shifted``)."""
     if claimed.kind == "z0":
-        verdict = classify_limit(values, classify_tol)
-        ok = verdict.converges and abs(verdict.value) <= VALUE_TOL
-        return ok, {"verdict": verdict, "final": float(values[-1])}
+        verdict = classify_limit(base, classify_tol)
+        ok = verdict.converges and abs(verdict.value) <= value_tol
+        return ok, {"verdict": verdict, "final": float(base[-1])}
     if claimed.kind == "bounded":
         lo, hi = claimed.bounds
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        vmin, vmax = float(np.min(values)), float(np.max(values))
+        vmin, vmax = float(np.min(base)), float(np.max(base))
         ok = vmin >= lo - slack and vmax <= hi + slack
         return ok, {"min": vmin, "max": vmax, "lo": lo, "hi": hi}
-    raise AssertionError("only z0/bounded take plain value sequences")
-
-
-def _ratio_membership(base, shifted, claimed: ClaimedClass, classify_tol: float, lams):
-    """Class membership for r0 / r_alpha given the values on the grid
-    (``base``) and on the (lambda, x) block (``shifted``)."""
     if np.any(shifted <= 0) or np.any(base <= 0):
         return False, {"error": "values not positive, ratio test undefined"}
     ests = _log_ratios(base, shifted, lams)
@@ -663,8 +657,12 @@ def class_preservation_check(
     tol: QuadTolerance = QuadTolerance(),
     var: str = "x",
     classify_tol: float = RATIO_CLASSIFY_TOL,
+    value_tol: float = VALUE_TOL,
 ) -> ClassCheckReport:
     """Check h in class (hypothesis) and L(h) in class (conclusion).
+
+    Both are evaluated on the grid and on the (lambda, x) block, which is
+    empty for z0 and bounded; z0 asks for a limit within ``value_tol`` of 0.
 
     For r_alpha with alpha < 0 the conclusion is recorded as a measurement
     without being asserted (``asserted = False``): desk-scale grids cannot
@@ -672,30 +670,22 @@ def class_preservation_check(
     """
     xs = np.asarray(grid.points())
     asserted = not (claimed.kind == "r_alpha" and claimed.alpha is not None and claimed.alpha < 0)
-
-    if claimed.kind in ("z0", "bounded"):
-        h_values = eval_array(h, {var: xs})
-        hyp_ok, hyp_detail = _membership(h_values, claimed, classify_tol)
-        values = apply_L_points(h, list(xs), tol, var)
-        l_values = np.array([v.value for v in values])
-        con_ok, con_detail = _membership(l_values, claimed, classify_tol)
-    else:
-        lam_set = sorted(set(_lambda_list(lambdas)))
-        _check_product(lam_set[-1], float(xs[-1]), "lam * x")
-        h_base, h_shifted = _grid_values(h, lam_set, xs, var, positive=False)
-        hyp_ok, hyp_detail = _ratio_membership(h_base, h_shifted, claimed, classify_tol, lam_set)
-        # one cache sweep over the ascending union of the grid and the block
-        block = np.multiply.outer(lam_set, xs)
-        points = np.unique(np.concatenate([xs, block.ravel()]))
-        values = apply_L_points(h, points.tolist(), tol, var)
-        l_values = np.array([v.value for v in values])
-        con_ok, con_detail = _ratio_membership(
-            l_values[np.searchsorted(points, xs)],
-            l_values[np.searchsorted(points, block)],
-            claimed,
-            classify_tol,
-            lam_set,
-        )
+    lams = sorted(set(_lambda_list(lambdas))) if claimed.kind in ("r0", "r_alpha") else []
+    h_base, h_shifted = _grid_values(h, lams, xs, var, positive=False)
+    hyp_ok, hyp_detail = _membership(h_base, h_shifted, claimed, classify_tol, value_tol, lams)
+    # one cache sweep over the ascending union of the grid and the block
+    block = np.multiply.outer(lams, xs)
+    points = np.unique(np.concatenate([xs, block.ravel()]))
+    values = apply_L_points(h, points.tolist(), tol, var)
+    l_values = np.array([v.value for v in values])
+    con_ok, con_detail = _membership(
+        l_values[np.searchsorted(points, xs)],
+        l_values[np.searchsorted(points, block)],
+        claimed,
+        classify_tol,
+        value_tol,
+        lams,
+    )
 
     notes = ""
     if not asserted:

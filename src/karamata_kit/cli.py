@@ -137,12 +137,14 @@ def _quad_tol(cfg: RunConfig) -> QuadTolerance:
     return QuadTolerance(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
 
 
+def _classify_tol(cfg: RunConfig) -> float:
+    """``--classify-tol``, else the library default."""
+    return RATIO_CLASSIFY_TOL if cfg.classify_tol is None else cfg.classify_tol
+
+
 def _tols(cfg: RunConfig) -> tuple[float, float]:
     """``(classify_tol, value_tol)``: the flags, else the library defaults."""
-    return (
-        RATIO_CLASSIFY_TOL if cfg.classify_tol is None else cfg.classify_tol,
-        VALUE_TOL if cfg.value_tol is None else cfg.value_tol,
-    )
+    return _classify_tol(cfg), VALUE_TOL if cfg.value_tol is None else cfg.value_tol
 
 
 def _budget(converged: bool) -> dict:
@@ -213,7 +215,7 @@ def _run_classify(cfg: RunConfig):
     if cfg.claim is not None:
         claimed = _claimed_class(cfg.claim)
         check = class_preservation_check(
-            F, claimed, lambdas=lams, tol=_quad_tol(cfg), **kwargs
+            F, claimed, lambdas=lams, tol=_quad_tol(cfg), value_tol=value_tol, **kwargs
         )
         results["preservation"] = check
         verdicts["preservation"] = (
@@ -286,7 +288,7 @@ def _run_uct_mult_closure(cfg: RunConfig):
     lam = _require(cfg.lam, "--lambda")
     mu = _require(cfg.mu, "--mu")
     grid = _grid(cfg, DEFAULT_GRID)
-    report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, classify_tol=_tols(cfg)[0])
+    report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, classify_tol=_classify_tol(cfg))
     inputs.update({"lambda": lam, "mu": mu, "grid": grid})
     verdicts = {"identity": "ok" if report.identity_ok else "broken"}
     if report.verdicts is not None:
@@ -311,7 +313,7 @@ def _run_uct_asym(cfg: RunConfig):
     lam = _require(cfg.lam, "--lambda")
     grid = _grid(cfg, _E_LADDER)
     report = integral_asym_residual(
-        h, lam, grid, cfg.bound, _quad_tol(cfg), var=cfg.var, classify_tol=_tols(cfg)[0]
+        h, lam, grid, cfg.bound, _quad_tol(cfg), var=cfg.var, classify_tol=_classify_tol(cfg)
     )
     inputs.update({"lambda": lam, "bound": cfg.bound, "grid": grid})
     verdicts = {"bound": "ok" if report.bound_ok else "violated"}
@@ -324,7 +326,7 @@ def _run_uct_asym(cfg: RunConfig):
 
 
 # flag groups; ``_EXPR`` is the expression as a positional argument
-_COMMON = ("out", "format", "var")
+_COMMON = ("out", "format")
 _GRID = ("grid_start", ("grid_ratio", "--grid-ratio", "--ratio"),
          ("grid_count", "--grid-count", "--count"), "integer_mode")
 _QUAD = ("abs_tol", "rel_tol", "max_evals")
@@ -336,6 +338,8 @@ _EXPR = ("expr", "expr")
 _HELP = {
     "out": "output path (both: <out>.json/<out>.csv)",
     "var": "independent variable name (default x)",
+    "classify_tol": "largest final increment of a converging sequence (default 0.01)",
+    "value_tol": "how far a limit may sit from its target, 0 or 1 (default 0.05)",
     "integer_mode": "walk consecutive integers instead of a geometric ladder",
     "x": "single evaluation point",
     "lambdas": "comma-separated ratio set",
@@ -350,18 +354,18 @@ _HELP = {
 # _COMMON in --help order)
 _COMMANDS = {
     "apply-l": (_run_apply_l, "log-averaged operator at a point or along a grid",
-                "integrand expression h", (_EXPR, *_GRID, *_QUAD, "x")),
+                "integrand expression h", ("var", _EXPR, *_GRID, *_QUAD, "x")),
     "invert-l": (_run_invert_l, "closed-form inverse of the operator",
-                 "target expression f", (_EXPR,)),
+                 "target expression f", ("var", _EXPR)),
     "classify": (_run_classify, "variation classification: index, slow variation",
                  "positive expression F",
-                 (_EXPR, *_GRID, *_TOLS, *_QUAD, "lambdas", "profile", "claim")),
+                 ("var", _EXPR, *_GRID, *_TOLS, *_QUAD, "lambdas", "profile", "claim")),
     "uct scan": (_run_uct_scan, "scan |G(x, u)| for uniform decay in u",
                  "expression G in x and u",
                  (*_GRID, *_TOLS, ("expr", "--g", "--expr"), *_U, "u_count")),
     "uct karamata": (_run_uct_karamata, "slow-variation ratio residual over a lambda window",
                      "positive expression F",
-                     (*_GRID, *_TOLS, ("expr", "--f", "--expr"),
+                     ("var", *_GRID, *_TOLS, ("expr", "--f", "--expr"),
                       ("lambda_lo", "--a", "--lambda-lo"), ("lambda_hi", "--b", "--lambda-hi"),
                       "lambda_count")),
     "uct guct": (_run_uct_guct, "hypotheses plus conclusion for the product form H*m", None,
@@ -371,16 +375,18 @@ _COMMANDS = {
                (*_GRID, ("expr", "--h", "--expr"), *_U, "v_lo", "v_hi", "samples")),
     "uct cond310": (_run_uct_cond310, "exponent drift residual (xi(lx)-xi(x)) ln x",
                     "exponent expression xi",
-                    (*_GRID, *_TOLS, ("expr", "--xi", "--expr"),
+                    ("var", *_GRID, *_TOLS, ("expr", "--xi", "--expr"),
                      "lambda_lo", "lambda_hi", "lambda_count")),
     "uct mult-closure": (_run_uct_mult_closure, "two-step decomposition of the ratio residual",
                          "expression f",
-                         (*_GRID, *_TOLS, ("expr", "--f", "--expr"), _LAMBDA, "mu")),
+                         ("var", *_GRID, "classify_tol", ("expr", "--f", "--expr"),
+                          _LAMBDA, "mu")),
     "uct expand-interval": (_run_uct_expand_interval,
                             "n-fold product expansion of a ratio window", None, ("a", "b", "n")),
     "uct asym": (_run_uct_asym, "window-integral asymptotic residual table",
                  "bounded positive expression h",
-                 (*_GRID, *_QUAD, *_TOLS, ("expr", "--h", "--expr"), _LAMBDA, "bound")),
+                 ("var", *_GRID, *_QUAD, "classify_tol", ("expr", "--h", "--expr"), _LAMBDA,
+                  "bound")),
 }
 
 # what each RunConfig kind asks of argparse

@@ -441,11 +441,12 @@ class IntegralCache:
     integrand: Expr
     var: str = "x"
     tol: QuadTolerance = field(default_factory=QuadTolerance)
-    frontier: float = 1.0
-    value: float = 0.0
-    error_estimate: float = 0.0
-    evaluations: int = 0
-    converged: bool = True
+    # the sweep's state, which only ``extend`` moves
+    frontier: float = field(default=1.0, init=False)
+    value: float = field(default=0.0, init=False)
+    error_estimate: float = field(default=0.0, init=False)
+    evaluations: int = field(default=0, init=False)
+    converged: bool = field(default=True, init=False)
 
     def extend(self, x_next: float) -> QuadResult:
         """Advance the frontier to ``x_next`` (non-decreasing) and return

@@ -674,8 +674,6 @@ def integral_asym_residual(
     if bound <= 0:
         raise PreconditionError("bound must be positive")
     xs = np.asarray(x_grid.points())
-    if xs[0] <= 1.0:
-        raise PreconditionError("x grid must start above 1")
     _check_product(lam, float(xs.max()), "lam * x")
 
     sample = np.geomspace(1.0, lam * xs[-1], 512)

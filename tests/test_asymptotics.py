@@ -613,6 +613,17 @@ def test_failed_hypothesis_is_reported():
     assert not rep.conclusion_holds
 
 
+def test_ratio_class_of_a_non_positive_function_fails_both_sides():
+    # 100 - x and L(100 - x) are negative on the whole grid, so no ratio
+    # test applies to either; the CLI's rv_index rejects F before this
+    rep = class_preservation_check(parse("100-x"), ClaimedClass("r0"))
+    error = {"error": "values not positive, ratio test undefined"}
+    assert rep.hypothesis_holds is False
+    assert rep.conclusion_holds is False
+    assert rep.hypothesis_detail == error
+    assert rep.conclusion_detail == error
+
+
 def test_claimed_class_validation():
     with pytest.raises(PreconditionError):
         ClaimedClass("nope")

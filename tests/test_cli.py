@@ -266,7 +266,8 @@ _FUZZ_GRID = {
     "--count": _FUZZ_COUNT,
     "--integer-mode": (st.booleans(), None),
 }
-_FUZZ_COMMON = {**_FUZZ_GRID, "--classify-tol": _FUZZ_TOL, "--value-tol": _FUZZ_TOL}
+_FUZZ_CLASSIFY = {**_FUZZ_GRID, "--classify-tol": _FUZZ_TOL}
+_FUZZ_COMMON = {**_FUZZ_CLASSIFY, "--value-tol": _FUZZ_TOL}
 _FUZZ_SAMPLES = (st.integers(1, 2_000), st.sampled_from([-1, 0, 100_001, 10**12]))
 
 
@@ -333,12 +334,12 @@ _FUZZ_COMMANDS = {
                                                       "1e300*x"],
                      {"--lambda": (st.floats(0.1, 20.0), _FUZZ_NUMBER),
                       "--mu": (st.floats(0.1, 20.0), _FUZZ_NUMBER)},
-                     _FUZZ_COMMON),
+                     _FUZZ_CLASSIFY),
     # integrands smooth in ln x: their quadrature costs little at any grid
     "asym": (["uct", "asym", "--h"], ["1", "2 + sin(ln(x))", "1/(1+ln(x))", "exp(-x)",
                                       "x^0.5", "ln(x-2)"],
              {"--lambda": (st.floats(1.01, 10.0), _FUZZ_NUMBER)},
-             {"--bound": (st.floats(0.5, 10.0), _FUZZ_NUMBER), **_FUZZ_QUAD, **_FUZZ_COMMON}),
+             {"--bound": (st.floats(0.5, 10.0), _FUZZ_NUMBER), **_FUZZ_QUAD, **_FUZZ_CLASSIFY}),
     "expand-interval": (["uct", "expand-interval"], [],
                         {"--a": _FUZZ_LO, "--b": _FUZZ_HI,
                          "--n": (st.integers(0, 50),
@@ -489,6 +490,70 @@ def test_command_flags_and_run_config_fields_agree():
     assert settable >= kinds.keys()
 
 
+class _ReadRecorder:
+    """A ``RunConfig`` that records the name of every key read from it."""
+
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+# runs that take every branch of each runner that reads a flag
+_FLAG_READ_RUNS = {
+    "apply-l": [["apply-l", "1", "--x", "10"], ["apply-l", "1"]],
+    "invert-l": [["invert-l", "ln(x)"]],
+    "classify": [["classify", "ln(x)"],
+                 ["classify", "1/(1+ln(x))", "--claim", "z0", "--profile"]],
+    "uct scan": [["uct", "scan", "--g", "u/x"]],
+    "uct karamata": [["uct", "karamata", "--f", "ln(x)"]],
+    "uct guct": [["uct", "guct", "--h-expr", "u/x", "--m-expr", "1", "--samples", "10"]],
+    "uct hi": [["uct", "hi", "--h", "exp(-u)", "--samples", "10"]],
+    "uct cond310": [["uct", "cond310", "--xi", "1/ln(x)"]],
+    "uct mult-closure": [["uct", "mult-closure", "--f", "ln(x)", "--lambda", "2", "--mu", "3"]],
+    "uct expand-interval": [["uct", "expand-interval", "--a", "2", "--b", "4", "--n", "3"]],
+    "uct asym": [["uct", "asym", "--h", "1", "--lambda", "2"]],
+}
+
+
+def test_every_runner_reads_exactly_its_flags():
+    leaves = _leaf_parsers(cli._parser())
+    assert sorted(_FLAG_READ_RUNS) == sorted(leaves)
+    for name, runs in _FLAG_READ_RUNS.items():
+        read = set()
+        for argv in runs:
+            args = cli._parser().parse_args(argv)
+            cfg = _ReadRecorder(config.merge_config(None, vars(args)))
+            _, _, _, rows = args.runner(cfg)
+            list(rows)
+            read |= cfg.read
+        flags = {a.dest for a in leaves[name]._actions}
+        # main reads out and format; --config and --help are the parser's
+        assert read == flags - {"help", "config", "out", "format"}, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uct", "scan", "--g", "x*u", "--var", "t"],
+        ["uct", "guct", "--h-expr", "u/x", "--m-expr", "1", "--var", "t"],
+        ["uct", "hi", "--h", "exp(-u)", "--var", "t"],
+        ["uct", "expand-interval", "--a", "2", "--b", "4", "--n", "3", "--var", "t"],
+        ["uct", "mult-closure", "--f", "ln(x)", "--lambda", "2", "--mu", "3",
+         "--value-tol", "0.1"],
+        ["uct", "asym", "--h", "1", "--lambda", "2", "--value-tol", "0.1"],
+    ],
+)
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
 def test_a_flag_without_a_run_config_field_fails_the_build(monkeypatch):
     runner, help_, expr_help, flags = cli._COMMANDS["invert-l"]
     monkeypatch.setitem(cli._COMMANDS, "invert-l", (runner, help_, expr_help, (*flags, "lamda")))
@@ -608,6 +673,18 @@ def test_classify_profile_flag_adds_profile(capsys):
 def test_classify_claim_flag_adds_class_check(capsys):
     report = run_json(capsys, ["classify", "1/(1+ln(x))", "--claim", "z0"])
     assert report["verdicts"]["preservation"] == "holds"
+
+
+def test_classify_claim_z0_reads_value_tol(capsys):
+    # L(h) ends at 0.0457: within the default 0.05 of 0, not within 0.005
+    argv = ["classify", "1/(1+ln(x))", "--claim", "z0"]
+    loose = run_json(capsys, argv)
+    strict = run_json(capsys, [*argv, "--value-tol", "0.005"])
+    final = strict["results"]["preservation"]["conclusion_detail"]["final"]
+    assert 0.005 < final < 0.05
+    assert loose["verdicts"]["preservation"] == "holds"
+    assert strict["verdicts"]["preservation"] == "not_established"
+    assert strict["results"]["preservation"]["conclusion_holds"] is False
 
 
 @pytest.mark.parametrize(
@@ -904,8 +981,12 @@ def test_csv_bytes_identical_across_thread_counts(capsys, monkeypatch, block_thr
     "script, lines",
     [
         ("oscillation_smoothing.py",
-         ["verdict: not_slowly_varying", "classification: converges, value 0.042270"]),
-        ("uniformity_ladder.py", ["verdict: inconclusive"]),
+         ["verdict: not_slowly_varying", "classification: converges, value 0.042270",
+          "       n      log ratio        -sin(n)        gap"]),
+        ("uniformity_ladder.py",
+         ["verdict: inconclusive",
+          "           x    sup |F(lam x)/F(x) - 1|   worst lambda",
+          "                     F    rho_hat     spread              verdict"]),
     ],
 )
 def test_experiment_script_runs_clean(script, lines):

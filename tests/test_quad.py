@@ -210,6 +210,16 @@ def test_cache_extend_is_idempotent_at_frontier():
     assert again == first
 
 
+def test_cache_state_is_not_a_constructor_argument():
+    # a nan frontier once integrated nothing and returned 0.0, converged
+    for name in ("frontier", "value", "error_estimate", "evaluations", "converged"):
+        with pytest.raises(TypeError, match=name):
+            IntegralCache(parse("1"), **{name: math.nan})
+    cache = IntegralCache(parse("1"))
+    assert (cache.frontier, cache.value, cache.error_estimate) == (1.0, 0.0, 0.0)
+    assert (cache.evaluations, cache.converged) == (0, True)
+
+
 def test_cache_rejects_backward_motion():
     cache = IntegralCache(parse("1"))
     cache.extend(10.0)

@@ -10,8 +10,10 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the 53 fixed commands of ``_PATH_COMMANDS``, which reach paths that
-  neither of the above takes: the ratio-class checks of ``classify --claim``,
+- the 59 fixed commands of ``_PATH_COMMANDS``, which reach paths that
+  neither of the above takes: the class checks of ``classify --claim``,
+  z0 with a failed hypothesis and with ``--value-tol 0.005``, bounded, r0
+  on a non-positive F, both ratio classes and ``--lambdas 0.5,2``,
   the ``sv_test`` and ``rv_index`` verdicts of five ``classify`` runs, the
   continuity value ``L(h)(1) = h(1)`` of ``apply-l``, ``uct hi``, ``uct
   cond310`` on both ladders, a bare ``classify --integer-mode``, a spent
@@ -27,8 +29,9 @@ compared, with ``timing_ms`` masked.  The commands are:
   300 x 257 ``uct scan`` and ``uct karamata``, each as JSON and as CSV, a
   ``uct scan`` and an ``apply-l`` sweep under ``--format both``, the
   ``--help`` of the program, of ``uct`` and of each command, ``--version``,
-  and four commands the parser rejects with exit 2: a fractional
-  ``--u-count``, an unknown ``--format``, an unknown flag and a bare ``uct``;
+  and five commands the parser rejects with exit 2: a fractional
+  ``--u-count``, an unknown ``--format``, an unknown flag, ``--var`` in
+  ``uct scan`` and a bare ``uct``;
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -71,6 +74,14 @@ _TIMING = re.compile(r'"timing_ms": [^,\n]+')
 _PATH_COMMANDS = [
     ["classify", "ln(x)", "--claim", "r0"],
     ["classify", "x^0.5*ln(x)", "--claim", "r_alpha:0.5"],
+    # every claimed class through the one membership rule: a failed z0
+    # hypothesis, a bounded band, a non-positive F (exit 3), a lambda set
+    # below and above 1, and a z0 claim that fails only at a tight --value-tol
+    ["classify", "ln(x)", "--claim", "z0"],
+    ["classify", "2+sin(ln(x))", "--claim", "bounded:1,3"],
+    ["classify", "100-x", "--claim", "r0"],
+    ["classify", "x^0.5*ln(x)", "--claim", "r_alpha:0.5", "--lambdas", "0.5,2"],
+    ["classify", "1/(1+ln(x))", "--claim", "z0", "--value-tol", "0.005"],
     ["apply-l", "exp(-x)", "--x", "1"],
     ["apply-l", "sin(x)/x", "--x", "1.000000001"],
     ["uct", "hi", "--h", "abs(ln(x+u) - ln(x))", "--samples", "200"],
@@ -136,6 +147,7 @@ _PATH_COMMANDS = [
         "scan", "karamata", "guct", "hi", "cond310", "mult-closure", "expand-interval", "asym",
     )),
     ["uct", "scan", "--u-count", "1.5"],
+    ["uct", "scan", "--g", "x*u", "--var", "t"],
     ["classify", "ln(x)", "--format", "xml"],
     ["apply-l", "sin(x)", "--y", "1"],
     ["uct"],
