@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 expression/config parse error, 3 precondition or
-domain error, 4 quadrature budget exhausted (report still written), 5
+Exit codes: 0 success, 2 expression or settings error (also an expression
+that nests too deeply and a report that cannot be written), 3 precondition
+or domain error, 4 quadrature budget exhausted (report still written), 5
 unexpected internal error.  KARAMATA_KIT_THREADS must be an integer when
 set (exit 2 otherwise); it sets the quadrature's worker threads
 (``quad.thread_count``), which change no result.
@@ -14,7 +15,10 @@ the help of its expression and its flags in ``--help`` order.  A flag is a
 Each flag's kind is its key's annotation in ``RunConfig``
 (``config._KINDS``): ``bool`` gives ``--flag/--no-flag``, ``int`` and
 ``float`` convert the value, and a key ``RunConfig`` lacks fails when the
-parser is built.  Every command also takes ``--config`` and ``_COMMON``.
+parser is built.  Every command also takes ``_COMMON``.  The top-level
+parser reads an ``@FILE`` argument as the lines of FILE, one argument a
+line, so a settings file passes through the same flags, types and checks as
+typed arguments.
 
 Each command has a runner that takes the merged ``RunConfig`` and returns
 ``(inputs, results, verdicts, rows)``: the echo of its inputs, its results,
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 
@@ -50,7 +55,7 @@ from .asymptotics import (
     rv_index,
     sv_test,
 )
-from .config import _KINDS, FORMATS, ConfigError, RunConfig, load_config_file, merge_config
+from .config import _KINDS, FORMATS, ConfigError, RunConfig, merge_config
 from .exprlang import EvalError, ExprSyntaxError, format_expr, parse
 from .karamata import apply_L_detailed, apply_L_points, invert_L
 from .quad import PreconditionError, QuadTolerance, thread_count
@@ -350,8 +355,8 @@ _HELP = {
     "bound": "upper bound M for h",
 }
 
-# name: (runner, help, help of its expression, flags after --config and
-# _COMMON in --help order)
+# name: (runner, help, help of its expression, flags after _COMMON in
+# --help order)
 _COMMANDS = {
     "apply-l": (_run_apply_l, "log-averaged operator at a point or along a grid",
                 "integrand expression h", ("var", _EXPR, *_GRID, *_QUAD, "x")),
@@ -407,6 +412,8 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="karamata-kit",
         description="Numerical toolkit for slow variation and log-averaged operators.",
+        epilog="@FILE reads more arguments from FILE, one per line.",
+        fromfile_prefix_chars="@",
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
@@ -418,7 +425,6 @@ def _parser() -> argparse.ArgumentParser:
             uct = uct.add_subparsers(dest="uct_cmd", required=True)
         p = (uct if group else sub).add_parser(leaf, help=help_)
         p.set_defaults(command=name, runner=runner)
-        p.add_argument("--config", help="JSON config file")
         for flag in (*_COMMON, *flags):
             key, *names = (flag, "--" + flag.replace("_", "-")) if isinstance(flag, str) else flag
             kwargs = dict(_KIND_ARGS[_KINDS[key]])
@@ -441,17 +447,29 @@ def main(argv=None) -> int:
         return int(code) if code is not None else 0
 
     try:
-        file_values = load_config_file(args.config) if args.config else None
-        cfg = merge_config(file_values, vars(args))
+        cfg = merge_config(None, vars(args))
         thread_count()  # validates KARAMATA_KIT_THREADS before any work
         t0 = time.perf_counter()
         inputs, results, verdicts, rows = args.runner(cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         report = build_report(args.command, cfg, inputs, results, verdicts, elapsed_ms)
-        emit(report, rows, cfg.format, cfg.out)
+        try:
+            emit(report, rows, cfg.format, cfg.out)
+        except OSError as exc:
+            if isinstance(exc, BrokenPipeError):
+                # the reader of stdout has gone: point stdout at devnull, or
+                # the interpreter's flush at exit fails again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
         return 4 if "budget" in verdicts else 0
     except (ExprSyntaxError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the expression nests too deeply", file=sys.stderr)
         return 2
     except (EvalError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

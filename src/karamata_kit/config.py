@@ -1,27 +1,29 @@
-"""Run configuration: defaults, JSON config files, flag overrides.
+"""Run configuration: the defaults of every setting, and the flags a command
+was given laid over them.
 
-Precedence is flags > config file > defaults.  The config file is a flat
-JSON object whose keys match RunConfig field names; unknown keys are
-rejected so typos do not silently fall back to defaults.
+Settings files are not read here: the command line's own parser reads an
+``@FILE`` argument as one argument per line, so a file sets exactly the
+flags its command takes, with their types and choices.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
 from .asymptotics import MIN_SAMPLES
 from .uniformity import MIN_PARAM_COUNT, REFINE_COUNT
 
-__all__ = ["RunConfig", "ConfigError", "load_config_file", "merge_config"]
+__all__ = ["RunConfig", "ConfigError", "merge_config"]
 
 FORMATS = ("json", "csv", "both")
 
 
 class ConfigError(ValueError):
-    """Malformed config file or unknown/ill-typed config key."""
+    """A setting the run cannot use: a value out of its range or not finite,
+    a ``--lambdas`` or ``--claim`` that does not parse, or a
+    ``KARAMATA_KIT_THREADS`` that is not an integer."""
 
 
 @dataclass(frozen=True)
@@ -88,61 +90,17 @@ _KINDS = {f.name: f.type.partition(" ")[0] for f in dataclasses.fields(RunConfig
 _FLOAT_KEYS = tuple(name for name, kind in _KINDS.items() if kind == "float")
 
 
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    kind = _KINDS[key]
-    if kind == "bool":
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"config key {key!r} must be true or false")
-    if kind == "str":
-        if isinstance(value, str):
-            return value
-        raise ConfigError(f"config key {key!r} must be a string")
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be an integer")
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"config key {key!r} must be an integer")
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number")
-    return float(value)
-
-
-def load_config_file(path: str) -> dict:
-    """Read a JSON config file and validate its keys and value types."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
-    out = {}
-    for key, value in raw.items():
-        if key not in _KINDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        out[key] = _coerce(key, value)
-    return out
-
-
 def merge_config(file_values: dict | None, flag_values: dict | None) -> RunConfig:
-    """Layer config sources: dataclass defaults, then file, then flags.
+    """The ``RunConfig`` of the dataclass defaults, then ``file_values``, then
+    ``flag_values``, validated.
 
-    ``flag_values`` should only contain keys the user actually passed
-    (argparse defaults of None are dropped here)."""
+    A value of None (argparse's default for a flag not given) and a key that
+    is not a ``RunConfig`` field are skipped in both."""
     merged: dict = {}
-    if file_values:
-        merged.update(file_values)
-    if flag_values:
-        for key, value in flag_values.items():
-            if value is None or key not in _KINDS:
-                continue
-            merged[key] = _coerce(key, value)
+    for values in (file_values, flag_values):
+        if values:
+            merged.update((key, value) for key, value in values.items()
+                          if value is not None and key in _KINDS)
     cfg = RunConfig(**merged)
     _validate(cfg)
     return cfg

@@ -172,13 +172,15 @@ def emit(report: dict, rows, fmt: str, out: str | None) -> None:
     With --out, json goes to <out> (or <out>.json under both) and csv to
     <out>.csv; without it everything lands on stdout.  Each text is written
     before the next is rendered, so ``rows`` is read only when a CSV is
-    written, and once; a CSV is rendered and written piece by piece."""
+    written, and once; a CSV is rendered and written piece by piece.  Stdout
+    is flushed after each text, so that a failed write raises here."""
     for kind in ("json", "csv"):
         if fmt not in (kind, "both"):
             continue
         pieces = [render_json(report)] if kind == "json" else _csv_chunks(rows)
         if out is None:
             sys.stdout.writelines(pieces)
+            sys.stdout.flush()
         else:
             with open(f"{out}.{kind}" if fmt == "both" else out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)

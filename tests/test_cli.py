@@ -123,11 +123,11 @@ def test_non_finite_number_exits_2(capsys, argv):
 
 
 def test_non_finite_config_value_exits_2(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text('{"x": Infinity}')
-    code, _, err = run_cli(capsys, ["apply-l", "sin(x)", "--config", str(cfg)])
+    args = tmp_path / "run.args"
+    args.write_text("--x\ninf\n")
+    code, _, err = run_cli(capsys, ["apply-l", "sin(x)", f"@{args}"])
     assert code == 2
-    assert "finite" in err
+    assert err == "error: x must be finite, got inf\n"
 
 
 @pytest.mark.parametrize("lambdas", ["inf", "2,nan", "-inf,10"])
@@ -139,6 +139,33 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
     assert "nan" not in out
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: ") and "--lambdas" in err
+
+
+@pytest.mark.parametrize(
+    "lambdas, message",
+    [("a,b", "cannot parse --lambdas 'a,b' as floats"),
+     (",", "--lambdas must name at least one value")],
+)
+def test_unparsable_lambdas_exit_2(capsys, lambdas, message):
+    code, out, err = run_cli(capsys, ["classify", "x", f"--lambdas={lambdas}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert-l", "(" * 1200 + "x" + ")" * 1200],
+        ["apply-l", "+".join(["x"] * 5000), "--x", "10"],
+    ],
+    ids=["nested-parentheses", "long-sum"],
+)
+def test_too_deep_expression_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the expression nests too deeply\n"
 
 
 @pytest.mark.parametrize(
@@ -481,7 +508,7 @@ def test_command_flags_and_run_config_fields_agree():
         assert parser.get_default("command") == name
         actions = [a for a in parser._actions if a.dest != "help"]
         keys = {a.dest for a in actions}
-        assert keys - kinds.keys() == {"config"}, name
+        assert keys <= kinds.keys(), name
         for a in actions:
             kind = kinds.get(a.dest, "str")
             assert isinstance(a, argparse.BooleanOptionalAction) == (kind == "bool"), a.dest
@@ -531,8 +558,8 @@ def test_every_runner_reads_exactly_its_flags():
             list(rows)
             read |= cfg.read
         flags = {a.dest for a in leaves[name]._actions}
-        # main reads out and format; --config and --help are the parser's
-        assert read == flags - {"help", "config", "out", "format"}, name
+        # main reads out and format; --help is the parser's
+        assert read == flags - {"help", "out", "format"}, name
 
 
 @pytest.mark.parametrize(
@@ -561,13 +588,18 @@ def test_a_flag_without_a_run_config_field_fails_the_build(monkeypatch):
         cli._parser.__wrapped__()
 
 
-def _fresh_process(argv):
+def _cli_env():
+    """The environment of a fresh ``python -m karamata_kit.cli`` that imports
+    this package."""
     src = str(Path(karamata_kit.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _fresh_process(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "karamata_kit.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_cli_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -698,6 +730,19 @@ def test_non_finite_claim_exits_2(capsys, claim):
     assert err.startswith(f"error: bad --claim {claim!r}: ")
 
 
+def test_classify_claim_r0(capsys):
+    report = run_json(capsys, ["classify", "ln(x)", "--claim", "r0"])
+    assert report["results"]["preservation"]["claimed"] == "r0"
+    assert report["verdicts"]["preservation"] == "holds"
+
+
+def test_unknown_claim_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["classify", "x", "--claim", "r1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown --claim 'r1'; use z0, r0, ")
+
+
 def test_invert_l_prints_symbolic_inverse(capsys):
     report = run_json(capsys, ["invert-l", "ln(x)"])
     assert report["results"]["inverse"] == "2.0 * ln(x)"
@@ -817,6 +862,27 @@ def test_out_files_hold_what_stdout_prints(capsys, tmp_path, argv, fmt):
     assert _without_timing(written) == _without_timing(printed)
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, where):
+    out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    code, printed, err = run_cli(capsys, ["invert-l", "ln(x)", "--out", str(out)])
+    assert code == 2
+    assert printed == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: cannot write the report: ") and str(out) in err
+
+
+def test_closed_stdout_exits_2_with_one_line():
+    with subprocess.Popen(
+        [sys.executable, "-m", "karamata_kit.cli", "invert-l", "ln(x)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+    ) as proc:
+        proc.stdout.close()  # the reader goes before the report is written
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write the report: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -837,37 +903,60 @@ def test_runner_rows_are_a_lazy_iterator(argv):
 
 
 # ---------------------------------------------------------------------------
-# config file layering: flags > file > defaults
+# args files: @FILE holds one argument a line, and a later argument wins
+
+def _args_file(tmp_path, *lines):
+    path = tmp_path / "run.args"
+    path.write_text("".join(line + "\n" for line in lines))
+    return f"@{path}"
+
 
 def test_config_file_overrides_defaults(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"grid_count": 12}))
-    report = run_json(capsys, ["classify", "x^2", "--config", str(cfg)])
+    args = _args_file(tmp_path, "--grid-count", "12")
+    report = run_json(capsys, ["classify", "x^2", args])
     assert report["config"]["grid_count"] == 12
 
 
 def test_flags_override_config_file(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"grid_count": 12, "grid_start": 100.0}))
-    report = run_json(
-        capsys, ["classify", "x^2", "--config", str(cfg), "--grid-count", "10"]
-    )
+    args = _args_file(tmp_path, "--grid-count", "12", "--grid-start", "100.0")
+    report = run_json(capsys, ["classify", "x^2", args, "--grid-count", "10"])
     assert report["config"]["grid_count"] == 10
     assert report["config"]["grid_start"] == 100.0  # file value survives
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"grid_cont": 12}))
-    code, _, _ = run_cli(capsys, ["classify", "x^2", "--config", str(cfg)])
+    args = _args_file(tmp_path, "--grid-cont", "12")
+    code, _, err = run_cli(capsys, ["classify", "x^2", args])
     assert code == 2
+    assert "unrecognized arguments: --grid-cont 12" in err
 
 
 def test_wrong_config_type_exits_2(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"grid_count": "twelve"}))
-    code, _, _ = run_cli(capsys, ["classify", "x^2", "--config", str(cfg)])
+    args = _args_file(tmp_path, "--grid-count", "twelve")
+    code, _, err = run_cli(capsys, ["classify", "x^2", args])
     assert code == 2
+    assert "invalid int value: 'twelve'" in err
+
+
+def test_args_file_with_a_flag_the_command_does_not_read_exits_2(capsys, tmp_path):
+    args = _args_file(tmp_path, "--var", "t")
+    code, out, err = run_cli(capsys, ["uct", "scan", "--g", "x*u", args])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --var t" in err
+
+
+def test_missing_args_file_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["classify", "x^2", f"@{tmp_path / 'none.args'}"])
+    assert code == 2
+    assert out == ""
+    assert "No such file or directory" in err
+
+
+def test_top_level_help_names_args_files(capsys):
+    code, out, _ = run_cli(capsys, ["--help"])
+    assert code == 0
+    assert "@FILE" in out
 
 
 def test_out_of_range_literal_exits_2(capsys):
@@ -906,6 +995,11 @@ def test_size_caps_admit_their_own_value():
     }
     cfg = config.merge_config(None, caps)
     assert {key: getattr(cfg, key) for key in caps} == caps
+
+
+def test_merge_config_rejects_an_unknown_format():
+    with pytest.raises(config.ConfigError, match="format must be json, csv, or both"):
+        config.merge_config(None, {"format": "xml"})
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,18 @@ def test_fold_collapses_double_negation():
     assert fold(Neg(Neg(Var("x")))) == Var("x")
 
 
+@pytest.mark.parametrize("text, want", [("x - x", "0.0"), ("(u/x)*x", "u")])
+def test_fold_cancels_shared_subterms(text, want):
+    assert format_expr(fold(parse(text))) == want
+
+
+def test_fold_keeps_a_constant_division_by_zero():
+    tree = parse("1/0")
+    assert fold(tree) == tree
+    with pytest.raises(DomainError):
+        evaluate(fold(tree), {})
+
+
 @given(_trees, st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(0.5, 3.0))
 @settings(max_examples=150)
 def test_fold_preserves_semantics(tree, xv, uv, vv):

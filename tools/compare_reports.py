@@ -10,8 +10,9 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the 59 fixed commands of ``_PATH_COMMANDS``, which reach paths that
-  neither of the above takes: the class checks of ``classify --claim``,
+- the 64 fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``,
+  which reach paths that neither of the above takes: the class checks of
+  ``classify --claim``,
   z0 with a failed hypothesis and with ``--value-tol 0.005``, bounded, r0
   on a non-positive F, both ratio classes and ``--lambdas 0.5,2``,
   the ``sv_test`` and ``rv_index`` verdicts of five ``classify`` runs, the
@@ -29,9 +30,12 @@ compared, with ``timing_ms`` masked.  The commands are:
   300 x 257 ``uct scan`` and ``uct karamata``, each as JSON and as CSV, a
   ``uct scan`` and an ``apply-l`` sweep under ``--format both``, the
   ``--help`` of the program, of ``uct`` and of each command, ``--version``,
-  and five commands the parser rejects with exit 2: a fractional
+  five commands the parser rejects with exit 2: a fractional
   ``--u-count``, an unknown ``--format``, an unknown flag, ``--var`` in
-  ``uct scan`` and a bare ``uct``;
+  ``uct scan`` and a bare ``uct``, two expressions that nest too deeply
+  (exit 2), two ``@FILE`` args files, written to a temporary directory, one
+  of flags ``uct scan`` takes and one of ``--var``, which it does not (exit
+  2), and ``--out`` into a missing directory (exit 2);
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -67,6 +71,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 _TIMING = re.compile(r'"timing_ms": [^,\n]+')
@@ -151,7 +156,23 @@ _PATH_COMMANDS = [
     ["classify", "ln(x)", "--format", "xml"],
     ["apply-l", "sin(x)", "--y", "1"],
     ["uct"],
+    # expressions that nest deeper than the recursion limit: exit 2
+    ["invert-l", "(" * 1200 + "x" + ")" * 1200],
+    ["apply-l", "+".join(["x"] * 5000), "--x", "10"],
 ]
+
+
+def _file_commands(tmp: Path) -> list[list[str]]:
+    """Fixed commands that read or write files in ``tmp``: an args file of
+    flags ``uct scan`` takes, one of ``--var``, which it does not take, and
+    ``--out`` into a missing directory."""
+    (tmp / "scan.args").write_text("--grid-count\n12\n--u-lo\n0.5\n")
+    (tmp / "var.args").write_text("--var\nt\n")
+    return [
+        ["uct", "scan", "--g", "x*u*exp(-x*u)", f"@{tmp / 'scan.args'}"],
+        ["uct", "scan", "--g", "x*u", f"@{tmp / 'var.args'}"],
+        ["invert-l", "ln(x)", "--out", str(tmp / "missing" / "r.json")],
+    ]
 
 
 def _tree(path: str) -> tuple[Path, Path]:
@@ -277,6 +298,11 @@ def _canonical(out: str) -> bool:
     return out.startswith(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+def _shown(argv: list[str]) -> str:
+    """``argv`` as a shell line, each argument of over 60 characters cut short."""
+    return shlex.join(a if len(a) <= 60 else f"{a[:40]}...[{len(a)} chars]" for a in argv)
+
+
 def _diff(a: str, b: str, what: str) -> list[str]:
     lines = difflib.unified_diff(
         a.splitlines(), b.splitlines(), f"parent {what}", f"change {what}", lineterm="", n=1
@@ -301,18 +327,19 @@ def main(argv=None) -> int:
     n_readme = len(argvs)
     argvs += _desk_commands(change_root, change_src, seeds)
     n_desk = len(argvs) - n_readme
-    argvs += _PATH_COMMANDS + [shlex.split(c) for c in args.command]
-
     perfbench = change_root / "perfbench"
-    parent = _run(parent_src, perfbench, argvs, seeds)
-    change = _run(change_src, perfbench, argvs, seeds)
+    with tempfile.TemporaryDirectory() as tmp:
+        fixed = _PATH_COMMANDS + _file_commands(Path(tmp))
+        argvs += fixed + [shlex.split(c) for c in args.command]
+        parent = _run(parent_src, perfbench, argvs, seeds)
+        change = _run(change_src, perfbench, argvs, seeds)
     serial = _run(change_src, perfbench, [], seeds, ["osc_quad"], threads="1")["rounds"]
     differ = 0
     for argv, (pc, po, pe), (cc, co, ce) in zip(argvs, parent["cli"], change["cli"]):
         if (pc, po, pe) == (cc, co, ce):
             continue
         differ += 1
-        print(f"DIFF karamata-kit {shlex.join(argv)}")
+        print(f"DIFF karamata-kit {_shown(argv)}")
         if pc != cc:
             print(f"  exit code: parent {pc}, change {cc}")
         for lines in (_diff(po, co, "stdout"), _diff(pe, ce, "stderr")):
@@ -323,7 +350,7 @@ def main(argv=None) -> int:
     for argv, out in reports:
         if not _canonical(out):
             not_canonical += 1
-            print(f"NOT CANONICAL karamata-kit {shlex.join(argv)}")
+            print(f"NOT CANONICAL karamata-kit {_shown(argv)}")
     round_differ = dict.fromkeys(_ROUNDS, 0)
     for (name, seed, label, pd), (*_, cd) in zip(parent["rounds"], change["rounds"]):
         if pd != cd:
@@ -332,7 +359,7 @@ def main(argv=None) -> int:
     print(
         f"{len(argvs) - differ} of {len(argvs)} commands identical apart from "
         f"timing_ms ({n_readme} README, {n_desk} desk_reports for seeds {args.seeds}, "
-        f"{len(_PATH_COMMANDS)} fixed, {len(args.command)} extra); {differ} differ"
+        f"{len(fixed)} fixed, {len(args.command)} extra); {differ} differ"
     )
     for name in _ROUNDS:
         n_round = sum(1 for d in change["rounds"] if d[0] == name)
