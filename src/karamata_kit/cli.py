@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 expression or settings error (also an expression
-that nests too deeply and a report that cannot be written), 3 precondition
-or domain error, 4 quadrature budget exhausted (report still written), 5
-unexpected internal error.  KARAMATA_KIT_THREADS must be an integer when
-set (exit 2 otherwise); it sets the quadrature's worker threads
+Exit codes: 0 success, 2 expression or settings error (also a missing
+required argument, with argparse's usage line, an expression that nests too
+deeply and a report that cannot be written), 3 precondition or domain error,
+4 quadrature budget exhausted (report still written), 5 unexpected internal
+error.  KARAMATA_KIT_THREADS must be an integer when set (exit 2
+otherwise); it sets the quadrature's worker threads
 (``quad.thread_count``), which change no result.
 
 The parser is built from one table, ``_COMMANDS``: each command name, with
@@ -12,6 +13,7 @@ The parser is built from one table, ``_COMMANDS``: each command name, with
 the help of its expression and its flags in ``--help`` order.  A flag is a
 ``RunConfig`` key, spelled ``--<key with - for _>``, or a ``(key,
 *spellings)`` tuple; a spelling without dashes is a positional argument.
+A key in ``_REQUIRED`` is a required argument, which argparse enforces.
 Each flag's kind is its key's annotation in ``RunConfig``
 (``config._KINDS``): ``bool`` gives ``--flag/--no-flag``, ``int`` and
 ``float`` convert the value, and a key ``RunConfig`` lacks fails when the
@@ -75,17 +77,11 @@ from .uniformity import (
 __all__ = ["main"]
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise PreconditionError(f"{flag} is required for this command")
-    return value
-
-
-def _expr(cfg: RunConfig, flag: str, key: str = "expr"):
-    """The expression of config key ``key`` (flag ``flag``), parsed, and its
-    echo ``{key: text, "<prefix>canonical": ...}``: ``h_expr`` echoes as
+def _expr(cfg: RunConfig, key: str = "expr"):
+    """The expression of config key ``key``, parsed, and its echo ``{key:
+    text, "<prefix>canonical": ...}``: ``h_expr`` echoes as
     ``h_canonical``."""
-    text = _require(getattr(cfg, key), flag)
+    text = getattr(cfg, key)
     expr = parse(text)
     return expr, {key: text, key.removesuffix("expr") + "canonical": format_expr(expr)}
 
@@ -167,7 +163,7 @@ def _scan(report) -> tuple:
 
 
 def _run_apply_l(cfg: RunConfig):
-    h, inputs = _expr(cfg, "the expression argument")
+    h, inputs = _expr(cfg)
     tol = _quad_tol(cfg)
     if cfg.x is not None:
         points = [apply_L_detailed(h, cfg.x, tol, var=cfg.var)]
@@ -182,14 +178,14 @@ def _run_apply_l(cfg: RunConfig):
 
 
 def _run_invert_l(cfg: RunConfig):
-    f, inputs = _expr(cfg, "the expression argument")
+    f, inputs = _expr(cfg)
     g = invert_L(f, var=cfg.var)
     inputs["var"] = cfg.var
     return inputs, {"inverse": format_expr(g)}, {}, []
 
 
 def _run_classify(cfg: RunConfig):
-    F, inputs = _expr(cfg, "the expression argument")
+    F, inputs = _expr(cfg)
     lams = _lambdas(cfg)
     # the library's per-operation default grids unless the user pinned one;
     # a bare --integer-mode selects the integer ladder
@@ -231,7 +227,7 @@ def _run_classify(cfg: RunConfig):
 
 
 def _run_uct_scan(cfg: RunConfig):
-    G, inputs = _expr(cfg, "--g")
+    G, inputs = _expr(cfg)
     grid = _grid(cfg, DEFAULT_GRID)
     report = uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, *_tols(cfg))
     inputs.update(u=[cfg.u_lo, cfg.u_hi], grid=grid)
@@ -239,7 +235,7 @@ def _run_uct_scan(cfg: RunConfig):
 
 
 def _run_uct_karamata(cfg: RunConfig):
-    F, inputs = _expr(cfg, "--f")
+    F, inputs = _expr(cfg)
     grid = _grid(cfg, DEFAULT_GRID)
     report = karamata_uct_check(
         F, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, *_tols(cfg), var=cfg.var
@@ -249,8 +245,8 @@ def _run_uct_karamata(cfg: RunConfig):
 
 
 def _run_uct_guct(cfg: RunConfig):
-    H, inputs = _expr(cfg, "--h-expr", "h_expr")
-    m, m_inputs = _expr(cfg, "--m-expr", "m_expr")
+    H, inputs = _expr(cfg, "h_expr")
+    m, m_inputs = _expr(cfg, "m_expr")
     grid = _grid(cfg, DEFAULT_GRID)
     report = guct_diagnose(
         H, m, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, cfg.samples, *_tols(cfg)
@@ -266,7 +262,7 @@ def _run_uct_guct(cfg: RunConfig):
 
 
 def _run_uct_hi(cfg: RunConfig):
-    H, inputs = _expr(cfg, "--h")
+    H, inputs = _expr(cfg)
     xs = _grid(cfg, DEFAULT_GRID).points()
     v_lo = cfg.v_lo if cfg.v_lo is not None else cfg.u_lo
     v_hi = cfg.v_hi if cfg.v_hi is not None else cfg.u_hi
@@ -278,7 +274,7 @@ def _run_uct_hi(cfg: RunConfig):
 
 
 def _run_uct_cond310(cfg: RunConfig):
-    xi, inputs = _expr(cfg, "--xi")
+    xi, inputs = _expr(cfg)
     grid = _grid(cfg, DEFAULT_INTEGER_GRID if cfg.integer_mode else DEFAULT_GRID)
     report = condition_scan_310(
         xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, grid.integer_mode,
@@ -289,9 +285,8 @@ def _run_uct_cond310(cfg: RunConfig):
 
 
 def _run_uct_mult_closure(cfg: RunConfig):
-    f, inputs = _expr(cfg, "--f")
-    lam = _require(cfg.lam, "--lambda")
-    mu = _require(cfg.mu, "--mu")
+    f, inputs = _expr(cfg)
+    lam, mu = cfg.lam, cfg.mu
     grid = _grid(cfg, DEFAULT_GRID)
     report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, classify_tol=_classify_tol(cfg))
     inputs.update({"lambda": lam, "mu": mu, "grid": grid})
@@ -306,16 +301,13 @@ def _run_uct_mult_closure(cfg: RunConfig):
 
 
 def _run_uct_expand_interval(cfg: RunConfig):
-    a = _require(cfg.a, "--a")
-    b = _require(cfg.b, "--b")
-    n = _require(cfg.n, "--n")
-    lo, hi = interval_expand(a, b, n)
-    return {"a": a, "b": b, "n": n}, {"interval": {"lo": lo, "hi": hi}}, {}, []
+    lo, hi = interval_expand(cfg.a, cfg.b, cfg.n)
+    return {"a": cfg.a, "b": cfg.b, "n": cfg.n}, {"interval": {"lo": lo, "hi": hi}}, {}, []
 
 
 def _run_uct_asym(cfg: RunConfig):
-    h, inputs = _expr(cfg, "--h")
-    lam = _require(cfg.lam, "--lambda")
+    h, inputs = _expr(cfg)
+    lam = cfg.lam
     grid = _grid(cfg, _E_LADDER)
     report = integral_asym_residual(
         h, lam, grid, cfg.bound, _quad_tol(cfg), var=cfg.var, classify_tol=_classify_tol(cfg)
@@ -339,6 +331,8 @@ _TOLS = ("classify_tol", "value_tol")
 _U = ("u_lo", "u_hi")
 _LAMBDA = ("lam", "--lambda")
 _EXPR = ("expr", "expr")
+# the keys a command cannot run without: argparse requires each where it is a flag
+_REQUIRED = {"expr", "h_expr", "m_expr", "lam", "mu", "a", "b", "n"}
 
 _HELP = {
     "out": "output path (both: <out>.json/<out>.csv)",
@@ -432,9 +426,7 @@ def _parser() -> argparse.ArgumentParser:
             if key == "format":
                 kwargs["choices"] = FORMATS
             if names[0].startswith("-"):
-                kwargs["dest"] = key
-            else:
-                kwargs["nargs"] = "?"
+                kwargs.update(dest=key, required=key in _REQUIRED)
             p.add_argument(*names, **kwargs)
     return top
 

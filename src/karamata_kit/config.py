@@ -13,17 +13,12 @@ import math
 from dataclasses import dataclass
 
 from .asymptotics import MIN_SAMPLES
+from .quad import ConfigError
 from .uniformity import MIN_PARAM_COUNT, REFINE_COUNT
 
 __all__ = ["RunConfig", "ConfigError", "merge_config"]
 
 FORMATS = ("json", "csv", "both")
-
-
-class ConfigError(ValueError):
-    """A setting the run cannot use: a value out of its range or not finite,
-    a ``--lambdas`` or ``--claim`` that does not parse, or a
-    ``KARAMATA_KIT_THREADS`` that is not an integer."""
 
 
 @dataclass(frozen=True)

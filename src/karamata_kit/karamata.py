@@ -26,7 +26,7 @@ from .exprlang import (
     evaluate,
     fold,
 )
-from .quad import IntegralCache, PreconditionError, QuadResult, QuadTolerance
+from .quad import IntegralCache, QuadResult, QuadTolerance, _check_point
 
 __all__ = [
     "apply_L",
@@ -66,12 +66,9 @@ def apply_L_detailed(
     tol: QuadTolerance = QuadTolerance(),
     var: str = "x",
 ) -> OperatorValue:
-    """Like :func:`apply_L` but keeps the quadrature diagnostics."""
-    if not math.isfinite(x):
-        raise PreconditionError(f"apply_L needs a finite x, got {x!r}")
-    if x < 1.0:
-        raise PreconditionError(f"apply_L needs x >= 1, got {x!r}")
-    return _operator_value(IntegralCache(h, var=var, tol=tol), x)
+    """Like :func:`apply_L` but keeps the quadrature diagnostics: the
+    one-point case of :func:`apply_L_points`."""
+    return apply_L_points(h, [x], tol, var)[0]
 
 
 def _operator_value(cache: IntegralCache, x: float) -> OperatorValue:
@@ -94,16 +91,14 @@ def apply_L_points(
     tol: QuadTolerance = QuadTolerance(),
     var: str = "x",
 ) -> list[OperatorValue]:
-    """``L(h)`` along an ascending list of points with one shared cache."""
-    previous = None
+    """``L(h)`` along an ascending list of finite points ``>= 1`` with one
+    shared cache.  Every point is checked against the one before it (the
+    first against 1) by the cache's own point rule before any is
+    integrated, so a bad point raises ``PreconditionError`` before the
+    near-one shortcut or the quadrature runs."""
+    frontier = 1.0
     for x in points:
-        if not math.isfinite(x):
-            raise PreconditionError(f"grid point {x!r} is not finite")
-        if x < 1.0:
-            raise PreconditionError(f"grid point {x!r} is below 1")
-        if previous is not None and x < previous:
-            raise PreconditionError("grid points must be ascending")
-        previous = x
+        frontier = _check_point(x, frontier)
     cache = IntegralCache(h, var=var, tol=tol)
     return [_operator_value(cache, x) for x in points]
 

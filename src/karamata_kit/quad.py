@@ -63,6 +63,12 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
+class ConfigError(ValueError):
+    """A setting the run cannot use: a value out of its range or not finite,
+    a ``--lambdas`` or ``--claim`` that does not parse, or a
+    ``KARAMATA_KIT_THREADS`` that is not an integer."""
+
+
 # Gauss(7)/Kronrod(15) nodes and weights on [-1, 1].  The Gauss nodes are
 # the odd-index Kronrod nodes, so one batch of 15 evaluations feeds both
 # rules.  Exactness (degree 13 / degree 23) is pinned by the test suite.
@@ -161,8 +167,6 @@ def thread_count() -> int:
     try:
         wanted = int(raw)
     except ValueError:
-        from .config import ConfigError  # not at import: config loads json
-
         raise ConfigError(f"KARAMATA_KIT_THREADS must be an integer, got {raw!r}") from None
     return max(1, min(wanted, cores))
 
@@ -419,15 +423,22 @@ def integrate_log(
     tol: QuadTolerance = QuadTolerance(),
     var: str = "x",
 ) -> QuadResult:
-    """Compute ``int_1^x h(t)/t dt`` for ``x >= 1``.
+    """Compute ``int_1^x h(t)/t dt`` for a finite ``x >= 1``: one
+    :meth:`IntegralCache.extend` step, which checks ``x``.
 
     ``var`` names the integration variable inside ``h``.
     """
-    if not math.isfinite(x):
-        raise PreconditionError(f"integrate_log needs a finite x, got {x!r}")
-    if x < 1.0:
-        raise PreconditionError(f"integrate_log needs x >= 1, got {x!r}")
     return IntegralCache(h, var, tol).extend(x)
+
+
+def _check_point(x: float, frontier: float = 1.0) -> float:
+    """``x`` if it is finite and at least ``frontier``: the one rule for
+    every point the operator is asked for, where ``frontier`` is 1 or the
+    point before ``x`` in an ascending sweep.  The message names only ``x``,
+    so every entry point words a bad ``x`` alike."""
+    if not (frontier <= x < math.inf):
+        raise PreconditionError(f"x must be finite, >= 1 and >= the x before it, got {x!r}")
+    return x
 
 
 @dataclass
@@ -449,21 +460,15 @@ class IntegralCache:
     converged: bool = field(default=True, init=False)
 
     def extend(self, x_next: float) -> QuadResult:
-        """Advance the frontier to ``x_next`` (non-decreasing) and return
-        the accumulated integral over [1, x_next].
+        """Advance the frontier to ``x_next``, finite and not below it (else
+        ``PreconditionError``), and return the integral over [1, x_next].
 
         ``tol.max_evals`` caps the whole sweep: each segment gets only the
         budget the earlier ones left.  With less than one panel (15
         evaluations) left, the frontier moves without integrating, the
         cache is marked not converged and its error estimate becomes
         ``inf``: nothing bounds the skipped segment."""
-        if not math.isfinite(x_next):
-            raise PreconditionError(f"cache extend needs a finite x, got {x_next!r}")
-        if x_next < self.frontier:
-            raise PreconditionError(
-                f"cache frontier is {self.frontier!r}, cannot move back to {x_next!r}"
-            )
-        if x_next > self.frontier:
+        if _check_point(x_next, self.frontier) > self.frontier:
             remaining = self.tol.max_evals - self.evaluations
             if remaining < 15:
                 self.converged = False

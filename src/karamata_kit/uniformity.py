@@ -526,9 +526,9 @@ def guct_diagnose(
         monotone_detail = f"m decreases near x = {at:.6g}"
 
     G = Bin("*", H, m)
-    probes = _spaced(a, b, 5).tolist()
-    tracks = [eval_array(G, {"x": xs, "u": u0}) for u0 in probes]
-    pointwise = tuple(zip(probes, classify_rows(tracks, classify_tol)))
+    probes = _spaced(a, b, 5)
+    tracks = eval_array(G, {"x": xs, "u": probes[:, None]})  # one row per probe
+    pointwise = tuple(zip(probes.tolist(), classify_rows(tracks, classify_tol)))
     pointwise_ok = all(v.converges and abs(v.value) <= value_tol for _, v in pointwise)
 
     scan = uct_scan(G, (a, b), x_grid, u_count, classify_tol, value_tol)
@@ -566,8 +566,9 @@ def mult_closure_residual(
 ) -> MultClosureReport:
     """Decompose the lam*mu residual into the lam step plus the mu step.
 
-    All three columns are built from one shared set of f evaluations, so
-    the decomposition is an arithmetic identity up to a few ulps."""
+    All three columns are built from one evaluation of f, at x, lam x and
+    mu (lam x), so the decomposition is an arithmetic identity up to a few
+    ulps."""
     if lam <= 0 or mu <= 0:
         raise PreconditionError("lam and mu must be positive")
     xs = np.asarray(x_grid.points())
@@ -575,9 +576,7 @@ def mult_closure_residual(
     _check_product(lam, x_max, "lam * x")
     _check_product(mu, lam * x_max, "mu * (lam * x)")
     lnx = np.log(xs)
-    f_base = eval_array(f, {var: xs})
-    f_lam = eval_array(f, {var: lam * xs})
-    f_both = eval_array(f, {var: mu * (lam * xs)})
+    f_base, f_lam, f_both = eval_array(f, {var: np.stack([xs, lam * xs, mu * (lam * xs)])})
     with np.errstate(over="ignore", invalid="ignore"):
         step_lam = (f_lam - f_base) * lnx
         step_mu = (f_both - f_lam) * lnx

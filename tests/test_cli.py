@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -783,8 +784,40 @@ def test_uct_mult_closure(capsys):
 
 
 def test_uct_mult_closure_requires_factors(capsys):
-    code, _, _ = run_cli(capsys, ["uct", "mult-closure", "--f", "ln(x)"])
-    assert code == 3
+    code, out, err = run_cli(capsys, ["uct", "mult-closure", "--f", "ln(x)"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("the following arguments are required: --lambda, --mu")
+
+
+def test_a_missing_required_argument_exits_2(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = [shlex.split(line)[1:] for line in text.split("## CLI", 1)[1].splitlines()
+              if line.startswith("karamata-kit ")]
+    missing = []
+    for name, (*_, flags) in cli._COMMANDS.items():
+        path = name.split()
+        # the README's command, else the bare command, which lacks every required argument
+        full = next((argv for argv in readme if argv[:len(path)] == path), path)
+        for flag in flags:
+            key, *names = (flag, "--" + flag.replace("_", "-")) if isinstance(flag, str) else flag
+            if key not in {"expr", "h_expr", "m_expr", "lam", "mu", "a", "b", "n"}:
+                continue
+            if full is path:
+                argv = path
+            elif names[0].startswith("-"):
+                i = next(i for i, arg in enumerate(full) if arg in names)
+                argv = full[:i] + full[i + 2:]
+            else:  # the positional expression follows the command
+                argv = full[:len(path)] + full[len(path) + 1:]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            last = err.splitlines()[-1]
+            assert "the following arguments are required: " in last, argv
+            assert names[0] in last.partition("required: ")[2], argv
+            missing.append((name, key))
+    # the expression of every command but expand-interval; guct's two; the
+    # factors of mult-closure and asym; expand-interval's a, b and n
+    assert len(missing) == 17
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from karamata_kit import (
     GeometricGrid,
+    IntegralCache,
     PreconditionError,
     QuadTolerance,
     apply_L,
@@ -23,9 +24,11 @@ from karamata_kit import (
     classify_limit,
     differentiate,
     evaluate,
+    integrate_log,
     invert_L,
     parse,
 )
+from karamata_kit import karamata, quad
 from karamata_kit.exprlang import Bin, Const, Neg, Var
 
 from expr_corpus import CORPUS
@@ -66,6 +69,30 @@ def test_non_finite_x_is_rejected(x):
             apply_L_detailed(h, x)
         with pytest.raises(PreconditionError, match="finite"):
             apply_L_points(h, [10.0, x])
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.5, 1.0 - 5e-9])
+def test_every_operator_entry_rejects_a_bad_point_before_integrating(x, monkeypatch):
+    # 1 - 5e-9 lies in the near-one band, whose shortcut would return h(1)
+    calls = []
+    monkeypatch.setattr(quad, "_adaptive", lambda *args: calls.append(args))
+    monkeypatch.setattr(karamata, "_operator_value", lambda *args: calls.append(args))
+    h = parse("sin(x)")
+    entries = {
+        "integrate_log": lambda: integrate_log(h, x),
+        "apply_L": lambda: apply_L(h, x),
+        "apply_L_detailed": lambda: apply_L_detailed(h, x),
+        "apply_L_points [10, x]": lambda: apply_L_points(h, [10.0, x]),
+        "apply_L_points [x]": lambda: apply_L_points(h, [x]),
+        "IntegralCache.extend": lambda: IntegralCache(h).extend(x),
+    }
+    messages = {}
+    for name, entry in entries.items():
+        with pytest.raises(PreconditionError, match="finite") as exc:
+            entry()
+        messages[name] = str(exc.value)
+    assert len(set(messages.values())) == 1, messages
+    assert calls == []
 
 
 def test_quad_diagnostics_attached_away_from_one():

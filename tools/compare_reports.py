@@ -10,7 +10,7 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the 64 fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``,
+- the 70 fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``,
   which reach paths that neither of the above takes: the class checks of
   ``classify --claim``,
   z0 with a failed hypothesis and with ``--value-tol 0.005``, bounded, r0
@@ -33,9 +33,14 @@ compared, with ``timing_ms`` masked.  The commands are:
   five commands the parser rejects with exit 2: a fractional
   ``--u-count``, an unknown ``--format``, an unknown flag, ``--var`` in
   ``uct scan`` and a bare ``uct``, two expressions that nest too deeply
-  (exit 2), two ``@FILE`` args files, written to a temporary directory, one
-  of flags ``uct scan`` takes and one of ``--var``, which it does not (exit
-  2), and ``--out`` into a missing directory (exit 2);
+  (exit 2), ``apply-l "1"`` at x = 0.5 and at x = 0.999999995, inside the
+  near-one band (exit 3), four commands that lack a required argument
+  (exit 2): ``apply-l`` with no expression, ``uct mult-closure`` without
+  ``--lambda`` and ``--mu``, ``uct guct`` without ``--m-expr`` and ``uct
+  expand-interval`` without ``--n``, two ``@FILE`` args files, written to a
+  temporary directory, one of flags ``uct scan`` takes and one of
+  ``--var``, which it does not (exit 2), and ``--out`` into a missing
+  directory (exit 2);
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -159,6 +164,15 @@ _PATH_COMMANDS = [
     # expressions that nest deeper than the recursion limit: exit 2
     ["invert-l", "(" * 1200 + "x" + ")" * 1200],
     ["apply-l", "+".join(["x"] * 5000), "--x", "10"],
+    # the operator's point rule (exit 3): a point below 1, and one inside
+    # the near-one band below 1
+    ["apply-l", "1", "--x", "0.5"],
+    ["apply-l", "1", "--x", "0.999999995"],
+    # missing required arguments: exit 2 with the usage line
+    ["apply-l"],
+    ["uct", "mult-closure", "--f", "ln(x)"],
+    ["uct", "guct", "--h-expr", "x*u"],
+    ["uct", "expand-interval", "--a", "2", "--b", "4"],
 ]
 
 
