@@ -31,6 +31,7 @@ once per lambda, and share one log-ratio kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,8 @@ class GeometricGrid:
     def __post_init__(self):
         if not self.start > 1.0:
             raise PreconditionError(f"grid start must be > 1, got {self.start!r}")
+        if not isinstance(self.count, numbers.Integral):
+            raise PreconditionError(f"grid count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise PreconditionError("grid count must be at least 1")
         if not self.integer_mode and not self.ratio > 1.0:
@@ -115,6 +118,21 @@ class GeometricGrid:
             base = round(self.start)
             return [float(base + k) for k in range(self.count)]
         return [self.start * self.ratio**k for k in range(self.count)]
+
+
+def _check_classifiable(grid: GeometricGrid) -> None:
+    """Reject a grid too short for its samples to be classified."""
+    if grid.count < MIN_SAMPLES:
+        raise PreconditionError(
+            f"grid count must be >= {MIN_SAMPLES} to classify its samples, got {grid.count}"
+        )
+
+
+def _check_tol(tol: float, what: str) -> None:
+    """Reject a tolerance that is not positive and finite: ``tol <= 0``
+    alone lets nan through."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise PreconditionError(f"{what} must be positive and finite, got {tol!r}")
 
 
 DEFAULT_GRID = GeometricGrid(10.0, 10.0, 8)
@@ -175,15 +193,20 @@ def _row_numbers(values, tol: float) -> tuple:
     """The numeric pass of ``classify_rows``: ``(tol, finite, *parts)``,
     where ``finite`` is a list and each of the ten parts an array with
     one entry per row, in the order ``_row_verdicts`` reads them.  The parts
-    own their memory, so they keep no (m, n) array alive."""
+    own their memory, so they keep no (m, n) array alive.
+
+    A step writes in place only into an array this pass made: the
+    increments, the centred tail when it is a copy (never when it is a view
+    of ``values``, as the tail of one contiguous row is), the spread and the
+    shrink bound.  ``values`` itself, the caller's array or not, is never
+    written."""
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2:
         raise PreconditionError(f"classify_rows needs an (m, n) array, got shape {values.shape}")
     m, n = values.shape
     if n < MIN_SAMPLES:
         raise PreconditionError(f"classify_rows needs >= {MIN_SAMPLES} samples, got {n}")
-    if tol <= 0:
-        raise PreconditionError("classification tolerance must be positive")
+    _check_tol(tol, "classification tolerance")
     # a nan or an infinity makes the range nan or inf; the initial 0.0 only
     # widens it towards zero, and keeps an empty array reducible
     top = float(np.maximum.reduce(values, axis=None, initial=0.0))
@@ -204,7 +227,8 @@ def _row_numbers(values, tol: float) -> tuple:
                 ) from None
         window_size = max(4, (n - 1) // 2)
         k = max(6, window_size)
-        deltas = np.abs(values[:, -k:] - values[:, -k - 1 : -1])
+        deltas = np.subtract(values[:, -k:], values[:, -k - 1 : -1])
+        np.abs(deltas, out=deltas)
 
         # divergence: the last four samples share a sign, grow in magnitude
         # and are already past the threshold; flipped to the sign of the
@@ -221,8 +245,17 @@ def _row_numbers(values, tol: float) -> tuple:
         if np.count_nonzero(diverging):
             tail = np.where(diverging[:, None], 0.0, tail)
         tail = np.ascontiguousarray(tail)
+        tail_lo = np.minimum.reduce(tail, axis=1)
+        tail_hi = np.maximum.reduce(tail, axis=1)
+        # centred in place once its range is taken, unless it is a view of
+        # values, which the tests below still read
+        own_tail = not np.may_share_memory(tail, values)
         try:
-            centered = tail - (np.add.reduce(tail, axis=1) / tail.shape[1])[:, None]
+            centered = np.subtract(
+                tail,
+                (np.add.reduce(tail, axis=1) / tail.shape[1])[:, None],
+                out=tail if own_tail else None,
+            )
         except FloatingPointError:
             raise PreconditionError(
                 "limit classification overflows: the sum of the tail samples, or a tail"
@@ -233,16 +266,16 @@ def _row_numbers(values, tol: float) -> tuple:
     # amplitude.  A change is a flip of sign between neighbouring live
     # samples of one row, those that stand clear of the noise; with no
     # noise-level sample, every neighbour pair is live.
-    tail_lo = np.minimum.reduce(tail, axis=1)
-    tail_hi = np.maximum.reduce(tail, axis=1)
     scale = np.maximum(np.maximum(tail_hi, -tail_lo), 1.0)
-    spread = np.abs(centered)
-    live = spread > 1e-12 * scale[:, None]
     up = centered > 0.0
+    spread = np.abs(centered, out=centered)
+    live = spread > 1e-12 * scale[:, None]
     if np.count_nonzero(live) == live.size:
         changes = np.add.reduce(up[:, 1:] != up[:, :-1], axis=1)
     else:
-        row = live.nonzero()[0]
+        # the row of each live sample, from one flat index array
+        row = np.flatnonzero(live)
+        np.floor_divide(row, live.shape[1], out=row)
         up = up[live]
         flips = (up[1:] != up[:-1]) & (row[1:] == row[:-1])
         changes = np.bincount(row[1:][flips], minlength=m)
@@ -252,9 +285,9 @@ def _row_numbers(values, tol: float) -> tuple:
     # convergence: increments shrink geometrically and the last one is small
     floor = 1e-11 * scale
     window = deltas[:, -window_size:]
-    shrinking = np.logical_and.reduce(
-        window[:, 1:] <= np.maximum(SHRINK_FACTOR * window[:, :-1], floor[:, None]), axis=1
-    )
+    bound = SHRINK_FACTOR * window[:, :-1]
+    np.maximum(bound, floor[:, None], out=bound)
+    shrinking = np.logical_and.reduce(window[:, 1:] <= bound, axis=1)
 
     return (
         tol,
@@ -498,6 +531,8 @@ def sv_test(
     ratios sit near their current value rather than the limit; it only
     contributes oscillation and divergence evidence.
     """
+    _check_tol(value_tol, "value_tol")
+    _check_classifiable(grid)
     lams = [float(l) for l in lambdas]
     lams = _lambda_list(lams if math.pi in lams else [*lams, math.pi])
     grids = [grid] if grid.integer_mode else [grid, DEFAULT_INTEGER_GRID]
@@ -563,6 +598,7 @@ def exponent_profile(
     classify_tol: float = RATIO_CLASSIFY_TOL,
 ) -> ProfileReport:
     """Profile ``xi(x) = ln F(x) / ln x`` along the grid and classify it."""
+    _check_classifiable(grid)
     xs = np.asarray(grid.points())
     vals = np.log(_values(F, xs, var)) / np.log(xs)
     verdict = classify_limit(vals, classify_tol)
@@ -668,6 +704,9 @@ def class_preservation_check(
     without being asserted (``asserted = False``): desk-scale grids cannot
     distinguish slow decay toward a negative-index envelope from failure.
     """
+    _check_tol(value_tol, "value_tol")
+    if claimed.kind != "bounded":
+        _check_classifiable(grid)
     xs = np.asarray(grid.points())
     asserted = not (claimed.kind == "r_alpha" and claimed.alpha is not None and claimed.alpha < 0)
     lams = sorted(set(_lambda_list(lambdas))) if claimed.kind in ("r0", "r_alpha") else []

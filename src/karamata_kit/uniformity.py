@@ -8,6 +8,14 @@ supremum sequence.  A Uniform verdict is grid-relative; a
 NotUniform verdict exhibits a witness: the tail of the supremum sequence
 stays above a positive floor while no longer decreasing.
 
+A scan computes in place only in an array it made itself: the product
+``lam * x``, which it hands to ``eval_array`` as ``owned`` when the variable
+occurs once in the expression, a fresh result of ``eval_array``, or a
+matrix it derived from one.  It never writes into ``xs``, ``params``, any
+other array of an ``eval_array`` environment, or an array ``eval_array``
+returned that is one of those.  Each step is then the same IEEE operation on
+the same operands, so in-place and out-of-place scans agree bit for bit.
+
 A scan makes every check and computes every number at once, but builds its
 report's ``residuals`` (one tuple of floats per x) and ``column_verdicts``
 (one verdict per parameter) only on their first read, and keeps them.  A
@@ -34,12 +42,13 @@ from .asymptotics import (
     RATIO_CLASSIFY_TOL,
     VALUE_TOL,
     _check_product,
+    _check_tol,
     _row_numbers,
     _row_verdicts,
     _values,
     classify_rows,
 )
-from .exprlang import Bin, EvalError, Expr, eval_array
+from .exprlang import Bin, EvalError, Expr, eval_array, occurrences
 from .quad import IntegralCache, PreconditionError, QuadTolerance
 
 __all__ = [
@@ -133,7 +142,8 @@ def _grid_suprema(grid_fn, xs: np.ndarray, params: np.ndarray):
     refine = np.flatnonzero(hi > lo)
     if refine.size:
         fine = np.linspace(lo[refine], hi[refine], REFINE_COUNT, axis=1)
-        fine_rows = np.abs(grid_fn(xs[refine], fine))
+        fine_rows = grid_fn(xs[refine], fine)
+        np.abs(fine_rows, out=fine_rows)
         k = np.argmax(fine_rows, axis=1)
         best = fine_rows[np.arange(refine.size), k]
         better = best > suprema[refine]
@@ -152,9 +162,11 @@ def _scan(
     """Scan ``grid_fn`` over the (x, parameter) grid and classify the suprema.
 
     ``grid_fn(xs, ps)`` returns the ``(n, m)`` signed residuals of ``n`` x
-    values against parameters of shape ``(1, m)`` or ``(n, m)``.  When the
+    values against parameters of shape ``(1, m)`` or ``(n, m)``, in an array
+    the scan may keep and write into.  When the
     grid fails, the rows are walked in order so the error names the first
     failing x."""
+    _check_tol(value_tol, "value_tol")
     try:
         rows, suprema, sup_params = _grid_suprema(grid_fn, xs, params)
     except (EvalError, PreconditionError):
@@ -220,6 +232,13 @@ def _finite_rows(rows: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
     return rows
 
 
+def _owned(expr: Expr, var: str) -> str | None:
+    """``var``, if ``eval_array`` may compute ``expr`` in the array of
+    ``var`` it is handed: only when the variable occurs once, since a second
+    leaf would read what the first step wrote."""
+    return var if occurrences(expr, var) == 1 else None
+
+
 def _check_interval(interval, what: str) -> tuple[float, float]:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -266,7 +285,12 @@ def uct_scan(
     xs = np.asarray(x_grid.points())
 
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        return np.abs(eval_array(G, {"x": xs[:, None], "u": ps}))
+        env = {"x": xs[:, None], "u": ps}
+        values = eval_array(G, env)
+        # G = "u" on the refinement's (n, m) parameters returns them
+        if any(values is v for v in env.values()):
+            return np.abs(values)
+        return np.abs(values, out=values)
 
     return _scan(grid_fn, xs, params, classify_tol, value_tol)
 
@@ -286,17 +310,23 @@ def karamata_uct_check(
     xs = np.asarray(x_grid.points())
     params = _window("lambda", lambda_interval, lambda_count, float(xs.max()))
 
+    owned = _owned(F, var)
+
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         base = _values(F, xs, var)
-        shifted = eval_array(F, {var: ps * xs[:, None]})
-        bad = np.flatnonzero(np.any(shifted <= 0, axis=1))
+        # F(lam x), in the scan's own array (the product, or a fresh
+        # result), which becomes the ratio in place
+        ratio = eval_array(F, {var: ps * xs[:, None]}, owned)
+        bad = np.flatnonzero(np.any(ratio <= 0, axis=1))
         if bad.size:
             raise PreconditionError(
                 f"F must be positive on the lambda window at x = {float(xs[bad[0]])!r}"
             )
         with np.errstate(over="ignore"):
-            ratio = shifted / base[:, None]
-        return np.abs(_finite_rows(ratio, xs, "F(lam x)/F(x)") - 1.0)
+            np.divide(ratio, base[:, None], out=ratio)
+        _finite_rows(ratio, xs, "F(lam x)/F(x)")
+        np.subtract(ratio, 1.0, out=ratio)
+        return np.abs(ratio, out=ratio)
 
     return _scan(grid_fn, xs, params, classify_tol, value_tol)
 
@@ -323,12 +353,17 @@ def condition_scan_310(
     xs = np.asarray(x_grid.points())
     params = _window("lambda", lambda_interval, lambda_count, float(xs.max()))
 
+    owned = _owned(xi, var)
+
     def grid_fn(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         at_x = eval_array(xi, {var: xs})
-        at_lx = eval_array(xi, {var: ps * xs[:, None]})
+        # xi(lam x), in the scan's own array (the product, or a fresh
+        # result), which becomes the residual in place
+        residual = eval_array(xi, {var: ps * xs[:, None]}, owned)
         ln_x = np.array([math.log(x) for x in xs.tolist()])
         with np.errstate(over="ignore"):
-            residual = (at_lx - at_x[:, None]) * ln_x[:, None]
+            np.subtract(residual, at_x[:, None], out=residual)
+            np.multiply(residual, ln_x[:, None], out=residual)
         return _finite_rows(residual, xs, "(xi(lam x) - xi(x)) * ln x")
 
     return _scan(grid_fn, xs, params, classify_tol, value_tol)
@@ -462,11 +497,15 @@ def hi_check(H: Expr, sample_count: int, region: Region) -> HiReport:
         rhs, eval_array(H, {"x": xs, "u": _finite_sum(us, vs)}), "H(x+u, v) + H(x, u+v)"
     )
     margin = float(np.max(_finite_sum(lhs, -rhs, "H(x, u) - (H(x+u, v) + H(x, u+v))")))
-    slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    # 1e-12 * max(1, |lhs|, |rhs|), then rhs + slack, in one array
+    slack = np.abs(lhs)
+    np.maximum(slack, np.abs(rhs), out=slack)
+    np.maximum(slack, 1.0, out=slack)
+    np.multiply(slack, 1e-12, out=slack)
     with np.errstate(over="ignore"):
         # rhs + slack may round past the largest float only at rhs ~ 1.8e308,
         # where no finite lhs exceeds it
-        bad = lhs > rhs + slack
+        bad = lhs > np.add(rhs, slack, out=slack)
     violations = tuple(
         HiViolation(float(xs[i]), float(us[i]), float(vs[i]), float(lhs[i]), float(rhs[i]))
         for i in np.flatnonzero(bad)
@@ -509,6 +548,7 @@ def guct_diagnose(
     samples (u and v both drawn from ``u_interval``), monotonicity of m
     along x, and pointwise decay of G at probe u values.  The conclusion
     (uniform decay over the whole u interval) is then scanned."""
+    _check_tol(value_tol, "value_tol")
     a, b = _check_interval(u_interval, "u interval")
     xs = np.asarray(x_grid.points())
     region = Region(x=(float(xs[0]), float(xs[-1])), u=(a, b), v=(a, b))

@@ -70,6 +70,40 @@ def test_grid_rejects_non_finite_last_point(start, ratio, count, integer_mode):
         GeometricGrid(start, ratio, count, integer_mode)
 
 
+@pytest.mark.parametrize("count", [2.5, 8.0, "8", None])
+def test_grid_count_must_be_an_integer(count):
+    with pytest.raises(PreconditionError, match=r"^grid count must be an integer, got "):
+        GeometricGrid(10.0, 2.0, count)
+
+
+def test_grid_count_may_be_a_numpy_integer():
+    assert GeometricGrid(10.0, 2.0, np.int64(3)).points() == [10.0, 20.0, 40.0]
+
+
+_SHORT_GRID = GeometricGrid(10.0, 2.0, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sv_test(parse("ln(x)"), grid=_SHORT_GRID),
+        lambda: sv_test(parse("ln(x)"), grid=GeometricGrid(1000.0, 2.0, 3, integer_mode=True)),
+        lambda: exponent_profile(parse("x^2"), _SHORT_GRID),
+        lambda: class_preservation_check(parse("1/x"), ClaimedClass("z0"), _SHORT_GRID),
+        lambda: class_preservation_check(parse("ln(x)"), ClaimedClass("r0"), _SHORT_GRID),
+    ],
+    ids=["sv_test", "sv_test-integer", "exponent_profile", "class-z0", "class-r0"],
+)
+def test_a_grid_too_short_to_classify_is_named_as_such(call):
+    with pytest.raises(PreconditionError, match=r"^grid count must be >= 8 to classify its samples, got 3$"):
+        call()
+
+
+def test_a_bounded_claim_needs_no_classifiable_grid():
+    rep = class_preservation_check(parse("2"), ClaimedClass("bounded", bounds=(1.0, 3.0)), _SHORT_GRID)
+    assert rep.hypothesis_holds and rep.conclusion_holds
+
+
 def test_integer_grid_must_start_above_one():
     # round(1.4) = 1, where ln F / ln x is 0/0
     with pytest.raises(PreconditionError, match="got 1.4"):
@@ -129,6 +163,48 @@ def test_classify_tiny_noise_is_convergence():
 def test_classify_rejects_bad_tolerance():
     with pytest.raises(PreconditionError):
         classify_limit(np.ones(10), tol=0.0)
+
+
+_BAD_TOLS = [math.nan, math.inf, -math.inf, 0.0, -1e-3]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: classify_limit(np.arange(1.0, 20.0), tol=tol),
+        lambda tol: classify_rows(np.ones((2, 9)), tol),
+        lambda tol: rv_index(parse("x^2"), classify_tol=tol),
+        lambda tol: sv_test(parse("x"), [2, 10], classify_tol=tol),
+        lambda tol: karamata_uct_check(parse("ln(x)"), (1.0, 2.0), DEEP_GRID, classify_tol=tol),
+    ],
+    ids=["classify_limit", "classify_rows", "rv_index", "sv_test", "karamata_uct_check"],
+)
+def test_a_classification_tolerance_must_be_positive_and_finite(call, tol):
+    with pytest.raises(PreconditionError, match=r"^classification tolerance must be positive and finite, got "):
+        call(tol)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: sv_test(parse("x"), [2, 10], value_tol=tol),
+        lambda tol: class_preservation_check(parse("1/x"), ClaimedClass("z0"), value_tol=tol),
+        lambda tol: uct_scan(parse("u/x"), (0.0, 1.0), DEEP_GRID, value_tol=tol),
+        lambda tol: karamata_uct_check(parse("ln(x)"), (1.0, 2.0), DEEP_GRID, value_tol=tol),
+        lambda tol: condition_scan_310(parse("1/ln(x)"), (1.0, 2.0), DEEP_GRID, value_tol=tol),
+        lambda tol: guct_diagnose(
+            parse("abs(ln(x+u) - ln(x))"), parse("1"), (0.5, 2.0), DEEP_GRID, value_tol=tol
+        ),
+    ],
+    ids=["sv_test", "class_preservation_check", "uct_scan", "karamata_uct_check",
+         "condition_scan_310", "guct_diagnose"],
+)
+def test_a_value_tolerance_must_be_positive_and_finite(call, tol):
+    # nan and inf used to pass: sv_test called x slowly varying
+    with pytest.raises(PreconditionError, match=r"^value_tol must be positive and finite, got "):
+        call(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +318,29 @@ def test_kernel_returns_one_verdict_per_row():
         classify_rows(np.ones(9))
     with pytest.raises(PreconditionError):
         classify_limit(np.ones((2, 9)))
+
+
+_ONE_ROW_CASES = {
+    # the tail of one C-contiguous row is a view of the array itself
+    "converges": 1.0 + 1.0 / np.arange(1.0, 21.0),
+    "oscillates": np.sin(np.arange(20.0)),
+    # noise-level tail samples, compacted away from the sign changes
+    "noisy": np.r_[np.ones(10), [1.0, 0.0, -1.0, 0.0, 1.0e-20, -1.0, 1.0, 0.0, -1.0, 1.0]],
+    "diverges": np.geomspace(1e9, 1e14, 12),
+    "non-finite": np.r_[np.ones(9), np.inf],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_ROW_CASES))
+def test_classify_rows_writes_into_no_array_it_is_given(case):
+    row = _ONE_ROW_CASES[case]
+    want = repr(_reference_classify(row))
+    for values in (row[None, :].copy(), np.vstack([row, row[::-1], row])):
+        assert values.flags.c_contiguous
+        before = values.tobytes()
+        got = classify_rows(values)
+        assert values.tobytes() == before
+        assert repr(got[0]) == want
 
 
 def test_too_few_samples_name_the_function_called():

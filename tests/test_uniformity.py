@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,115 @@ def test_scan_is_bit_identical_to_row_by_row_reference(kind, text, window, grid)
     assert rep.residuals == rows
     assert rep.suprema == suprema
     assert rep.sup_params == sup_params
+
+
+# ---------------------------------------------------------------------------
+# a scan computes in place only in arrays it made itself
+
+_ROW_FNS = {
+    "uct": lambda expr: lambda x, ps: np.abs(eval_array(expr, {"x": x, "u": ps})),
+    "karamata": lambda expr: lambda x, ps: np.abs(
+        eval_array(expr, {"x": ps * x}) / _f_at(expr, x) - 1.0
+    ),
+    "cond310": lambda expr: lambda x, ps: (
+        (eval_array(expr, {"x": ps * x}) - _f_at(expr, x)) * math.log(x)
+    ),
+}
+_SCANNERS = {"uct": uct_scan, "karamata": karamata_uct_check, "cond310": condition_scan_310}
+
+
+@pytest.fixture
+def env_arrays(monkeypatch):
+    """Every array the scans hand to ``eval_array``, except the one handed
+    over as ``owned``, with a copy taken at the call."""
+    seen = []
+
+    def spy(expr, env, owned=None):
+        seen.extend(
+            (value, value.copy())
+            for name, value in env.items()
+            if name != owned and isinstance(value, np.ndarray)
+        )
+        return eval_array(expr, env, owned)
+
+    monkeypatch.setattr(uniformity, "eval_array", spy)
+    monkeypatch.setattr(asymptotics, "eval_array", spy)
+    return seen
+
+
+def _unchanged(seen):
+    assert seen
+    for value, before in seen:
+        assert value.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, text, window, grid",
+    [
+        # eval_array returns the refinement's (n, 33) parameter matrix
+        # itself, whose negative entries an in-place abs would flip
+        ("uct", "u", (-1.0, 0.5), GeometricGrid(2.0, 1.5, 12)),
+        ("uct", "x", (-1.0, 0.5), GeometricGrid(2.0, 1.5, 12)),
+        # x read more than once: the product lam * x is not handed over
+        ("karamata", "x^(x/x + 1) + x^(x/x - 2)", (1.0, 2.0), GeometricGrid(3.0, 1.3, 20)),
+        ("cond310", "x^(x/x + 1)/x^2 + x^(x/x - 2)", (0.5, 2.0), GeometricGrid(3.0, 1.3, 20)),
+        # x read once: F is computed in the product, or is the product
+        ("karamata", "ln(x)", (1.0, 3.0), GeometricGrid(5.0, 1.7, 15)),
+        ("karamata", "x", (0.5, 2.0), X_GRID),
+        ("cond310", "sin(x)/ln(x)", (0.5, 2.0), GeometricGrid(1000.0, 2.0, 33, True)),
+        ("cond310", "x", (0.5, 2.0), X_GRID),
+    ],
+)
+def test_a_scan_writes_into_no_array_it_did_not_make(env_arrays, kind, text, window, grid):
+    expr = parse(text)
+    rep = _SCANNERS[kind](expr, window, grid)
+    _unchanged(env_arrays)
+    params = np.linspace(window[0], window[1], 33)
+    assert rep.xs == tuple(grid.points()) and rep.params == tuple(params.tolist())
+    rows, suprema, sup_params = _row_by_row(_ROW_FNS[kind](expr), grid.points(), params)
+    assert rep.residuals == rows
+    assert rep.suprema == suprema
+    assert rep.sup_params == sup_params
+
+
+@pytest.mark.parametrize("text", ["u", "x", "x + u", "abs(ln(x+u) - ln(x))"])
+def test_hi_check_writes_into_no_array_it_did_not_make(env_arrays, text):
+    region = Region(x=(2.0, 50.0), u=(0.0, 1.0), v=(0.0, 1.0))
+    hi_check(parse(text), 300, region)
+    _unchanged(env_arrays)
+
+
+def test_guct_writes_into_no_array_it_did_not_make(env_arrays):
+    guct_diagnose(parse("abs(ln(x+u) - ln(x))"), parse("x"), (0.5, 2.0), X_GRID, sample_count=50)
+    _unchanged(env_arrays)
+
+
+def _transient_peak(call) -> int:
+    """The ``tracemalloc`` peak, in bytes, of a second ``call()``: the first
+    one parses and fills every cache."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: karamata_uct_check(parse("ln(x)"), (1.0, 3.0), GeometricGrid(20.0, 1.05, 300), 257),
+        lambda: condition_scan_310(
+            parse("0.75/ln(x)"), (1.0, 3.0), GeometricGrid(20.0, 1.05, 300), 257
+        ),
+    ],
+    ids=["karamata", "cond310"],
+)
+def test_a_wide_scan_holds_few_matrices_at_once(call):
+    # one 300 x 257 matrix is 617 KB.  A scan whose steps each made a new
+    # matrix peaked at 3.92 MB; computing in its own arrays, at 2.73 MB
+    assert _transient_peak(call) <= 2_750_000
 
 
 # ---------------------------------------------------------------------------

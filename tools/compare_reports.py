@@ -10,7 +10,7 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the 70 fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``,
+- the 76 fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``,
   which reach paths that neither of the above takes: the class checks of
   ``classify --claim``,
   z0 with a failed hypothesis and with ``--value-tol 0.005``, bounded, r0
@@ -27,7 +27,9 @@ compared, with ``timing_ms`` masked.  The commands are:
   sweep, waves of more than 400,000 panels and a budget that runs out
   inside pooled waves, in ``apply-l``, the Halton
   samples of ``uct hi`` at the 100,000 cap and of ``uct guct``, a
-  300 x 257 ``uct scan`` and ``uct karamata``, each as JSON and as CSV, a
+  300 x 257 ``uct scan``, ``uct karamata`` of an F that reads x once and of
+  one that reads it twice, and ``uct cond310`` with and without
+  ``--integer-mode``, each as JSON and as CSV, a
   ``uct scan`` and an ``apply-l`` sweep under ``--format both``, the
   ``--help`` of the program, of ``uct`` and of each command, ``--version``,
   five commands the parser rejects with exit 2: a fractional
@@ -143,6 +145,13 @@ _PATH_COMMANDS = [
          "--ratio", "1.02", "--u-count", "257"],
         ["uct", "karamata", "--f", "ln(x)", "--a", "1", "--b", "3", "--count", "300",
          "--ratio", "1.05", "--lambda-count", "257"],
+        # an F that reads x twice, which the scan does not compute in lam * x
+        ["uct", "karamata", "--f", "x^(x/x + 1) + x^(x/x - 2)", "--a", "1", "--b", "3",
+         "--count", "300", "--ratio", "1.05", "--lambda-count", "257"],
+        # signed residuals, on both ladders
+        *(["uct", "cond310", "--xi", "0.75/ln(x)", "--lambda-lo", "1", "--lambda-hi", "3",
+           "--count", "300", "--ratio", "1.05", "--lambda-count", "257", *mode]
+          for mode in ([], ["--integer-mode"])),
     ) for fmt in ([], ["--format", "csv"])),
     # JSON then CSV on stdout
     ["uct", "scan", "--g", "x*u*exp(-x*u)", "--u-lo", "1e-3", "--format", "both"],
