@@ -31,14 +31,13 @@ once per lambda, and share one log-ratio kernel.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exprlang import Expr, eval_array
 from .karamata import apply_L_points
-from .quad import PreconditionError, QuadTolerance
+from .quad import PreconditionError, QuadTolerance, _check_count, _check_finite, _check_tol
 
 __all__ = [
     "GeometricGrid",
@@ -89,12 +88,9 @@ class GeometricGrid:
     def __post_init__(self):
         if not self.start > 1.0:
             raise PreconditionError(f"grid start must be > 1, got {self.start!r}")
-        if not isinstance(self.count, numbers.Integral):
-            raise PreconditionError(f"grid count must be an integer, got {self.count!r}")
-        if self.count < 1:
-            raise PreconditionError("grid count must be at least 1")
-        if not self.integer_mode and not self.ratio > 1.0:
-            raise PreconditionError(f"grid ratio must be > 1, got {self.ratio!r}")
+        _check_count(self.count, 1, "grid count")
+        if not self.integer_mode:
+            _check_ratio(self.ratio, "grid ratio")
         k = self.count - 1
         try:
             if self.integer_mode:
@@ -128,11 +124,10 @@ def _check_classifiable(grid: GeometricGrid) -> None:
         )
 
 
-def _check_tol(tol: float, what: str) -> None:
-    """Reject a tolerance that is not positive and finite: ``tol <= 0``
-    alone lets nan through."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise PreconditionError(f"{what} must be positive and finite, got {tol!r}")
+def _check_ratio(ratio: float, what: str) -> None:
+    """Reject a geometric grid's ratio that is not above 1."""
+    if not ratio > 1.0:
+        raise PreconditionError(f"{what} must be > 1, got {ratio!r}")
 
 
 DEFAULT_GRID = GeometricGrid(10.0, 10.0, 8)
@@ -417,14 +412,18 @@ def _log_ratios(base: np.ndarray, shifted: np.ndarray, lams=None) -> np.ndarray:
     return out
 
 
-def _lambda_list(lambdas) -> list[float]:
-    """The lambdas as floats; each must be finite, positive and != 1."""
-    lams = [float(l) for l in lambdas]
+def _finite_lambdas(lambdas) -> list[float]:
+    """The lambdas as floats: at least one, and each finite."""
+    lams = [_check_finite(lam, "lambda") for lam in lambdas]
     if not lams:
         raise PreconditionError("need at least one lambda")
+    return lams
+
+
+def _lambda_list(lambdas) -> list[float]:
+    """The lambdas as floats; each must be finite, positive and != 1."""
+    lams = _finite_lambdas(lambdas)
     for lam in lams:
-        if not math.isfinite(lam):
-            raise PreconditionError(f"lambda must be finite, got {lam!r}")
         if lam <= 0 or lam == 1.0:
             raise PreconditionError(f"lambda must be positive and != 1, got {lam!r}")
     return lams
@@ -624,16 +623,31 @@ class ClaimedClass:
 
     def __post_init__(self):
         if self.kind not in ("z0", "r0", "r_alpha", "bounded"):
-            raise PreconditionError(f"unknown class {self.kind!r}")
-        if self.kind == "r_alpha" and self.alpha is None:
-            raise PreconditionError("r_alpha needs alpha")
-        if self.kind == "r_alpha" and not math.isfinite(self.alpha):
+            raise PreconditionError(f"unknown class {self.kind!r}; use z0, r0, r_alpha or bounded")
+        if self.kind == "r_alpha" and not (self.alpha is not None and math.isfinite(self.alpha)):
             raise PreconditionError(f"r_alpha needs a finite alpha, got {self.alpha!r}")
         if self.kind == "bounded":
             if self.bounds is None or not self.bounds[0] <= self.bounds[1]:
                 raise PreconditionError("bounded needs lo <= hi")
             if not all(math.isfinite(b) for b in self.bounds):
                 raise PreconditionError(f"bounded needs finite bounds, got {self.bounds!r}")
+
+    @classmethod
+    def parse(cls, text: str) -> ClaimedClass:
+        """The class ``text`` names: ``z0``, ``r0``, ``r_alpha:<a>`` or
+        ``bounded:<lo>,<hi>``, the kind in any case."""
+        kind, _, args = text.partition(":")
+        kind = kind.strip().lower()
+        if kind not in ("r_alpha", "bounded"):
+            return cls(kind)  # which rejects an unknown kind
+        lo, _, hi = args.partition(",")
+        try:
+            values = float(args) if kind == "r_alpha" else (float(lo), float(hi))
+        except ValueError:
+            raise PreconditionError(f"cannot read the numbers of the class {text!r}") from None
+        if kind == "r_alpha":
+            return cls(kind, alpha=values)
+        return cls(kind, bounds=values)
 
     def describe(self) -> str:
         if self.kind == "r_alpha":
@@ -709,7 +723,9 @@ def class_preservation_check(
         _check_classifiable(grid)
     xs = np.asarray(grid.points())
     asserted = not (claimed.kind == "r_alpha" and claimed.alpha is not None and claimed.alpha < 0)
-    lams = sorted(set(_lambda_list(lambdas))) if claimed.kind in ("r0", "r_alpha") else []
+    # checked for every class; only the ratio classes read the (lambda, x) block
+    lams = _lambda_list(lambdas)
+    lams = sorted(set(lams)) if claimed.kind in ("r0", "r_alpha") else []
     h_base, h_shifted = _grid_values(h, lams, xs, var, positive=False)
     hyp_ok, hyp_detail = _membership(h_base, h_shifted, claimed, classify_tol, value_tol, lams)
     # one cache sweep over the ascending union of the grid and the block

@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 expression or settings error (also a missing
-required argument, with argparse's usage line, an expression that nests too
-deeply and a report that cannot be written), 3 precondition or domain error,
-4 quadrature budget exhausted (report still written), 5 unexpected internal
+Exit codes: 0 success, 2 expression or settings error (a settings error
+with argparse's usage line, also an expression that nests too deeply and a
+report that cannot be written), 3 precondition or domain error, 4
+quadrature budget exhausted (report still written), 5 unexpected internal
 error.  KARAMATA_KIT_THREADS must be an integer when set (exit 2
-otherwise); it sets the quadrature's worker threads
-(``quad.thread_count``), which change no result.
+otherwise, the one settings error found after parsing); it sets the
+quadrature's worker threads (``quad.thread_count``), which change no
+result.
 
 The parser is built from one table, ``_COMMANDS``: each command name, with
 ``uct <name>`` for the uniformity commands, maps to its runner, its help,
@@ -14,13 +15,15 @@ the help of its expression and its flags in ``--help`` order.  A flag is a
 ``RunConfig`` key, spelled ``--<key with - for _>``, or a ``(key,
 *spellings)`` tuple; a spelling without dashes is a positional argument.
 A key in ``_REQUIRED`` is a required argument, which argparse enforces.
-Each flag's kind is its key's annotation in ``RunConfig``
-(``config._KINDS``): ``bool`` gives ``--flag/--no-flag``, ``int`` and
-``float`` convert the value, and a key ``RunConfig`` lacks fails when the
-parser is built.  Every command also takes ``_COMMON``.  The top-level
-parser reads an ``@FILE`` argument as the lines of FILE, one argument a
-line, so a settings file passes through the same flags, types and checks as
-typed arguments.
+A ``bool`` key (its annotation in ``RunConfig``, ``config._KINDS``) gives
+``--flag/--no-flag``; any other flag's value goes through its key's
+converter in ``config.CONVERTERS``, which converts it to its kind and
+checks it by the library's rule for that setting, so a bad value exits 2
+with argparse's usage line and ``argument --flag: <the rule's message>``.
+A key ``RunConfig`` lacks fails when the parser is built.  Every command
+also takes ``_COMMON``.  The top-level parser reads an ``@FILE`` argument
+as the lines of FILE, one argument a line, so a settings file passes
+through the same flags, converters and checks as typed arguments.
 
 Each command has a runner that takes the merged ``RunConfig`` and returns
 ``(inputs, results, verdicts, rows)``: the echo of its inputs, its results,
@@ -57,10 +60,10 @@ from .asymptotics import (
     rv_index,
     sv_test,
 )
-from .config import _KINDS, FORMATS, ConfigError, RunConfig, merge_config
+from .config import _KINDS, CONVERTERS, FORMATS, RunConfig, lambda_values, merge_config
 from .exprlang import EvalError, ExprSyntaxError, format_expr, parse
 from .karamata import apply_L_detailed, apply_L_points, invert_L
-from .quad import PreconditionError, QuadTolerance, thread_count
+from .quad import ConfigError, PreconditionError, QuadTolerance, thread_count
 from .reporting import build_report, emit
 from .uniformity import (
     Region,
@@ -101,37 +104,7 @@ def _grid(cfg: RunConfig, default: GeometricGrid) -> GeometricGrid:
 
 
 def _lambdas(cfg: RunConfig):
-    if cfg.lambdas is None:
-        return DEFAULT_LAMBDAS
-    try:
-        lams = tuple(float(tok) for tok in cfg.lambdas.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse --lambdas {cfg.lambdas!r} as floats")
-    if not lams:
-        raise ConfigError("--lambdas must name at least one value")
-    if not all(math.isfinite(lam) for lam in lams):
-        raise ConfigError(f"--lambdas must be finite, got {cfg.lambdas!r}")
-    return lams
-
-
-def _claimed_class(text: str) -> ClaimedClass:
-    head, _, rest = text.partition(":")
-    head = head.strip().lower()
-    try:
-        if head == "z0":
-            return ClaimedClass("z0")
-        if head == "r0":
-            return ClaimedClass("r0")
-        if head == "r_alpha":
-            return ClaimedClass("r_alpha", alpha=float(rest))
-        if head == "bounded":
-            lo, _, hi = rest.partition(",")
-            return ClaimedClass("bounded", bounds=(float(lo), float(hi)))
-    except (ValueError, PreconditionError) as exc:
-        raise ConfigError(f"bad --claim {text!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown --claim {text!r}; use z0, r0, r_alpha:<a>, or bounded:<lo>,<hi>"
-    )
+    return DEFAULT_LAMBDAS if cfg.lambdas is None else lambda_values(cfg.lambdas)
 
 
 def _quad_tol(cfg: RunConfig) -> QuadTolerance:
@@ -214,7 +187,7 @@ def _run_classify(cfg: RunConfig):
         results["profile"] = prof
         verdicts["profile"] = prof.verdict.kind
     if cfg.claim is not None:
-        claimed = _claimed_class(cfg.claim)
+        claimed = ClaimedClass.parse(cfg.claim)
         check = class_preservation_check(
             F, claimed, lambdas=lams, tol=_quad_tol(cfg), value_tol=value_tol, **kwargs
         )
@@ -388,14 +361,6 @@ _COMMANDS = {
                   "bound")),
 }
 
-# what each RunConfig kind asks of argparse
-_KIND_ARGS = {
-    "bool": {"action": argparse.BooleanOptionalAction},
-    "int": {"type": int},
-    "float": {"type": float},
-    "str": {},
-}
-
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
@@ -421,8 +386,11 @@ def _parser() -> argparse.ArgumentParser:
         p.set_defaults(command=name, runner=runner)
         for flag in (*_COMMON, *flags):
             key, *names = (flag, "--" + flag.replace("_", "-")) if isinstance(flag, str) else flag
-            kwargs = dict(_KIND_ARGS[_KINDS[key]])
-            kwargs["help"] = expr_help if key == "expr" else _HELP.get(key)
+            kwargs = {"help": expr_help if key == "expr" else _HELP.get(key)}
+            if _KINDS[key] == "bool":
+                kwargs["action"] = argparse.BooleanOptionalAction
+            elif key in CONVERTERS:
+                kwargs["type"] = CONVERTERS[key]
             if key == "format":
                 kwargs["choices"] = FORMATS
             if names[0].startswith("-"):

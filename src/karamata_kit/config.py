@@ -1,5 +1,6 @@
-"""Run configuration: the defaults of every setting, and the flags a command
-was given laid over them.
+"""Run configuration: the defaults of every setting, the rule each flag is
+checked by where the command line converts it, and the flags a command was
+given laid over the defaults.
 
 Settings files are not read here: the command line's own parser reads an
 ``@FILE`` argument as one argument per line, so a file sets exactly the
@@ -8,12 +9,13 @@ flags its command takes, with their types and choices.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import math
 from dataclasses import dataclass
 
-from .asymptotics import MIN_SAMPLES
-from .quad import ConfigError
+from .asymptotics import MIN_SAMPLES, ClaimedClass, _check_ratio, _finite_lambdas
+from .quad import ConfigError, PreconditionError, _check_count, _check_finite, _check_tol
 from .uniformity import MIN_PARAM_COUNT, REFINE_COUNT
 
 __all__ = ["RunConfig", "ConfigError", "merge_config"]
@@ -82,12 +84,72 @@ MAX_SAMPLES = 100_000
 
 # each key's kind, from its annotation: "bool", "int", "float" or "str"
 _KINDS = {f.name: f.type.partition(" ")[0] for f in dataclasses.fields(RunConfig)}
-_FLOAT_KEYS = tuple(name for name, kind in _KINDS.items() if kind == "float")
+
+
+def lambda_values(text: str) -> tuple[float, ...]:
+    """The lambdas of a ``--lambdas`` text, comma-separated floats: at least
+    one, and each finite."""
+    try:
+        lams = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise PreconditionError(f"cannot parse {text!r} as comma-separated floats") from None
+    return tuple(_finite_lambdas(lams))
+
+
+def _count(least: int, most: float = math.inf):
+    """The rule of a count of at least ``least``; a size is also capped."""
+    return lambda value, key: _check_count(value, least, key, most)
+
+
+# each key's rule, called as ``rule(value, key)`` after its kind's conversion
+# and, for a float, after the rule that it be finite
+_RULES = {
+    "grid_ratio": _check_ratio,
+    "grid_count": _count(MIN_SAMPLES, MAX_GRID_COUNT),
+    "u_count": _count(MIN_PARAM_COUNT, MAX_PARAM_COUNT),
+    "lambda_count": _count(MIN_PARAM_COUNT, MAX_PARAM_COUNT),
+    "samples": _count(1, MAX_SAMPLES),
+    "max_evals": _count(15),
+    **dict.fromkeys(("abs_tol", "rel_tol", "classify_tol", "value_tol"), _check_tol),
+    "lambdas": lambda text, key: lambda_values(text),
+    "claim": lambda text, key: ClaimedClass.parse(text),
+}
+
+
+def _converter(key: str):
+    """The argparse ``type`` of ``key``: its kind's conversion, whose
+    ValueError argparse reports as an ``invalid int value`` (the converter
+    takes the conversion's name), then its rules, whose PreconditionError
+    it reports as the rule's message.  A text flag keeps its text."""
+    convert = {"int": int, "float": float, "str": str}[_KINDS[key]]
+    rules = [_check_finite] if convert is float else []
+    rules += [_RULES[key]] if key in _RULES else []
+
+    def converter(text: str):
+        value = convert(text)
+        try:
+            for rule in rules:
+                rule(value, key)
+        except PreconditionError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    converter.__name__ = convert.__name__
+    return converter
+
+
+# the argparse ``type`` of every key that converts or checks its text
+CONVERTERS = {
+    key: _converter(key)
+    for key, kind in _KINDS.items()
+    if kind in ("int", "float") or key in _RULES
+}
 
 
 def merge_config(file_values: dict | None, flag_values: dict | None) -> RunConfig:
     """The ``RunConfig`` of the dataclass defaults, then ``file_values``, then
-    ``flag_values``, validated.
+    ``flag_values``.  The values are not checked: the command line checks
+    each flag where it converts it (``CONVERTERS``).
 
     A value of None (argparse's default for a flag not given) and a key that
     is not a ``RunConfig`` field are skipped in both."""
@@ -96,38 +158,4 @@ def merge_config(file_values: dict | None, flag_values: dict | None) -> RunConfi
         if values:
             merged.update((key, value) for key, value in values.items()
                           if value is not None and key in _KINDS)
-    cfg = RunConfig(**merged)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    for key in _FLOAT_KEYS:
-        value = getattr(cfg, key)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
-    for key in ("abs_tol", "rel_tol", "classify_tol", "value_tol"):
-        value = getattr(cfg, key)
-        if value is not None and value <= 0:
-            raise ConfigError(f"{key} must be positive, got {value!r}")
-    if cfg.grid_ratio is not None and not cfg.integer_mode and cfg.grid_ratio <= 1:
-        raise ConfigError(f"grid_ratio must exceed 1, got {cfg.grid_ratio!r}")
-    if cfg.grid_count is not None and cfg.grid_count < MIN_SAMPLES:
-        raise ConfigError(f"grid_count must be at least {MIN_SAMPLES}, got {cfg.grid_count!r}")
-    if cfg.u_count < MIN_PARAM_COUNT or cfg.lambda_count < MIN_PARAM_COUNT:
-        raise ConfigError(f"u_count and lambda_count must be at least {MIN_PARAM_COUNT}")
-    if cfg.samples < 1:
-        raise ConfigError(f"samples must be positive, got {cfg.samples!r}")
-    for key, cap in (
-        ("grid_count", MAX_GRID_COUNT),
-        ("u_count", MAX_PARAM_COUNT),
-        ("lambda_count", MAX_PARAM_COUNT),
-        ("samples", MAX_SAMPLES),
-    ):
-        value = getattr(cfg, key)
-        if value is not None and value > cap:
-            raise ConfigError(f"{key} must be at most {cap:,}, got {value!r}")
-    if cfg.max_evals < 15:
-        raise ConfigError(f"max_evals must be at least 15, got {cfg.max_evals!r}")
-    if cfg.format not in FORMATS:
-        raise ConfigError(f"format must be json, csv, or both, got {cfg.format!r}")
+    return RunConfig(**merged)

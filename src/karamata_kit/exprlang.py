@@ -433,6 +433,13 @@ def occurrences(expr: Expr, name: str) -> int:
     return count
 
 
+def _owned(expr: Expr, var: str) -> str | None:
+    """``var``, if ``eval_array`` may compute ``expr`` in the array of
+    ``var`` it is handed: only when the variable occurs once, since a second
+    leaf would read what the first step wrote."""
+    return var if occurrences(expr, var) == 1 else None
+
+
 # ---------------------------------------------------------------------------
 # symbolic differentiation with light folding
 

@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprlang import Expr, eval_array, occurrences
+from .exprlang import Expr, _owned, eval_array
 
 __all__ = [
     "QuadTolerance",
@@ -64,9 +65,49 @@ class PreconditionError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A setting the run cannot use: a value out of its range or not finite,
-    a ``--lambdas`` or ``--claim`` that does not parse, or a
-    ``KARAMATA_KIT_THREADS`` that is not an integer."""
+    """A ``KARAMATA_KIT_THREADS`` that is not an integer.  Every other
+    setting is checked where the command line converts its flag."""
+
+
+def _check_finite(value, what: str) -> float:
+    """``value`` as a float, if it is a finite one."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise PreconditionError(f"{what} must be finite, got {value!r}")
+
+
+def _check_tol(tol: float, what: str) -> None:
+    """Reject a tolerance that is not positive and finite: ``tol <= 0``
+    alone lets nan through."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise PreconditionError(f"{what} must be positive and finite, got {tol!r}")
+
+
+def _check_count(value, least: int, what: str, most: float = math.inf) -> int:
+    """``value`` as an int, if it is an integer (a numpy one too) from
+    ``least`` to ``most``; a nan or infinite float is named as not finite."""
+    if isinstance(value, float):
+        _check_finite(value, what)
+    if not isinstance(value, numbers.Integral):
+        raise PreconditionError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise PreconditionError(f"{what} must be at least {least}, got {value!r}")
+    if value > most:
+        raise PreconditionError(f"{what} must be at most {most:,}, got {value!r}")
+    return int(value)
+
+
+def _check_point(x: float, frontier: float = 1.0) -> float:
+    """``x`` if it is finite and at least ``frontier``: the one rule for
+    every point the operator is asked for, where ``frontier`` is 1 or the
+    point before ``x`` in an ascending sweep.  The message names only ``x``,
+    so every entry point words a bad ``x`` alike."""
+    if not (frontier <= x < math.inf):
+        raise PreconditionError(f"x must be finite, >= 1 and >= the x before it, got {x!r}")
+    return x
 
 
 # Gauss(7)/Kronrod(15) nodes and weights on [-1, 1].  The Gauss nodes are
@@ -119,12 +160,10 @@ class QuadTolerance:
     max_evals: int = 1_000_000
 
     def __post_init__(self):
-        for tol in (self.abs_tol, self.rel_tol):
-            if not (tol > 0) or not math.isfinite(tol):
-                raise PreconditionError("tolerances must be positive and finite")
-        # every comparison with a nan budget is false: it would cap nothing
-        if not (15 <= self.max_evals < math.inf):
-            raise PreconditionError("evaluation budget must be finite and allow one panel")
+        _check_tol(self.abs_tol, "abs_tol")
+        _check_tol(self.rel_tol, "rel_tol")
+        # at least one panel; a nan or float budget would cap nothing
+        _check_count(self.max_evals, 15, "max_evals")
 
 
 @dataclass(frozen=True)
@@ -431,16 +470,6 @@ def integrate_log(
     return IntegralCache(h, var, tol).extend(x)
 
 
-def _check_point(x: float, frontier: float = 1.0) -> float:
-    """``x`` if it is finite and at least ``frontier``: the one rule for
-    every point the operator is asked for, where ``frontier`` is 1 or the
-    point before ``x`` in an ascending sweep.  The message names only ``x``,
-    so every entry point words a bad ``x`` alike."""
-    if not (frontier <= x < math.inf):
-        raise PreconditionError(f"x must be finite, >= 1 and >= the x before it, got {x!r}")
-    return x
-
-
 @dataclass
 class IntegralCache:
     """Incremental evaluation of ``int_1^x h(t)/t dt`` along ascending x.
@@ -476,8 +505,8 @@ class IntegralCache:
             else:
                 a = math.log(self.frontier)
                 b = math.log(x_next)
-                # the walk may compute in the fresh exp(points) if one leaf reads it
-                owned = self.var if occurrences(self.integrand, self.var) == 1 else None
+                # the walk may compute in the fresh exp(points)
+                owned = _owned(self.integrand, self.var)
 
                 def f(points: np.ndarray) -> np.ndarray:
                     return eval_array(self.integrand, {self.var: np.exp(points)}, owned)

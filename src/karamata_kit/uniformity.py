@@ -42,14 +42,20 @@ from .asymptotics import (
     RATIO_CLASSIFY_TOL,
     VALUE_TOL,
     _check_product,
-    _check_tol,
     _row_numbers,
     _row_verdicts,
     _values,
     classify_rows,
 )
-from .exprlang import Bin, EvalError, Expr, eval_array, occurrences
-from .quad import IntegralCache, PreconditionError, QuadTolerance
+from .exprlang import Bin, EvalError, Expr, _owned, eval_array
+from .quad import (
+    IntegralCache,
+    PreconditionError,
+    QuadTolerance,
+    _check_count,
+    _check_finite,
+    _check_tol,
+)
 
 __all__ = [
     "ScanReport",
@@ -232,13 +238,6 @@ def _finite_rows(rows: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
     return rows
 
 
-def _owned(expr: Expr, var: str) -> str | None:
-    """``var``, if ``eval_array`` may compute ``expr`` in the array of
-    ``var`` it is handed: only when the variable occurs once, since a second
-    leaf would read what the first step wrote."""
-    return var if occurrences(expr, var) == 1 else None
-
-
 def _check_interval(interval, what: str) -> tuple[float, float]:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -265,8 +264,7 @@ def _window(name: str, interval, count: int, x_max: float | None = None) -> np.n
     a, b = _check_interval(interval, f"{name} interval")
     if x_max is not None and a <= 0:
         raise PreconditionError(f"{name} interval must sit in (0, inf)")
-    if count < MIN_PARAM_COUNT:
-        raise PreconditionError(f"{name}_count must be >= {MIN_PARAM_COUNT}")
+    count = _check_count(count, MIN_PARAM_COUNT, f"{name}_count")
     if x_max is not None:
         _check_product(b, x_max, "lam * x")
     return _spaced(a, b, count)
@@ -405,10 +403,9 @@ def halton_points(count: int, dims: int, skip: int = 20) -> np.ndarray:
     then peeled off at once from the ``f`` the table ends on.  A digit
     beyond an index's last, in the table or in the loop, adds an exact 0.0,
     so every point is bit-identical to the one-index-at-a-time result."""
-    if not 1 <= dims <= len(_HALTON_BASES):
-        raise PreconditionError(f"dims must be in 1..{len(_HALTON_BASES)}, got {dims!r}")
-    if count < 0 or skip < 0:
-        raise PreconditionError(f"count and skip must be >= 0, got {count!r}, {skip!r}")
+    dims = _check_count(dims, 1, "dims", len(_HALTON_BASES))
+    count = _check_count(count, 0, "count")
+    skip = _check_count(skip, 0, "skip")
     if count + skip > np.iinfo(np.int64).max:
         raise PreconditionError(f"count + skip must fit in int64, got {count + skip!r}")
     out = np.empty((count, dims))
@@ -466,8 +463,9 @@ def _finite_sum(a, b, what: str = "a sample point, x + u or u + v") -> np.ndarra
     overflow.
 
     A factor in (0, 1) times a finite span cannot overflow, and an infinite
-    span gives an exact inf, so the sums are the only steps to guard."""
-    with np.errstate(over="ignore"):
+    span gives an exact inf, so the sums are the only steps to guard; a sum
+    of opposite infinities is nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
         total = a + b
     if not np.isfinite(total).all():
         raise PreconditionError(f"hi_check overflows: {what} is not finite")
@@ -480,8 +478,7 @@ def hi_check(H: Expr, sample_count: int, region: Region) -> HiReport:
     ``H`` is an expression in the variables x and u; the shifted arguments
     are produced by substitution.  Violations beyond a relative slack of
     1e-12 are collected with their sample points."""
-    if sample_count < 1:
-        raise PreconditionError("sample_count must be positive")
+    _check_count(sample_count, 1, "sample_count")
     unit = halton_points(sample_count, 3)
     xs = _finite_sum(region.x[0], unit[:, 0] * (region.x[1] - region.x[0]))
     us = _finite_sum(region.u[0], unit[:, 1] * (region.u[1] - region.u[0]))
@@ -609,6 +606,7 @@ def mult_closure_residual(
     All three columns are built from one evaluation of f, at x, lam x and
     mu (lam x), so the decomposition is an arithmetic identity up to a few
     ulps."""
+    lam, mu = _check_finite(lam, "lam"), _check_finite(mu, "mu")
     if lam <= 0 or mu <= 0:
         raise PreconditionError("lam and mu must be positive")
     xs = np.asarray(x_grid.points())
@@ -651,14 +649,13 @@ def interval_expand(a: float, b: float, n: int) -> tuple[float, float]:
     """n-fold product expansion of a ratio window: ``((a/b)^n, (b/a)^n)``.
 
     ``n = 0`` is the identity and returns the window itself."""
+    a, b, n = _check_finite(a, "a"), _check_finite(b, "b"), _check_count(n, 0, "n")
     if a <= 0:
         raise PreconditionError(f"a must be positive, got {a!r}")
     if a >= b:
         raise PreconditionError(f"need a < b, got a={a!r}, b={b!r}")
-    if n < 0:
-        raise PreconditionError(f"n must be nonnegative, got {n!r}")
     if n == 0:
-        return (float(a), float(b))
+        return (a, b)
     try:
         hi = (b / a) ** n
     except OverflowError:
@@ -706,11 +703,10 @@ def integral_asym_residual(
     For each grid x the window integral over [x, lam x] is compared with
     its predicted share of the full integral over [1, x].  For constant h
     the residual is exactly ``(ln lam)^2 c / (ln lam + ln x)``."""
+    lam = _check_finite(lam, "lam")
     if lam <= 1.0:
         raise PreconditionError(f"lam must exceed 1, got {lam!r}")
-    if not math.isfinite(bound):
-        raise PreconditionError(f"bound must be finite, got {bound!r}")
-    if bound <= 0:
+    if _check_finite(bound, "bound") <= 0:
         raise PreconditionError("bound must be positive")
     xs = np.asarray(x_grid.points())
     _check_product(lam, float(xs.max()), "lam * x")

@@ -737,3 +737,29 @@ def test_claimed_class_validation():
         ClaimedClass("bounded", bounds=(0.0, math.inf))
     with pytest.raises(PreconditionError, match="^bounded needs finite bounds"):
         ClaimedClass("bounded", bounds=(-math.inf, 0.0))
+
+
+@pytest.mark.parametrize(
+    "text, claimed",
+    [("z0", ClaimedClass("z0")), (" R0", ClaimedClass("r0")),
+     ("r_alpha:0.5", ClaimedClass("r_alpha", alpha=0.5)),
+     ("bounded:1,3", ClaimedClass("bounded", bounds=(1.0, 3.0)))],
+)
+def test_a_class_text_names_its_class(text, claimed):
+    assert ClaimedClass.parse(text) == claimed
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("r1", "unknown class 'r1'; use z0, r0, r_alpha or bounded"),
+        ("r_alpha:q", "cannot read the numbers of the class 'r_alpha:q'"),
+        ("r_alpha", "cannot read the numbers of the class 'r_alpha'"),
+        ("bounded:1", "cannot read the numbers of the class 'bounded:1'"),
+        ("r_alpha:1e400", "r_alpha needs a finite alpha, got inf"),
+        ("bounded:3,1", "bounded needs lo <= hi"),
+    ],
+)
+def test_a_class_text_that_names_no_class_is_rejected(text, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        ClaimedClass.parse(text)

@@ -39,6 +39,13 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+def usage_error(command, message):
+    """The stderr of a ``command`` line its parser rejects: the command's
+    usage, then ``message`` after the command's name."""
+    parser = _leaf_parsers(cli._parser())[command]
+    return f"{parser.format_usage()}{parser.prog}: error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -128,7 +135,7 @@ def test_non_finite_config_value_exits_2(capsys, tmp_path):
     args.write_text("--x\ninf\n")
     code, _, err = run_cli(capsys, ["apply-l", "sin(x)", f"@{args}"])
     assert code == 2
-    assert err == "error: x must be finite, got inf\n"
+    assert err == usage_error("apply-l", "argument --x: x must be finite, got inf")
 
 
 @pytest.mark.parametrize("lambdas", ["inf", "2,nan", "-inf,10"])
@@ -137,21 +144,50 @@ def test_non_finite_lambdas_exit_2_without_warnings(capsys, lambdas):
         warnings.simplefilter("error")  # a leaked numpy warning would raise
         code, out, err = run_cli(capsys, ["classify", "x", f"--lambdas={lambdas}"])
     assert code == 2
-    assert "nan" not in out
-    assert err.splitlines() == [err.strip()]
-    assert err.startswith("error: ") and "--lambdas" in err
+    assert out == ""
+    bad = next(tok for tok in lambdas.split(",") if tok not in ("2", "10"))
+    assert err == usage_error("classify", f"argument --lambdas: lambda must be finite, got {bad}")
 
 
 @pytest.mark.parametrize(
     "lambdas, message",
-    [("a,b", "cannot parse --lambdas 'a,b' as floats"),
-     (",", "--lambdas must name at least one value")],
+    [("a,b", "cannot parse 'a,b' as comma-separated floats"),
+     (",", "need at least one lambda")],
 )
 def test_unparsable_lambdas_exit_2(capsys, lambdas, message):
     code, out, err = run_cli(capsys, ["classify", "x", f"--lambdas={lambdas}"])
     assert code == 2
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == usage_error("classify", f"argument --lambdas: {message}")
+
+
+def test_a_lambda_of_1_exits_3(capsys):
+    # parses and is finite, so the flag passes; the ratio tests reject it
+    code, out, err = run_cli(capsys, ["classify", "x", "--lambdas", "2,1"])
+    assert (code, out) == (3, "")
+    assert err == "error: lambda must be positive and != 1, got 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["uct", "scan", "--u-count", "1.5"], "argument --u-count: invalid int value: '1.5'"),
+        (["apply-l", "1", "--x", "ten"], "argument --x: invalid float value: 'ten'"),
+        (["classify", "x", "--integer-mode", "--ratio", "0.5"],
+         "argument --grid-ratio/--ratio: grid_ratio must be > 1, got 0.5"),
+        (["apply-l", "1", "--x", "10", "--abs-tol", "0"],
+         "argument --abs-tol: abs_tol must be positive and finite, got 0.0"),
+        (["classify", "x", "--grid-count", "4"],
+         "argument --grid-count/--count: grid_count must be at least 8, got 4"),
+        (["apply-l", "1", "--x", "10", "--max-evals", "14"],
+         "argument --max-evals: max_evals must be at least 15, got 14"),
+    ],
+    ids=["int", "float", "ratio-in-integer-mode", "tolerance", "count", "budget"],
+)
+def test_a_flag_is_checked_where_it_is_converted(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == usage_error(" ".join(argv[:2] if argv[0] == "uct" else argv[:1]), message)
 
 
 @pytest.mark.parametrize(
@@ -513,9 +549,14 @@ def test_command_flags_and_run_config_fields_agree():
         for a in actions:
             kind = kinds.get(a.dest, "str")
             assert isinstance(a, argparse.BooleanOptionalAction) == (kind == "bool"), a.dest
-            assert a.type is {"int": int, "float": float}.get(kind), a.dest
+            assert a.type is config.CONVERTERS.get(a.dest), a.dest
         settable |= keys
     assert settable >= kinds.keys()
+    # every number converts, and argparse names a bad one by its kind
+    numbers = {key for key, kind in kinds.items() if kind in ("int", "float")}
+    assert numbers <= config.CONVERTERS.keys()
+    for key in numbers:
+        assert config.CONVERTERS[key].__name__ == kinds[key], key
 
 
 class _ReadRecorder:
@@ -727,8 +768,13 @@ def test_non_finite_claim_exits_2(capsys, claim):
     code, out, err = run_cli(capsys, ["classify", "x", "--claim", claim])
     assert code == 2
     assert out == ""
-    assert err.splitlines() == [err.strip()]
-    assert err.startswith(f"error: bad --claim {claim!r}: ")
+    message = {
+        "r_alpha:nan": "r_alpha needs a finite alpha, got nan",
+        "r_alpha:inf": "r_alpha needs a finite alpha, got inf",
+        "r_alpha:1e400": "r_alpha needs a finite alpha, got inf",
+        "bounded:0,inf": "bounded needs finite bounds, got (0.0, inf)",
+    }[claim]
+    assert err == usage_error("classify", f"argument --claim: {message}")
 
 
 def test_classify_claim_r0(capsys):
@@ -741,7 +787,9 @@ def test_unknown_claim_exits_2(capsys):
     code, out, err = run_cli(capsys, ["classify", "x", "--claim", "r1"])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: unknown --claim 'r1'; use z0, r0, ")
+    assert err == usage_error(
+        "classify", "argument --claim: unknown class 'r1'; use z0, r0, r_alpha or bounded"
+    )
 
 
 def test_invert_l_prints_symbolic_inverse(capsys):
@@ -1015,8 +1063,11 @@ def test_over_cap_sizes_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.splitlines() == [err.strip()]
-    assert err.startswith("error: ") and "must be at most" in err
+    flag, value = argv[-2:]
+    key = flag.removeprefix("--").replace("-", "_")
+    name = "--grid-count/--count" if key == "grid_count" else flag
+    message = f"argument {name}: {key} must be at most {int(value) - 1:,}, got {value}"
+    assert err == usage_error(" ".join(argv[:2] if argv[0] == "uct" else argv[:1]), message)
 
 
 def test_size_caps_admit_their_own_value():
@@ -1026,13 +1077,24 @@ def test_size_caps_admit_their_own_value():
         "lambda_count": config.MAX_PARAM_COUNT,
         "samples": config.MAX_SAMPLES,
     }
-    cfg = config.merge_config(None, caps)
-    assert {key: getattr(cfg, key) for key in caps} == caps
+    # the last flag of each takes the cap
+    runs = {
+        "grid_count": ["classify", "x", "--grid-count"],
+        "u_count": ["uct", "scan", "--g", "u", "--u-count"],
+        "lambda_count": ["uct", "karamata", "--f", "x", "--lambda-count"],
+        "samples": ["uct", "hi", "--h", "u", "--samples"],
+    }
+    for key, cap in caps.items():
+        args = cli._parser().parse_args([*runs[key], str(cap)])
+        assert getattr(config.merge_config(None, vars(args)), key) == cap, key
 
 
-def test_merge_config_rejects_an_unknown_format():
-    with pytest.raises(config.ConfigError, match="format must be json, csv, or both"):
-        config.merge_config(None, {"format": "xml"})
+def test_the_parser_rejects_an_unknown_format(capsys):
+    code, out, err = run_cli(capsys, ["classify", "ln(x)", "--format", "xml"])
+    assert (code, out) == (2, "")
+    assert err == usage_error(
+        "classify", "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'both')"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,13 @@ def test_tolerance_validation():
     assert QuadTolerance(max_evals=10**400).max_evals == 10**400  # an int past the floats
 
 
+def test_an_evaluation_budget_must_be_an_integer():
+    # 15.5 was accepted
+    with pytest.raises(PreconditionError, match=r"^max_evals must be an integer, got 15\.5$"):
+        QuadTolerance(max_evals=15.5)
+    assert QuadTolerance(max_evals=np.int64(15)).max_evals == 15
+
+
 def test_budget_exhaustion_reports_honestly():
     res = integrate_log(parse("sin(x)"), 1e6, QuadTolerance(max_evals=3_000))
     assert not res.converged

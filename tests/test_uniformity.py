@@ -6,6 +6,7 @@ import dataclasses
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -732,6 +733,80 @@ def test_expand_validation():
         interval_expand(3.0, 2.0, 1)
     with pytest.raises(PreconditionError):
         interval_expand(2.0, 4.0, -1)
+
+
+_X_GRID_8 = GeometricGrid(10.0, 10.0, 8)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # returned (1.0, inf)
+        (lambda: interval_expand(1.0, math.inf, 0), "b must be finite, got inf"),
+        # reported "(b/a)^n overflows"
+        (lambda: interval_expand(math.nan, 2.0, 3), "a must be finite, got nan"),
+        # reported "lam * x overflows": lam <= 0 let nan through
+        (lambda: mult_closure_residual(parse("ln(x)"), math.nan, 2.0, _X_GRID_8),
+         "lam must be finite, got nan"),
+        (lambda: mult_closure_residual(parse("ln(x)"), 2.0, math.nan, _X_GRID_8),
+         "mu must be finite, got nan"),
+        (lambda: integral_asym_residual(parse("1"), math.nan, _X_GRID_8, 1.0),
+         "lam must be finite, got nan"),
+        # an int past the float range is no finite float either
+        (lambda: interval_expand(10**400, 10**401, 1), f"a must be finite, got {10**400!r}"),
+    ],
+    ids=["expand-b", "expand-a", "closure-lam", "closure-mu", "asym-lam", "expand-huge-int"],
+)
+def test_a_non_finite_ratio_or_window_is_named_as_such(call, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+_HI = parse("abs(ln(x+u) - ln(x))")
+_HI_REGION = Region(x=(10.0, 100.0), u=(0.0, 1.0), v=(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each of these but the budget raised TypeError, and the window was returned
+        (lambda: interval_expand(1.0, 2.0, 2.5), "n must be an integer, got 2.5"),
+        (lambda: hi_check(_HI, 2.5, _HI_REGION), "sample_count must be an integer, got 2.5"),
+        (lambda: halton_points(2.5, 2), "count must be an integer, got 2.5"),
+        (lambda: halton_points(5, 2.0), "dims must be an integer, got 2.0"),
+        (lambda: halton_points(5, 2, 0.5), "skip must be an integer, got 0.5"),
+        (lambda: uct_scan(parse("u/x"), (0.0, 1.0), X_GRID, u_count=9.5),
+         "u_count must be an integer, got 9.5"),
+        (lambda: karamata_uct_check(parse("ln(x)"), (1.0, 2.0), X_GRID, lambda_count=9.5),
+         "lambda_count must be an integer, got 9.5"),
+        (lambda: condition_scan_310(parse("1/ln(x)"), (1.0, 2.0), X_GRID, lambda_count=9.5),
+         "lambda_count must be an integer, got 9.5"),
+        (lambda: guct_diagnose(_HI, parse("1"), (0.5, 2.0), X_GRID, u_count=9.5),
+         "u_count must be an integer, got 9.5"),
+        (lambda: guct_diagnose(_HI, parse("1"), (0.5, 2.0), X_GRID, sample_count=2.5),
+         "sample_count must be an integer, got 2.5"),
+        (lambda: uct_scan(parse("u/x"), (0.0, 1.0), X_GRID, u_count=math.nan),
+         "u_count must be finite, got nan"),
+        (lambda: uct_scan(parse("u/x"), (0.0, 1.0), X_GRID, u_count=8),
+         "u_count must be at least 9, got 8"),
+    ],
+    ids=["expand-n", "hi_check", "halton-count", "halton-dims", "halton-skip", "uct_scan",
+         "karamata_uct_check", "condition_scan_310", "guct-u_count", "guct-samples",
+         "uct_scan-nan", "uct_scan-short"],
+)
+def test_a_count_must_be_an_integer(call, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_count_may_be_a_numpy_integer():
+    assert np.array_equal(halton_points(np.int64(5), np.int32(2), np.int64(3)),
+                          halton_points(5, 2, 3))
+    assert interval_expand(1.0, 2.0, np.int64(3)) == interval_expand(1.0, 2.0, 3)
+    assert hi_check(_HI, np.int64(20), _HI_REGION) == hi_check(_HI, 20, _HI_REGION)
+    assert uct_scan(parse("u/x"), (0.0, 1.0), X_GRID, np.int64(9)) == uct_scan(
+        parse("u/x"), (0.0, 1.0), X_GRID, 9
+    )
 
 
 @given(

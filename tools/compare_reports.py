@@ -10,7 +10,7 @@ compared, with ``timing_ms`` masked.  The commands are:
   JSON and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the 76 fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``,
+- the 84 fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``,
   which reach paths that neither of the above takes: the class checks of
   ``classify --claim``,
   z0 with a failed hypothesis and with ``--value-tol 0.005``, bounded, r0
@@ -32,9 +32,12 @@ compared, with ``timing_ms`` masked.  The commands are:
   ``--integer-mode``, each as JSON and as CSV, a
   ``uct scan`` and an ``apply-l`` sweep under ``--format both``, the
   ``--help`` of the program, of ``uct`` and of each command, ``--version``,
-  five commands the parser rejects with exit 2: a fractional
+  thirteen commands the parser rejects with exit 2: a fractional
   ``--u-count``, an unknown ``--format``, an unknown flag, ``--var`` in
-  ``uct scan`` and a bare ``uct``, two expressions that nest too deeply
+  ``uct scan``, a bare ``uct``, and one flag per rule a flag is converted
+  by (``--x nan``, ``--abs-tol 0``, ``--lambdas 2,nan``, ``--lambdas a,b``,
+  ``--grid-count 4``, ``--u-count 1001``, ``--claim r_alpha:q`` and
+  ``--integer-mode --ratio 0.5``), two expressions that nest too deeply
   (exit 2), ``apply-l "1"`` at x = 0.5 and at x = 0.999999995, inside the
   near-one band (exit 3), four commands that lack a required argument
   (exit 2): ``apply-l`` with no expression, ``uct mult-closure`` without
@@ -170,6 +173,17 @@ _PATH_COMMANDS = [
     ["classify", "ln(x)", "--format", "xml"],
     ["apply-l", "sin(x)", "--y", "1"],
     ["uct"],
+    # one flag per rule it is converted by: a finite number, a tolerance,
+    # lambda texts, a count with its floor and its cap, a class text and a
+    # grid ratio, also in integer mode
+    ["apply-l", "sin(x)", "--x", "nan"],
+    ["apply-l", "1", "--x", "10", "--abs-tol", "0"],
+    ["classify", "x", "--lambdas", "2,nan"],
+    ["classify", "x", "--lambdas", "a,b"],
+    ["classify", "ln(x)", "--grid-count", "4"],
+    ["uct", "scan", "--g", "x*u", "--u-count", "1001"],
+    ["classify", "x", "--claim", "r_alpha:q"],
+    ["classify", "ln(x)", "--integer-mode", "--ratio", "0.5"],
     # expressions that nest deeper than the recursion limit: exit 2
     ["invert-l", "(" * 1200 + "x" + ")" * 1200],
     ["apply-l", "+".join(["x"] * 5000), "--x", "10"],
