@@ -92,7 +92,9 @@ SETTINGS = {
     "sv_test.lambdas": lambda v: sv_test(parse("ln(x)"), [2.0, v], _GRID),
     "sv_test.classify_tol": lambda v: sv_test(parse("ln(x)"), grid=_GRID, classify_tol=v),
     "sv_test.value_tol": lambda v: sv_test(parse("x"), [2.0, 10.0], _GRID, value_tol=v),
-    "exponent_profile.classify_tol": lambda v: exponent_profile(parse("x^2"), _GRID, classify_tol=v),
+    "exponent_profile.classify_tol": lambda v: exponent_profile(
+        parse("x^2"), _GRID, classify_tol=v
+    ),
     "ClaimedClass.alpha": lambda v: ClaimedClass("r_alpha", alpha=v),
     "ClaimedClass.bounds": lambda v: ClaimedClass("bounded", bounds=(v, 3.0)),
     "class_preservation_check.lambdas": lambda v: class_preservation_check(
