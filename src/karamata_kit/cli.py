@@ -103,10 +103,6 @@ def _grid(cfg: RunConfig, default: GeometricGrid) -> GeometricGrid:
     )
 
 
-def _lambdas(cfg: RunConfig):
-    return DEFAULT_LAMBDAS if cfg.lambdas is None else lambda_values(cfg.lambdas)
-
-
 def _quad_tol(cfg: RunConfig) -> QuadTolerance:
     return QuadTolerance(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
 
@@ -159,7 +155,7 @@ def _run_invert_l(cfg: RunConfig):
 
 def _run_classify(cfg: RunConfig):
     F, inputs = _expr(cfg)
-    lams = _lambdas(cfg)
+    lams = DEFAULT_LAMBDAS if cfg.lambdas is None else lambda_values(cfg.lambdas)
     # the library's per-operation default grids unless the user pinned one;
     # a bare --integer-mode selects the integer ladder
     if cfg.integer_mode:
