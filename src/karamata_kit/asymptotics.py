@@ -37,7 +37,7 @@ import numpy as np
 
 from .exprlang import Expr, eval_array
 from .karamata import apply_L_points
-from .quad import PreconditionError, QuadTolerance, _check_count, _check_finite, _check_tol
+from .quad import PreconditionError, QuadTolerance, _check_above, _check_count, _check_finite
 
 __all__ = [
     "GeometricGrid",
@@ -86,11 +86,10 @@ class GeometricGrid:
     integer_mode: bool = False
 
     def __post_init__(self):
-        if not self.start > 1.0:
-            raise PreconditionError(f"grid start must be > 1, got {self.start!r}")
+        _check_above(self.start, 1.0, "grid start")
         _check_count(self.count, 1, "grid count")
         if not self.integer_mode:
-            _check_ratio(self.ratio, "grid ratio")
+            _check_above(self.ratio, 1.0, "grid ratio")
         k = self.count - 1
         try:
             if self.integer_mode:
@@ -122,12 +121,6 @@ def _check_classifiable(grid: GeometricGrid) -> None:
         raise PreconditionError(
             f"grid count must be >= {MIN_SAMPLES} to classify its samples, got {grid.count}"
         )
-
-
-def _check_ratio(ratio: float, what: str) -> None:
-    """Reject a geometric grid's ratio that is not above 1."""
-    if not ratio > 1.0:
-        raise PreconditionError(f"{what} must be > 1, got {ratio!r}")
 
 
 DEFAULT_GRID = GeometricGrid(10.0, 10.0, 8)
@@ -201,7 +194,7 @@ def _row_numbers(values, tol: float) -> tuple:
     m, n = values.shape
     if n < MIN_SAMPLES:
         raise PreconditionError(f"classify_rows needs >= {MIN_SAMPLES} samples, got {n}")
-    _check_tol(tol, "classification tolerance")
+    _check_above(tol, 0.0, "classification tolerance")
     # a nan or an infinity makes the range nan or inf; the initial 0.0 only
     # widens it towards zero, and keeps an empty array reducible
     top = float(np.maximum.reduce(values, axis=None, initial=0.0))
@@ -456,11 +449,11 @@ def rv_index(
     ``rho_hat`` averages the estimate at the largest x over the lambda set;
     ``spread`` is the largest pairwise disagreement there.
     """
+    _check_classifiable(grid)
     lams = _lambda_list(lambdas)
     xs = np.asarray(grid.points())
     ests = _log_ratios(*_grid_values(F, lams, xs, var), lams)
-    short = LimitVerdict(kind="inconclusive", detail="grid too short to classify")
-    verdicts = classify_rows(ests, classify_tol) if xs.size >= MIN_SAMPLES else [short] * len(ests)
+    verdicts = classify_rows(ests, classify_tol)
     grid_xs = tuple(xs.tolist())
     tracks = tuple(
         IndexTrack(lam=lam, xs=grid_xs, estimates=tuple(est.tolist()), verdict=verdict)
@@ -530,9 +523,9 @@ def sv_test(
     ratios sit near their current value rather than the limit; it only
     contributes oscillation and divergence evidence.
     """
-    _check_tol(value_tol, "value_tol")
+    _check_above(value_tol, 0.0, "value_tol")
     _check_classifiable(grid)
-    lams = [float(l) for l in lambdas]
+    lams = [_check_finite(lam, "lambda") for lam in lambdas]
     lams = _lambda_list(lams if math.pi in lams else [*lams, math.pi])
     grids = [grid] if grid.integer_mode else [grid, DEFAULT_INTEGER_GRID]
 
@@ -624,13 +617,12 @@ class ClaimedClass:
     def __post_init__(self):
         if self.kind not in ("z0", "r0", "r_alpha", "bounded"):
             raise PreconditionError(f"unknown class {self.kind!r}; use z0, r0, r_alpha or bounded")
-        if self.kind == "r_alpha" and not (self.alpha is not None and math.isfinite(self.alpha)):
-            raise PreconditionError(f"r_alpha needs a finite alpha, got {self.alpha!r}")
+        if self.kind == "r_alpha":
+            _check_finite(self.alpha, "alpha")
         if self.kind == "bounded":
-            if self.bounds is None or not self.bounds[0] <= self.bounds[1]:
+            lo, hi = (_check_finite(end, "bounds") for end in self.bounds or (None, None))
+            if not lo <= hi:
                 raise PreconditionError("bounded needs lo <= hi")
-            if not all(math.isfinite(b) for b in self.bounds):
-                raise PreconditionError(f"bounded needs finite bounds, got {self.bounds!r}")
 
     @classmethod
     def parse(cls, text: str) -> ClaimedClass:
@@ -718,7 +710,7 @@ def class_preservation_check(
     without being asserted (``asserted = False``): desk-scale grids cannot
     distinguish slow decay toward a negative-index envelope from failure.
     """
-    _check_tol(value_tol, "value_tol")
+    _check_above(value_tol, 0.0, "value_tol")
     if claimed.kind != "bounded":
         _check_classifiable(grid)
     xs = np.asarray(grid.points())

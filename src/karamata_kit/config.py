@@ -14,8 +14,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .asymptotics import MIN_SAMPLES, ClaimedClass, _check_ratio, _finite_lambdas
-from .quad import ConfigError, PreconditionError, _check_count, _check_finite, _check_tol
+from .asymptotics import MIN_SAMPLES, ClaimedClass, _finite_lambdas
+from .quad import ConfigError, PreconditionError, _check_above, _check_count, _check_finite
 from .uniformity import MIN_PARAM_COUNT, REFINE_COUNT
 
 __all__ = ["RunConfig", "ConfigError", "merge_config"]
@@ -101,16 +101,21 @@ def _count(least: int, most: float = math.inf):
     return lambda value, key: _check_count(value, least, key, most)
 
 
+def _above(floor: float):
+    """The rule of a number above ``floor``."""
+    return lambda value, key: _check_above(value, floor, key)
+
+
 # each key's rule, called as ``rule(value, key)`` after its kind's conversion
 # and, for a float, after the rule that it be finite
 _RULES = {
-    "grid_ratio": _check_ratio,
+    "grid_ratio": _above(1.0),
     "grid_count": _count(MIN_SAMPLES, MAX_GRID_COUNT),
     "u_count": _count(MIN_PARAM_COUNT, MAX_PARAM_COUNT),
     "lambda_count": _count(MIN_PARAM_COUNT, MAX_PARAM_COUNT),
     "samples": _count(1, MAX_SAMPLES),
     "max_evals": _count(15),
-    **dict.fromkeys(("abs_tol", "rel_tol", "classify_tol", "value_tol"), _check_tol),
+    **dict.fromkeys(("abs_tol", "rel_tol", "classify_tol", "value_tol"), _above(0.0)),
     "lambdas": lambda text, key: lambda_values(text),
     "claim": lambda text, key: ClaimedClass.parse(text),
 }

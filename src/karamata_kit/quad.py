@@ -74,16 +74,28 @@ def _check_finite(value, what: str) -> float:
     try:
         if math.isfinite(value):
             return float(value)
-    except OverflowError:  # an int past the float range
+    except (OverflowError, TypeError):  # an int past the float range, or None
         pass
     raise PreconditionError(f"{what} must be finite, got {value!r}")
 
 
-def _check_tol(tol: float, what: str) -> None:
-    """Reject a tolerance that is not positive and finite: ``tol <= 0``
-    alone lets nan through."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise PreconditionError(f"{what} must be positive and finite, got {tol!r}")
+def _check_above(value, floor: float, what: str) -> float:
+    """``value`` as a float, if it is a finite one above ``floor``."""
+    number = _check_finite(value, what)
+    if not number > floor:
+        raise PreconditionError(f"{what} must be > {floor:g}, got {value!r}")
+    return number
+
+
+def _check_interval(interval, what: str) -> tuple[float, float]:
+    """The ends ``a < b`` of ``interval`` as floats, if both are finite and
+    so is the width ``b - a``."""
+    a, b = (_check_finite(end, what) for end in interval)
+    if not a < b:
+        raise PreconditionError(f"{what} needs a < b, got [{a!r}, {b!r}]")
+    if not math.isfinite(b - a):
+        raise PreconditionError(f"{what} width b - a overflows for [{a!r}, {b!r}]")
+    return a, b
 
 
 def _check_count(value, least: int, what: str, most: float = math.inf) -> int:
@@ -101,13 +113,16 @@ def _check_count(value, least: int, what: str, most: float = math.inf) -> int:
 
 
 def _check_point(x: float, frontier: float = 1.0) -> float:
-    """``x`` if it is finite and at least ``frontier``: the one rule for
-    every point the operator is asked for, where ``frontier`` is 1 or the
-    point before ``x`` in an ascending sweep.  The message names only ``x``,
-    so every entry point words a bad ``x`` alike."""
-    if not (frontier <= x < math.inf):
-        raise PreconditionError(f"x must be finite, >= 1 and >= the x before it, got {x!r}")
-    return x
+    """``x`` as a float, if it is a finite one at least ``frontier``: the
+    one rule for every point the operator is asked for, where ``frontier``
+    is 1 or the point before ``x`` in an ascending sweep.  The message
+    names only ``x``, so every entry point words a bad ``x`` alike."""
+    try:
+        if frontier <= x < math.inf:
+            return float(x)
+    except OverflowError:  # an int past the float range
+        pass
+    raise PreconditionError(f"x must be finite, >= 1 and >= the x before it, got {x!r}")
 
 
 # Gauss(7)/Kronrod(15) nodes and weights on [-1, 1].  The Gauss nodes are
@@ -160,8 +175,8 @@ class QuadTolerance:
     max_evals: int = 1_000_000
 
     def __post_init__(self):
-        _check_tol(self.abs_tol, "abs_tol")
-        _check_tol(self.rel_tol, "rel_tol")
+        _check_above(self.abs_tol, 0.0, "abs_tol")
+        _check_above(self.rel_tol, 0.0, "rel_tol")
         # at least one panel; a nan or float budget would cap nothing
         _check_count(self.max_evals, 15, "max_evals")
 
@@ -497,7 +512,8 @@ class IntegralCache:
         evaluations) left, the frontier moves without integrating, the
         cache is marked not converged and its error estimate becomes
         ``inf``: nothing bounds the skipped segment."""
-        if _check_point(x_next, self.frontier) > self.frontier:
+        x_next = _check_point(x_next, self.frontier)
+        if x_next > self.frontier:
             remaining = self.tol.max_evals - self.evaluations
             if remaining < 15:
                 self.converged = False

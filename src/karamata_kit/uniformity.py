@@ -41,6 +41,7 @@ from .asymptotics import (
     MIN_SAMPLES,
     RATIO_CLASSIFY_TOL,
     VALUE_TOL,
+    _check_classifiable,
     _check_product,
     _row_numbers,
     _row_verdicts,
@@ -52,9 +53,10 @@ from .quad import (
     IntegralCache,
     PreconditionError,
     QuadTolerance,
+    _check_above,
     _check_count,
     _check_finite,
-    _check_tol,
+    _check_interval,
 )
 
 __all__ = [
@@ -172,7 +174,7 @@ def _scan(
     the scan may keep and write into.  When the
     grid fails, the rows are walked in order so the error names the first
     failing x."""
-    _check_tol(value_tol, "value_tol")
+    _check_above(value_tol, 0.0, "value_tol")
     try:
         rows, suprema, sup_params = _grid_suprema(grid_fn, xs, params)
     except (EvalError, PreconditionError):
@@ -238,15 +240,6 @@ def _finite_rows(rows: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
     return rows
 
 
-def _check_interval(interval, what: str) -> tuple[float, float]:
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise PreconditionError(f"{what} needs a < b, got [{a!r}, {b!r}]")
-    if not math.isfinite(b - a):
-        raise PreconditionError(f"{what} width b - a overflows for [{a!r}, {b!r}]")
-    return a, b
-
-
 def _spaced(a: float, b: float, count: int) -> np.ndarray:
     """``count`` points evenly spaced over [a, b].  On a window almost as
     wide as the float range, ``linspace``'s product for the last point
@@ -262,10 +255,9 @@ def _window(name: str, interval, count: int, x_max: float | None = None) -> np.n
     Given ``x_max``, the largest grid point, the parameters are lambdas: the
     window must sit in (0, inf) and ``lam * x`` must stay finite on it."""
     a, b = _check_interval(interval, f"{name} interval")
-    if x_max is not None and a <= 0:
-        raise PreconditionError(f"{name} interval must sit in (0, inf)")
     count = _check_count(count, MIN_PARAM_COUNT, f"{name}_count")
     if x_max is not None:
+        _check_above(a, 0.0, f"{name} interval start")
         _check_product(b, x_max, "lam * x")
     return _spaced(a, b, count)
 
@@ -436,7 +428,7 @@ class Region:
 
     def __post_init__(self):
         for name in ("x", "u", "v"):
-            lo, hi = getattr(self, name)
+            lo, hi = (_check_finite(end, f"region {name} range") for end in getattr(self, name))
             if not lo <= hi:
                 raise PreconditionError(f"region {name} range needs lo <= hi")
 
@@ -545,7 +537,8 @@ def guct_diagnose(
     samples (u and v both drawn from ``u_interval``), monotonicity of m
     along x, and pointwise decay of G at probe u values.  The conclusion
     (uniform decay over the whole u interval) is then scanned."""
-    _check_tol(value_tol, "value_tol")
+    _check_above(value_tol, 0.0, "value_tol")
+    _check_classifiable(x_grid)
     a, b = _check_interval(u_interval, "u interval")
     xs = np.asarray(x_grid.points())
     region = Region(x=(float(xs[0]), float(xs[-1])), u=(a, b), v=(a, b))
@@ -606,9 +599,7 @@ def mult_closure_residual(
     All three columns are built from one evaluation of f, at x, lam x and
     mu (lam x), so the decomposition is an arithmetic identity up to a few
     ulps."""
-    lam, mu = _check_finite(lam, "lam"), _check_finite(mu, "mu")
-    if lam <= 0 or mu <= 0:
-        raise PreconditionError("lam and mu must be positive")
+    lam, mu = _check_above(lam, 0.0, "lam"), _check_above(mu, 0.0, "mu")
     xs = np.asarray(x_grid.points())
     x_max = float(xs.max())
     _check_product(lam, x_max, "lam * x")
@@ -649,11 +640,9 @@ def interval_expand(a: float, b: float, n: int) -> tuple[float, float]:
     """n-fold product expansion of a ratio window: ``((a/b)^n, (b/a)^n)``.
 
     ``n = 0`` is the identity and returns the window itself."""
-    a, b, n = _check_finite(a, "a"), _check_finite(b, "b"), _check_count(n, 0, "n")
-    if a <= 0:
-        raise PreconditionError(f"a must be positive, got {a!r}")
-    if a >= b:
-        raise PreconditionError(f"need a < b, got a={a!r}, b={b!r}")
+    a = _check_above(a, 0.0, "a")
+    a, b = _check_interval((a, b), "[a, b]")
+    n = _check_count(n, 0, "n")
     if n == 0:
         return (a, b)
     try:
@@ -703,11 +692,7 @@ def integral_asym_residual(
     For each grid x the window integral over [x, lam x] is compared with
     its predicted share of the full integral over [1, x].  For constant h
     the residual is exactly ``(ln lam)^2 c / (ln lam + ln x)``."""
-    lam = _check_finite(lam, "lam")
-    if lam <= 1.0:
-        raise PreconditionError(f"lam must exceed 1, got {lam!r}")
-    if _check_finite(bound, "bound") <= 0:
-        raise PreconditionError("bound must be positive")
+    lam, bound = _check_above(lam, 1.0, "lam"), _check_above(bound, 0.0, "bound")
     xs = np.asarray(x_grid.points())
     _check_product(lam, float(xs.max()), "lam * x")
 
@@ -746,8 +731,8 @@ def integral_asym_residual(
             [[r.residual for r in rows], [r.lcond for r in rows]], classify_tol
         )
     return AsymReport(
-        lam=float(lam),
-        bound=float(bound),
+        lam=lam,
+        bound=bound,
         rows=tuple(rows),
         residual_verdict=residual_verdict,
         lcond_verdict=lcond_verdict,

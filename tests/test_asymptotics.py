@@ -25,7 +25,13 @@ from karamata_kit import (
     sv_test,
     uct_scan,
 )
-from karamata_kit.asymptotics import DEEP_GRID, DEFAULT_INTEGER_GRID, DEFAULT_LAMBDAS
+from karamata_kit.asymptotics import (
+    DEEP_GRID,
+    DEFAULT_INTEGER_GRID,
+    DEFAULT_LAMBDAS,
+    _grid_values,
+    _log_ratios,
+)
 from karamata_kit.exprlang import EvalError, eval_array
 
 from classify_oracle import _reference_classify
@@ -70,6 +76,27 @@ def test_grid_rejects_non_finite_last_point(start, ratio, count, integer_mode):
         GeometricGrid(start, ratio, count, integer_mode)
 
 
+@pytest.mark.parametrize(
+    "start, ratio, message",
+    [
+        (10.0, math.inf, "grid ratio must be finite, got inf"),  # a one-point grid took it
+        (math.nan, 2.0, "grid start must be finite, got nan"),
+        (10**400, 2.0, f"grid start must be finite, got {10**400!r}"),
+    ],
+    ids=["inf-ratio", "nan-start", "huge-int-start"],
+)
+def test_a_grid_start_or_ratio_must_be_finite(start, ratio, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        GeometricGrid(start, ratio, 1)
+
+
+def test_a_grid_keeps_its_fields_as_given():
+    # the checks convert to float, but the fields, and so the reports, keep ints
+    assert repr(GeometricGrid(10, 2, 8)) == (
+        "GeometricGrid(start=10, ratio=2, count=8, integer_mode=False)"
+    )
+
+
 @pytest.mark.parametrize("count", [2.5, 8.0, "8", None])
 def test_grid_count_must_be_an_integer(count):
     with pytest.raises(PreconditionError, match=r"^grid count must be an integer, got "):
@@ -91,8 +118,15 @@ _SHORT_GRID = GeometricGrid(10.0, 2.0, 3)
         lambda: exponent_profile(parse("x^2"), _SHORT_GRID),
         lambda: class_preservation_check(parse("1/x"), ClaimedClass("z0"), _SHORT_GRID),
         lambda: class_preservation_check(parse("ln(x)"), ClaimedClass("r0"), _SHORT_GRID),
+        # once a verdict from tracks called "too short to classify"
+        lambda: rv_index(parse("ln(x)"), grid=_SHORT_GRID),
+        # once named classify_rows, which the caller did not call
+        lambda: guct_diagnose(
+            parse("abs(ln(x+u) - ln(x))"), parse("1"), (0.5, 2.0), _SHORT_GRID, sample_count=20
+        ),
     ],
-    ids=["sv_test", "sv_test-integer", "exponent_profile", "class-z0", "class-r0"],
+    ids=["sv_test", "sv_test-integer", "exponent_profile", "class-z0", "class-r0", "rv_index",
+         "guct_diagnose"],
 )
 def test_a_grid_too_short_to_classify_is_named_as_such(call):
     with pytest.raises(PreconditionError, match=r"^grid count must be >= 8 to classify its samples, got 3$"):
@@ -168,6 +202,11 @@ def test_classify_rejects_bad_tolerance():
 _BAD_TOLS = [math.nan, math.inf, -math.inf, 0.0, -1e-3]
 
 
+def _broken_rule(tol) -> str:
+    """The rule a bad tolerance breaks, worded as its message words it."""
+    return "must be > 0" if math.isfinite(tol) else "must be finite"
+
+
 @pytest.mark.parametrize("tol", _BAD_TOLS)
 @pytest.mark.parametrize(
     "call",
@@ -181,7 +220,8 @@ _BAD_TOLS = [math.nan, math.inf, -math.inf, 0.0, -1e-3]
     ids=["classify_limit", "classify_rows", "rv_index", "sv_test", "karamata_uct_check"],
 )
 def test_a_classification_tolerance_must_be_positive_and_finite(call, tol):
-    with pytest.raises(PreconditionError, match=r"^classification tolerance must be positive and finite, got "):
+    message = f"classification tolerance {_broken_rule(tol)}, got {tol!r}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         call(tol)
 
 
@@ -203,7 +243,8 @@ def test_a_classification_tolerance_must_be_positive_and_finite(call, tol):
 )
 def test_a_value_tolerance_must_be_positive_and_finite(call, tol):
     # nan and inf used to pass: sv_test called x slowly varying
-    with pytest.raises(PreconditionError, match=r"^value_tol must be positive and finite, got "):
+    message = f"value_tol {_broken_rule(tol)}, got {tol!r}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         call(tol)
 
 
@@ -553,14 +594,16 @@ def test_lambda_block_matches_per_lambda_calls_bit_for_bit(text, grid):
 @pytest.mark.parametrize("text", ["x^(x/x + 1)", "x^(x/x - 0.5)", "x^(x/x - 2)"])
 def test_one_point_grid_keeps_per_lambda_bits(text):
     # exponents that are arrays holding 2, 0.5 or -1: a (lambda, 1) block
-    # would take eval_array's exact powers for a column exponent
+    # would take eval_array's exact powers for a column exponent.  rv_index
+    # rejects a one-point grid, so its index kernel is called directly.
     F = parse(text)
     lams = DEFAULT_LAMBDAS + (1.1,)
     for start in np.linspace(1.5, 9.0, 31):
-        grid = GeometricGrid(float(start), 2.0, 1)
-        want = _per_lambda_log_ratios(F, lams, np.asarray(grid.points()))
-        for lam, track, row in zip(lams, rv_index(F, lams, grid).tracks, want):
-            assert _same_bits(track.estimates, row / math.log(lam)), (start, lam)
+        xs = np.asarray(GeometricGrid(float(start), 2.0, 1).points())
+        want = _per_lambda_log_ratios(F, lams, xs)
+        got = _log_ratios(*_grid_values(F, lams, xs, "x"), lams)
+        for lam, estimates, row in zip(lams, got, want):
+            assert _same_bits(estimates, row / math.log(lam)), (start, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -731,12 +774,15 @@ def test_claimed_class_validation():
     with pytest.raises(PreconditionError):
         ClaimedClass("bounded", bounds=(2.0, 1.0))
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(PreconditionError, match="^r_alpha needs a finite alpha"):
+        with pytest.raises(PreconditionError, match=f"^alpha must be finite, got {bad!r}$"):
             ClaimedClass("r_alpha", alpha=bad)
-    with pytest.raises(PreconditionError, match="^bounded needs finite bounds"):
+    with pytest.raises(PreconditionError, match="^bounds must be finite, got inf$"):
         ClaimedClass("bounded", bounds=(0.0, math.inf))
-    with pytest.raises(PreconditionError, match="^bounded needs finite bounds"):
+    with pytest.raises(PreconditionError, match="^bounds must be finite, got -inf$"):
         ClaimedClass("bounded", bounds=(-math.inf, 0.0))
+    # an int past the float range raised OverflowError
+    with pytest.raises(PreconditionError, match=f"^alpha must be finite, got {10**400!r}$"):
+        ClaimedClass("r_alpha", alpha=10**400)
 
 
 @pytest.mark.parametrize(
@@ -756,7 +802,7 @@ def test_a_class_text_names_its_class(text, claimed):
         ("r_alpha:q", "cannot read the numbers of the class 'r_alpha:q'"),
         ("r_alpha", "cannot read the numbers of the class 'r_alpha'"),
         ("bounded:1", "cannot read the numbers of the class 'bounded:1'"),
-        ("r_alpha:1e400", "r_alpha needs a finite alpha, got inf"),
+        ("r_alpha:1e400", "alpha must be finite, got inf"),
         ("bounded:3,1", "bounded needs lo <= hi"),
     ],
 )

@@ -161,6 +161,31 @@ def test_unparsable_lambdas_exit_2(capsys, lambdas, message):
     assert err == usage_error("classify", f"argument --lambdas: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["uct", "asym", "--h", "1", "--lambda", "0.5"], "lam must be > 1, got 0.5"),
+        (["uct", "asym", "--h", "1", "--lambda", "2", "--bound", "-1"],
+         "bound must be > 0, got -1.0"),
+        (["uct", "mult-closure", "--f", "ln(x)", "--lambda", "-1", "--mu", "2"],
+         "lam must be > 0, got -1.0"),
+        (["uct", "expand-interval", "--a", "0", "--b", "2", "--n", "1"],
+         "a must be > 0, got 0.0"),
+        (["uct", "expand-interval", "--a", "3", "--b", "2", "--n", "1"],
+         "[a, b] needs a < b, got [3.0, 2.0]"),
+        (["uct", "karamata", "--f", "ln(x)", "--a", "0", "--b", "2"],
+         "lambda interval start must be > 0, got 0.0"),
+        (["uct", "scan", "--g", "x*u", "--u-lo", "1", "--u-hi", "1"],
+         "u interval needs a < b, got [1.0, 1.0]"),
+    ],
+    ids=["asym-lambda", "asym-bound", "closure-lambda", "expand-a", "expand-order",
+         "karamata-window", "scan-window"],
+)
+def test_a_value_outside_its_range_exits_3(capsys, argv, message):
+    # each flag is finite, so the parser passes it; the library's range rule rejects it
+    assert run_cli(capsys, argv) == (3, "", f"error: {message}\n")
+
+
 def test_a_lambda_of_1_exits_3(capsys):
     # parses and is finite, so the flag passes; the ratio tests reject it
     code, out, err = run_cli(capsys, ["classify", "x", "--lambdas", "2,1"])
@@ -176,7 +201,7 @@ def test_a_lambda_of_1_exits_3(capsys):
         (["classify", "x", "--integer-mode", "--ratio", "0.5"],
          "argument --grid-ratio/--ratio: grid_ratio must be > 1, got 0.5"),
         (["apply-l", "1", "--x", "10", "--abs-tol", "0"],
-         "argument --abs-tol: abs_tol must be positive and finite, got 0.0"),
+         "argument --abs-tol: abs_tol must be > 0, got 0.0"),
         (["classify", "x", "--grid-count", "4"],
          "argument --grid-count/--count: grid_count must be at least 8, got 4"),
         (["apply-l", "1", "--x", "10", "--max-evals", "14"],
@@ -769,10 +794,10 @@ def test_non_finite_claim_exits_2(capsys, claim):
     assert code == 2
     assert out == ""
     message = {
-        "r_alpha:nan": "r_alpha needs a finite alpha, got nan",
-        "r_alpha:inf": "r_alpha needs a finite alpha, got inf",
-        "r_alpha:1e400": "r_alpha needs a finite alpha, got inf",
-        "bounded:0,inf": "bounded needs finite bounds, got (0.0, inf)",
+        "r_alpha:nan": "alpha must be finite, got nan",
+        "r_alpha:inf": "alpha must be finite, got inf",
+        "r_alpha:1e400": "alpha must be finite, got inf",
+        "bounded:0,inf": "bounds must be finite, got inf",
     }[claim]
     assert err == usage_error("classify", f"argument --claim: {message}")
 
@@ -1109,16 +1134,36 @@ def _canonical(report_text):
 @pytest.fixture
 def block_threads(monkeypatch):
     """The threads that measured a quadrature block.  Three usable cores, so
-    that KARAMATA_KIT_THREADS=8 really runs three workers."""
+    that KARAMATA_KIT_THREADS=8 really runs three workers.
+
+    Whether a pool thread gets a block before the calling thread has taken
+    them all depends on scheduling, so each submission to the pool waits
+    (at most 10 s) until a pool thread has taken a block: then one has
+    whenever a wave submitted helpers, and never otherwise."""
     monkeypatch.setattr(quad, "_usable_cores", lambda: 3)
     threads = set()
-    rule_block = quad._rule_block
+    caller = threading.get_ident()
+    taken = threading.Condition()
+    rule_block, make_pool = quad._rule_block, quad._pool
 
     def spy(f, lo, hi):
-        threads.add(threading.get_ident())
+        with taken:
+            threads.add(threading.get_ident())
+            taken.notify_all()
         return rule_block(f, lo, hi)
 
+    class WaitingPool:
+        def __init__(self, workers):
+            self.pool = make_pool(workers)
+
+        def submit(self, fn, *args):
+            future = self.pool.submit(fn, *args)
+            with taken:
+                taken.wait_for(lambda: threads - {caller}, timeout=10)
+            return future
+
     monkeypatch.setattr(quad, "_rule_block", spy)
+    monkeypatch.setattr(quad, "_pool", WaitingPool)
     return threads
 
 

@@ -742,7 +742,7 @@ _X_GRID_8 = GeometricGrid(10.0, 10.0, 8)
     "call, message",
     [
         # returned (1.0, inf)
-        (lambda: interval_expand(1.0, math.inf, 0), "b must be finite, got inf"),
+        (lambda: interval_expand(1.0, math.inf, 0), "[a, b] must be finite, got inf"),
         # reported "(b/a)^n overflows"
         (lambda: interval_expand(math.nan, 2.0, 3), "a must be finite, got nan"),
         # reported "lam * x overflows": lam <= 0 let nan through
@@ -754,8 +754,15 @@ _X_GRID_8 = GeometricGrid(10.0, 10.0, 8)
          "lam must be finite, got nan"),
         # an int past the float range is no finite float either
         (lambda: interval_expand(10**400, 10**401, 1), f"a must be finite, got {10**400!r}"),
+        # raised OverflowError
+        (lambda: uct_scan(parse("u/x"), (10**400, 1.0), X_GRID),
+         f"u interval must be finite, got {10**400!r}"),
+        # accepted; only hi_check rejected it, as a sample point that overflows
+        (lambda: Region(x=(-math.inf, 100.0), u=(0.0, 1.0), v=(0.0, 1.0)),
+         "region x range must be finite, got -inf"),
     ],
-    ids=["expand-b", "expand-a", "closure-lam", "closure-mu", "asym-lam", "expand-huge-int"],
+    ids=["expand-b", "expand-a", "closure-lam", "closure-mu", "asym-lam", "expand-huge-int",
+         "scan-huge-int", "region-x"],
 )
 def test_a_non_finite_ratio_or_window_is_named_as_such(call, message):
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
@@ -877,5 +884,5 @@ def test_asym_rejects_a_non_finite_bound(bound):
     # "0 < h <= nan" once passed as a bound that holds
     with pytest.raises(PreconditionError, match="^bound must be finite, got"):
         integral_asym_residual(parse("1"), 2.0, GeometricGrid(10.0, 10.0, 8), bound)
-    with pytest.raises(PreconditionError, match="^bound must be positive$"):
+    with pytest.raises(PreconditionError, match="^bound must be > 0, got 0.0$"):
         integral_asym_residual(parse("1"), 2.0, GeometricGrid(10.0, 10.0, 8), 0.0)

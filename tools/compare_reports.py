@@ -6,46 +6,20 @@ PARENT and CHANGE are checkouts (or their ``src`` directories).  Every
 command is run against both trees and its stdout, stderr and exit code are
 compared, with ``timing_ms`` masked.  The commands are:
 
-- the twelve ``karamata-kit ...`` lines of the README's CLI section, each as
-  JSON and as CSV (the README is read from CHANGE);
+- the ``karamata-kit ...`` lines of the README's CLI section, each as JSON
+  and as CSV (the README is read from CHANGE);
 - the ``desk_reports`` benchmark commands for each seed (built by CHANGE's
   ``perfbench/workloads.py``);
-- the 84 fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``,
-  which reach paths that neither of the above takes: the class checks of
-  ``classify --claim``,
-  z0 with a failed hypothesis and with ``--value-tol 0.005``, bounded, r0
-  on a non-positive F, both ratio classes and ``--lambdas 0.5,2``,
-  the ``sv_test`` and ``rv_index`` verdicts of five ``classify`` runs, the
-  continuity value ``L(h)(1) = h(1)`` of ``apply-l``, ``uct hi``, ``uct
-  cond310`` on both ladders, a bare ``classify --integer-mode``, a spent
-  budget in ``apply-l``'s sweep, ``uct asym`` and ``classify --claim``, an
-  integral that overflows in ``apply-l`` and ``uct asym``, two integrals of
-  integrands near the float range whose panels overflow although the
-  integral does not, in ``apply-l``, a power with
-  an exponent array in ``uct scan``, pooled waves of three integrands that
-  name x twice, in ``apply-l`` at one x, once through powers, and in a
-  sweep, waves of more than 400,000 panels and a budget that runs out
-  inside pooled waves, in ``apply-l``, the Halton
-  samples of ``uct hi`` at the 100,000 cap and of ``uct guct``, a
-  300 x 257 ``uct scan``, ``uct karamata`` of an F that reads x once and of
-  one that reads it twice, and ``uct cond310`` with and without
-  ``--integer-mode``, each as JSON and as CSV, a
-  ``uct scan`` and an ``apply-l`` sweep under ``--format both``, the
-  ``--help`` of the program, of ``uct`` and of each command, ``--version``,
-  thirteen commands the parser rejects with exit 2: a fractional
-  ``--u-count``, an unknown ``--format``, an unknown flag, ``--var`` in
-  ``uct scan``, a bare ``uct``, and one flag per rule a flag is converted
-  by (``--x nan``, ``--abs-tol 0``, ``--lambdas 2,nan``, ``--lambdas a,b``,
-  ``--grid-count 4``, ``--u-count 1001``, ``--claim r_alpha:q`` and
-  ``--integer-mode --ratio 0.5``), two expressions that nest too deeply
-  (exit 2), ``apply-l "1"`` at x = 0.5 and at x = 0.999999995, inside the
-  near-one band (exit 3), four commands that lack a required argument
-  (exit 2): ``apply-l`` with no expression, ``uct mult-closure`` without
-  ``--lambda`` and ``--mu``, ``uct guct`` without ``--m-expr`` and ``uct
-  expand-interval`` without ``--n``, two ``@FILE`` args files, written to a
-  temporary directory, one of flags ``uct scan`` takes and one of
-  ``--var``, which it does not (exit 2), and ``--out`` into a missing
-  directory (exit 2);
+- the fixed commands of ``_PATH_COMMANDS`` and ``_file_commands``, which
+  reach paths that neither of the above takes.  A comment in the table
+  says what each group reaches: the class checks and verdicts of
+  ``classify``, the operator next to x = 1, spent budgets (exit 4),
+  integrals that overflow, pooled and wide quadrature waves, Halton
+  samples, full-size scans as JSON and as CSV, ``--format both``, every
+  ``--help``, settings the parser rejects (exit 2), range rules the library
+  rejects (exit 3), expressions that nest too deeply, the point rule,
+  missing required arguments, args files, and ``--out`` into a missing
+  directory;
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -87,6 +61,7 @@ from pathlib import Path
 _TIMING = re.compile(r'"timing_ms": [^,\n]+')
 
 _PATH_COMMANDS = [
+    # both ratio classes of classify --claim
     ["classify", "ln(x)", "--claim", "r0"],
     ["classify", "x^0.5*ln(x)", "--claim", "r_alpha:0.5"],
     # every claimed class through the one membership rule: a failed z0
@@ -97,8 +72,10 @@ _PATH_COMMANDS = [
     ["classify", "100-x", "--claim", "r0"],
     ["classify", "x^0.5*ln(x)", "--claim", "r_alpha:0.5", "--lambdas", "0.5,2"],
     ["classify", "1/(1+ln(x))", "--claim", "z0", "--value-tol", "0.005"],
+    # the continuity value L(h)(1) = h(1), and a point next to 1
     ["apply-l", "exp(-x)", "--x", "1"],
     ["apply-l", "sin(x)/x", "--x", "1.000000001"],
+    # uct hi, uct cond310 on both ladders and a bare classify --integer-mode
     ["uct", "hi", "--h", "abs(ln(x+u) - ln(x))", "--samples", "200"],
     ["uct", "cond310", "--xi", "1/ln(x)"],
     ["uct", "cond310", "--xi", "1/ln(x)", "--integer-mode"],
@@ -184,6 +161,16 @@ _PATH_COMMANDS = [
     ["uct", "scan", "--g", "x*u", "--u-count", "1001"],
     ["classify", "x", "--claim", "r_alpha:q"],
     ["classify", "ln(x)", "--integer-mode", "--ratio", "0.5"],
+    # the library's range rules (exit 3): a ratio, a bound, a window start
+    # and an ordered window, and a class bound the parser rejects (exit 2)
+    ["uct", "asym", "--h", "1", "--lambda", "0.5"],
+    ["uct", "asym", "--h", "1", "--lambda", "2", "--bound", "-1"],
+    ["uct", "mult-closure", "--f", "ln(x)", "--lambda", "-1", "--mu", "2"],
+    ["uct", "expand-interval", "--a", "0", "--b", "2", "--n", "1"],
+    ["uct", "expand-interval", "--a", "3", "--b", "2", "--n", "1"],
+    ["uct", "karamata", "--f", "ln(x)", "--a", "0", "--b", "2"],
+    ["uct", "scan", "--g", "x*u", "--u-lo", "1", "--u-hi", "1"],
+    ["classify", "x", "--claim", "bounded:0,inf"],
     # expressions that nest deeper than the recursion limit: exit 2
     ["invert-l", "(" * 1200 + "x" + ")" * 1200],
     ["apply-l", "+".join(["x"] * 5000), "--x", "10"],
