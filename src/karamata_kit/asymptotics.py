@@ -37,7 +37,18 @@ import numpy as np
 
 from .exprlang import Expr, eval_array
 from .karamata import apply_L_points
-from .quad import PreconditionError, QuadTolerance, _check_above, _check_count, _check_finite
+from .quad import QuadTolerance
+from .rules import (
+    MIN_SAMPLES,
+    ClaimedClass,
+    PreconditionError,
+    _check_above,
+    _check_classifiable,
+    _check_count,
+    _check_finite,
+    _check_product,
+    _lambda_list,
+)
 
 __all__ = [
     "GeometricGrid",
@@ -62,7 +73,6 @@ __all__ = [
 ]
 
 # classification knobs; engineering choices, surfaced in reports
-MIN_SAMPLES = 8
 SHRINK_FACTOR = 0.9
 DIVERGE_THRESHOLD = 1e10
 MIN_SIGN_CHANGES = 3
@@ -113,14 +123,6 @@ class GeometricGrid:
             base = round(self.start)
             return [float(base + k) for k in range(self.count)]
         return [self.start * self.ratio**k for k in range(self.count)]
-
-
-def _check_classifiable(grid: GeometricGrid) -> None:
-    """Reject a grid too short for its samples to be classified."""
-    if grid.count < MIN_SAMPLES:
-        raise PreconditionError(
-            f"grid count must be >= {MIN_SAMPLES} to classify its samples, got {grid.count}"
-        )
 
 
 DEFAULT_GRID = GeometricGrid(10.0, 10.0, 8)
@@ -405,36 +407,10 @@ def _log_ratios(base: np.ndarray, shifted: np.ndarray, lams=None) -> np.ndarray:
     return out
 
 
-def _finite_lambdas(lambdas) -> list[float]:
-    """The lambdas as floats: at least one, and each finite."""
-    lams = [_check_finite(lam, "lambda") for lam in lambdas]
-    if not lams:
-        raise PreconditionError("need at least one lambda")
-    return lams
-
-
-def _lambda_list(lambdas) -> list[float]:
-    """The lambdas as floats; each must be finite, positive and != 1."""
-    lams = _finite_lambdas(lambdas)
-    for lam in lams:
-        if lam <= 0 or lam == 1.0:
-            raise PreconditionError(f"lambda must be positive and != 1, got {lam!r}")
-    return lams
-
-
 def _first_reject(verdicts) -> int | None:
     """The index of the first lambda track whose verdict oscillates or
     diverges, which rejects every ratio class; None if there is none."""
     return next((i for i, v in enumerate(verdicts) if v.kind in ("oscillates", "diverges")), None)
-
-
-def _check_product(lam: float, x: float, what: str) -> None:
-    """Reject a scan whose largest shifted argument ``lam * x`` overflows.
-
-    The product is monotone in each factor's size, so checking the largest
-    pair covers the whole grid."""
-    if not math.isfinite(lam * x):
-        raise PreconditionError(f"{what} overflows: {lam!r} * {x!r} is not finite")
 
 
 def rv_index(
@@ -603,51 +579,6 @@ def exponent_profile(
 
 # ---------------------------------------------------------------------------
 # class preservation under the operator
-
-@dataclass(frozen=True)
-class ClaimedClass:
-    """One of z0 (vanishing at infinity), r0 (slowly varying),
-    r_alpha (regularly varying with the given index), bounded (within
-    [lo, hi])."""
-
-    kind: str
-    alpha: float | None = None
-    bounds: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("z0", "r0", "r_alpha", "bounded"):
-            raise PreconditionError(f"unknown class {self.kind!r}; use z0, r0, r_alpha or bounded")
-        if self.kind == "r_alpha":
-            _check_finite(self.alpha, "alpha")
-        if self.kind == "bounded":
-            lo, hi = (_check_finite(end, "bounds") for end in self.bounds or (None, None))
-            if not lo <= hi:
-                raise PreconditionError("bounded needs lo <= hi")
-
-    @classmethod
-    def parse(cls, text: str) -> ClaimedClass:
-        """The class ``text`` names: ``z0``, ``r0``, ``r_alpha:<a>`` or
-        ``bounded:<lo>,<hi>``, the kind in any case."""
-        kind, _, args = text.partition(":")
-        kind = kind.strip().lower()
-        if kind not in ("r_alpha", "bounded"):
-            return cls(kind)  # which rejects an unknown kind
-        lo, _, hi = args.partition(",")
-        try:
-            values = float(args) if kind == "r_alpha" else (float(lo), float(hi))
-        except ValueError:
-            raise PreconditionError(f"cannot read the numbers of the class {text!r}") from None
-        if kind == "r_alpha":
-            return cls(kind, alpha=values)
-        return cls(kind, bounds=values)
-
-    def describe(self) -> str:
-        if self.kind == "r_alpha":
-            return f"r_alpha(alpha={self.alpha:g})"
-        if self.kind == "bounded":
-            return f"bounded[{self.bounds[0]:g}, {self.bounds[1]:g}]"
-        return self.kind
-
 
 @dataclass(frozen=True)
 class ClassCheckReport:

@@ -35,6 +35,11 @@ verdict is present.
 
 ``main`` may be called repeatedly in one process: each call parses only its
 own arguments, and the parser is built once, at the first call.
+
+The parser needs only ``config`` and the stdlib-only ``rules``; the numeric
+modules, and numpy with them, are imported by ``main`` once a command line
+has parsed and by each runner, so ``--help``, ``--version`` and every
+rejected flag exit without them.
 """
 
 from __future__ import annotations
@@ -47,35 +52,9 @@ import sys
 import time
 
 from . import __version__
-from .asymptotics import (
-    DEFAULT_GRID,
-    DEFAULT_INTEGER_GRID,
-    DEFAULT_LAMBDAS,
-    RATIO_CLASSIFY_TOL,
-    VALUE_TOL,
-    GeometricGrid,
-    ClaimedClass,
-    class_preservation_check,
-    exponent_profile,
-    rv_index,
-    sv_test,
-)
 from .config import _KINDS, CONVERTERS, FORMATS, RunConfig, lambda_values, merge_config
-from .exprlang import EvalError, ExprSyntaxError, format_expr, parse
-from .karamata import apply_L_detailed, apply_L_points, invert_L
-from .quad import ConfigError, PreconditionError, QuadTolerance, thread_count
 from .reporting import build_report, emit
-from .uniformity import (
-    Region,
-    condition_scan_310,
-    guct_diagnose,
-    hi_check,
-    integral_asym_residual,
-    interval_expand,
-    karamata_uct_check,
-    mult_closure_residual,
-    uct_scan,
-)
+from .rules import ClaimedClass, ConfigError, PreconditionError
 
 __all__ = ["main"]
 
@@ -84,17 +63,19 @@ def _expr(cfg: RunConfig, key: str = "expr"):
     """The expression of config key ``key``, parsed, and its echo ``{key:
     text, "<prefix>canonical": ...}``: ``h_expr`` echoes as
     ``h_canonical``."""
+    from .exprlang import format_expr, parse
+
     text = getattr(cfg, key)
     expr = parse(text)
     return expr, {key: text, key.removesuffix("expr") + "canonical": format_expr(expr)}
 
 
-# the default x grid of uct asym, DEFAULT_GRID elsewhere; a command's grid
-# flags override each field
-_E_LADDER = GeometricGrid(math.exp(9), math.e, 8)
+def _grid(cfg: RunConfig, default=None):
+    """The x grid of the grid flags: each flag not given takes its field
+    from ``default``, ``DEFAULT_GRID`` if None."""
+    from .asymptotics import DEFAULT_GRID, GeometricGrid
 
-
-def _grid(cfg: RunConfig, default: GeometricGrid) -> GeometricGrid:
+    default = DEFAULT_GRID if default is None else default
     return GeometricGrid(
         cfg.grid_start if cfg.grid_start is not None else default.start,
         cfg.grid_ratio if cfg.grid_ratio is not None else default.ratio,
@@ -103,18 +84,18 @@ def _grid(cfg: RunConfig, default: GeometricGrid) -> GeometricGrid:
     )
 
 
-def _quad_tol(cfg: RunConfig) -> QuadTolerance:
+def _quad_tol(cfg: RunConfig):
+    from .quad import QuadTolerance
+
     return QuadTolerance(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
 
 
-def _classify_tol(cfg: RunConfig) -> float:
-    """``--classify-tol``, else the library default."""
-    return RATIO_CLASSIFY_TOL if cfg.classify_tol is None else cfg.classify_tol
+def _tols(cfg: RunConfig, *keys: str) -> dict:
+    """The tolerance flags among ``keys`` that were given, as keyword
+    arguments: a flag not given leaves the library's default, which its
+    help names."""
+    return {key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None}
 
-
-def _tols(cfg: RunConfig) -> tuple[float, float]:
-    """``(classify_tol, value_tol)``: the flags, else the library defaults."""
-    return _classify_tol(cfg), VALUE_TOL if cfg.value_tol is None else cfg.value_tol
 
 
 def _budget(converged: bool) -> dict:
@@ -132,13 +113,15 @@ def _scan(report) -> tuple:
 
 
 def _run_apply_l(cfg: RunConfig):
+    from .karamata import apply_L_detailed, apply_L_points
+
     h, inputs = _expr(cfg)
     tol = _quad_tol(cfg)
     if cfg.x is not None:
         points = [apply_L_detailed(h, cfg.x, tol, var=cfg.var)]
         inputs["x"] = cfg.x
     else:
-        grid = _grid(cfg, DEFAULT_GRID)
+        grid = _grid(cfg)
         points = apply_L_points(h, grid.points(), tol, var=cfg.var)
         inputs["grid"] = grid
     rows = ((p.x, None, p.value) for p in points)
@@ -147,6 +130,9 @@ def _run_apply_l(cfg: RunConfig):
 
 
 def _run_invert_l(cfg: RunConfig):
+    from .exprlang import format_expr
+    from .karamata import invert_L
+
     f, inputs = _expr(cfg)
     g = invert_L(f, var=cfg.var)
     inputs["var"] = cfg.var
@@ -154,6 +140,15 @@ def _run_invert_l(cfg: RunConfig):
 
 
 def _run_classify(cfg: RunConfig):
+    from .asymptotics import (
+        DEFAULT_INTEGER_GRID,
+        DEFAULT_LAMBDAS,
+        class_preservation_check,
+        exponent_profile,
+        rv_index,
+        sv_test,
+    )
+
     F, inputs = _expr(cfg)
     lams = DEFAULT_LAMBDAS if cfg.lambdas is None else lambda_values(cfg.lambdas)
     # the library's per-operation default grids unless the user pinned one;
@@ -161,17 +156,16 @@ def _run_classify(cfg: RunConfig):
     if cfg.integer_mode:
         grid = _grid(cfg, DEFAULT_INTEGER_GRID)
     elif (cfg.grid_start, cfg.grid_ratio, cfg.grid_count) != (None, None, None):
-        grid = _grid(cfg, DEFAULT_GRID)
+        grid = _grid(cfg)
     else:
         grid = None
 
-    classify_tol, value_tol = _tols(cfg)
-    kwargs = {"var": cfg.var, "classify_tol": classify_tol}
+    kwargs = {"var": cfg.var, **_tols(cfg, "classify_tol")}
     if grid is not None:
         kwargs["grid"] = grid
 
     index = rv_index(F, lams, **kwargs)
-    sv = sv_test(F, lams, value_tol=value_tol, **kwargs)
+    sv = sv_test(F, lams, **kwargs, **_tols(cfg, "value_tol"))
     inputs.update(lambdas=list(lams), grid="defaults" if grid is None else grid)
     results = {"index": index, "sv": sv}
     verdicts = {"index": index.verdict, "sv": sv.verdict}
@@ -185,7 +179,7 @@ def _run_classify(cfg: RunConfig):
     if cfg.claim is not None:
         claimed = ClaimedClass.parse(cfg.claim)
         check = class_preservation_check(
-            F, claimed, lambdas=lams, tol=_quad_tol(cfg), value_tol=value_tol, **kwargs
+            F, claimed, lambdas=lams, tol=_quad_tol(cfg), **kwargs, **_tols(cfg, "value_tol")
         )
         results["preservation"] = check
         verdicts["preservation"] = (
@@ -196,29 +190,36 @@ def _run_classify(cfg: RunConfig):
 
 
 def _run_uct_scan(cfg: RunConfig):
+    from .uniformity import uct_scan
+
     G, inputs = _expr(cfg)
-    grid = _grid(cfg, DEFAULT_GRID)
-    report = uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, *_tols(cfg))
+    grid = _grid(cfg)
+    report = uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, **_tols(cfg, *_TOLS))
     inputs.update(u=[cfg.u_lo, cfg.u_hi], grid=grid)
     return inputs, *_scan(report)
 
 
 def _run_uct_karamata(cfg: RunConfig):
+    from .uniformity import karamata_uct_check
+
     F, inputs = _expr(cfg)
-    grid = _grid(cfg, DEFAULT_GRID)
+    grid = _grid(cfg)
     report = karamata_uct_check(
-        F, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, *_tols(cfg), var=cfg.var
+        F, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, var=cfg.var,
+        **_tols(cfg, *_TOLS),
     )
     inputs.update({"lambda": [cfg.lambda_lo, cfg.lambda_hi], "grid": grid})
     return inputs, *_scan(report)
 
 
 def _run_uct_guct(cfg: RunConfig):
+    from .uniformity import guct_diagnose
+
     H, inputs = _expr(cfg, "h_expr")
     m, m_inputs = _expr(cfg, "m_expr")
-    grid = _grid(cfg, DEFAULT_GRID)
+    grid = _grid(cfg)
     report = guct_diagnose(
-        H, m, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, cfg.samples, *_tols(cfg)
+        H, m, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, cfg.samples, **_tols(cfg, *_TOLS)
     )
     inputs.update(m_inputs, u=[cfg.u_lo, cfg.u_hi], grid=grid, samples=cfg.samples)
     _, verdicts, rows = _scan(report.scan)
@@ -231,8 +232,10 @@ def _run_uct_guct(cfg: RunConfig):
 
 
 def _run_uct_hi(cfg: RunConfig):
+    from .uniformity import Region, hi_check
+
     H, inputs = _expr(cfg)
-    xs = _grid(cfg, DEFAULT_GRID).points()
+    xs = _grid(cfg).points()
     v_lo = cfg.v_lo if cfg.v_lo is not None else cfg.u_lo
     v_hi = cfg.v_hi if cfg.v_hi is not None else cfg.u_hi
     region = Region(x=(xs[0], xs[-1]), u=(cfg.u_lo, cfg.u_hi), v=(v_lo, v_hi))
@@ -243,21 +246,26 @@ def _run_uct_hi(cfg: RunConfig):
 
 
 def _run_uct_cond310(cfg: RunConfig):
+    from .asymptotics import DEFAULT_INTEGER_GRID
+    from .uniformity import condition_scan_310
+
     xi, inputs = _expr(cfg)
-    grid = _grid(cfg, DEFAULT_INTEGER_GRID if cfg.integer_mode else DEFAULT_GRID)
+    grid = _grid(cfg, DEFAULT_INTEGER_GRID if cfg.integer_mode else None)
     report = condition_scan_310(
         xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, grid.integer_mode,
-        *_tols(cfg), var=cfg.var,
+        var=cfg.var, **_tols(cfg, *_TOLS),
     )
     inputs.update({"lambda": [cfg.lambda_lo, cfg.lambda_hi], "grid": grid})
     return inputs, *_scan(report)
 
 
 def _run_uct_mult_closure(cfg: RunConfig):
+    from .uniformity import mult_closure_residual
+
     f, inputs = _expr(cfg)
     lam, mu = cfg.lam, cfg.mu
-    grid = _grid(cfg, DEFAULT_GRID)
-    report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, classify_tol=_classify_tol(cfg))
+    grid = _grid(cfg)
+    report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, **_tols(cfg, "classify_tol"))
     inputs.update({"lambda": lam, "mu": mu, "grid": grid})
     verdicts = {"identity": "ok" if report.identity_ok else "broken"}
     if report.verdicts is not None:
@@ -270,16 +278,22 @@ def _run_uct_mult_closure(cfg: RunConfig):
 
 
 def _run_uct_expand_interval(cfg: RunConfig):
+    from .uniformity import interval_expand
+
     lo, hi = interval_expand(cfg.a, cfg.b, cfg.n)
     return {"a": cfg.a, "b": cfg.b, "n": cfg.n}, {"interval": {"lo": lo, "hi": hi}}, {}, []
 
 
 def _run_uct_asym(cfg: RunConfig):
+    from .asymptotics import GeometricGrid
+    from .uniformity import integral_asym_residual
+
     h, inputs = _expr(cfg)
     lam = cfg.lam
-    grid = _grid(cfg, _E_LADDER)
+    # this command's default x grid, an e-ladder from e^9
+    grid = _grid(cfg, GeometricGrid(math.exp(9), math.e, 8))
     report = integral_asym_residual(
-        h, lam, grid, cfg.bound, _quad_tol(cfg), var=cfg.var, classify_tol=_classify_tol(cfg)
+        h, lam, grid, cfg.bound, _quad_tol(cfg), var=cfg.var, **_tols(cfg, "classify_tol")
     )
     inputs.update({"lambda": lam, "bound": cfg.bound, "grid": grid})
     verdicts = {"bound": "ok" if report.bound_ok else "violated"}
@@ -401,6 +415,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    # numpy loads from here on: help and every flag error have returned above
+    from .exprlang import EvalError, ExprSyntaxError
+    from .quad import thread_count
 
     try:
         cfg = merge_config(None, vars(args))

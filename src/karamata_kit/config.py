@@ -11,12 +11,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 
-from .asymptotics import MIN_SAMPLES, ClaimedClass, _finite_lambdas
-from .quad import ConfigError, PreconditionError, _check_above, _check_count, _check_finite
-from .uniformity import MIN_PARAM_COUNT, REFINE_COUNT
+from .rules import (
+    MIN_PARAM_COUNT,
+    MIN_SAMPLES,
+    REFINE_COUNT,
+    ClaimedClass,
+    ConfigError,
+    PreconditionError,
+    _check_above,
+    _check_count,
+    _check_finite,
+    _finite_lambdas,
+)
 
 __all__ = ["RunConfig", "ConfigError", "merge_config"]
 
@@ -74,8 +83,8 @@ class RunConfig:
 
 # Size caps.  A scan holds a (grid_count, u_count or lambda_count) residual
 # matrix and reports every cell, so these two caps bound it at 1e6 cells.
-# A CLI scan of that size peaks at about 145 MB RSS as JSON or both and
-# 85 MB as CSV, against about 31 MB for a default scan (Python 3.11,
+# A CLI scan of that size peaks at about 138 MB RSS as JSON or both and
+# 84 MB as CSV, against about 31 MB for a default scan (Python 3.11,
 # numpy 2.4, x86-64 Linux).  hi_check holds about ten float64 arrays of
 # ``samples`` values and reports every violating one.
 MAX_GRID_COUNT = 1_000
@@ -96,7 +105,7 @@ def lambda_values(text: str) -> tuple[float, ...]:
     return tuple(_finite_lambdas(lams))
 
 
-def _count(least: int, most: float = math.inf):
+def _count(least: int, most: int = sys.maxsize):
     """The rule of a count of at least ``least``; a size is also capped."""
     return lambda value, key: _check_count(value, least, key, most)
 

@@ -26,7 +26,8 @@ from .exprlang import (
     evaluate,
     fold,
 )
-from .quad import IntegralCache, QuadResult, QuadTolerance, _check_point
+from .quad import IntegralCache, QuadResult, QuadTolerance
+from .rules import _check_point
 
 __all__ = [
     "apply_L",

@@ -11,7 +11,11 @@ oscillatory integrands stay affordable.  Every panel is measured on its own,
 so the results do not depend on the block size.  The calling thread and a
 thread pool measure the blocks of a larger wave together (numpy's ufuncs and
 reductions release the GIL), each block writing into its own slice of the
-wave, so the results do not depend on the worker count either.
+wave, so the results do not depend on the worker count either.  That holds
+for one numpy build at one CPU dispatch level: across levels (numpy's
+AVX-512 kernels against its AVX2 ones, say) ``exp``, ``log`` and ``pow`` may
+move the last bit of a node or of an integrand value, and with it the
+evaluation counts.
 
 A block is measured by one of two rules, which give the same bits.  The
 row rule, for blocks of at most ``_SMALL_BLOCK`` panels, takes numpy's row
@@ -42,7 +46,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -50,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprlang import Expr, _owned, eval_array
+from .rules import ConfigError, PreconditionError, _check_above, _check_count, _check_point
 
 __all__ = [
     "QuadTolerance",
@@ -58,71 +62,6 @@ __all__ = [
     "integrate_log",
     "PreconditionError",
 ]
-
-
-class PreconditionError(ValueError):
-    """An operation was called outside its stated domain."""
-
-
-class ConfigError(ValueError):
-    """A ``KARAMATA_KIT_THREADS`` that is not an integer.  Every other
-    setting is checked where the command line converts its flag."""
-
-
-def _check_finite(value, what: str) -> float:
-    """``value`` as a float, if it is a finite one."""
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except (OverflowError, TypeError):  # an int past the float range, or None
-        pass
-    raise PreconditionError(f"{what} must be finite, got {value!r}")
-
-
-def _check_above(value, floor: float, what: str) -> float:
-    """``value`` as a float, if it is a finite one above ``floor``."""
-    number = _check_finite(value, what)
-    if not number > floor:
-        raise PreconditionError(f"{what} must be > {floor:g}, got {value!r}")
-    return number
-
-
-def _check_interval(interval, what: str) -> tuple[float, float]:
-    """The ends ``a < b`` of ``interval`` as floats, if both are finite and
-    so is the width ``b - a``."""
-    a, b = (_check_finite(end, what) for end in interval)
-    if not a < b:
-        raise PreconditionError(f"{what} needs a < b, got [{a!r}, {b!r}]")
-    if not math.isfinite(b - a):
-        raise PreconditionError(f"{what} width b - a overflows for [{a!r}, {b!r}]")
-    return a, b
-
-
-def _check_count(value, least: int, what: str, most: float = math.inf) -> int:
-    """``value`` as an int, if it is an integer (a numpy one too) from
-    ``least`` to ``most``; a nan or infinite float is named as not finite."""
-    if isinstance(value, float):
-        _check_finite(value, what)
-    if not isinstance(value, numbers.Integral):
-        raise PreconditionError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise PreconditionError(f"{what} must be at least {least}, got {value!r}")
-    if value > most:
-        raise PreconditionError(f"{what} must be at most {most:,}, got {value!r}")
-    return int(value)
-
-
-def _check_point(x: float, frontier: float = 1.0) -> float:
-    """``x`` as a float, if it is a finite one at least ``frontier``: the
-    one rule for every point the operator is asked for, where ``frontier``
-    is 1 or the point before ``x`` in an ascending sweep.  The message
-    names only ``x``, so every entry point words a bad ``x`` alike."""
-    try:
-        if frontier <= x < math.inf:
-            return float(x)
-    except OverflowError:  # an int past the float range
-        pass
-    raise PreconditionError(f"x must be finite, >= 1 and >= the x before it, got {x!r}")
 
 
 # Gauss(7)/Kronrod(15) nodes and weights on [-1, 1].  The Gauss nodes are

@@ -38,25 +38,26 @@ import numpy as np
 from .asymptotics import (
     GeometricGrid,
     LimitVerdict,
-    MIN_SAMPLES,
     RATIO_CLASSIFY_TOL,
     VALUE_TOL,
-    _check_classifiable,
-    _check_product,
     _row_numbers,
     _row_verdicts,
     _values,
     classify_rows,
 )
 from .exprlang import Bin, EvalError, Expr, _owned, eval_array
-from .quad import (
-    IntegralCache,
+from .quad import IntegralCache, QuadTolerance
+from .rules import (
+    MIN_PARAM_COUNT,
+    MIN_SAMPLES,
+    REFINE_COUNT,
     PreconditionError,
-    QuadTolerance,
     _check_above,
+    _check_classifiable,
     _check_count,
     _check_finite,
     _check_interval,
+    _check_product,
 )
 
 __all__ = [
@@ -78,10 +79,6 @@ __all__ = [
     "integral_asym_residual",
     "halton_points",
 ]
-
-MIN_PARAM_COUNT = 9
-REFINE_COUNT = 33
-
 
 class _Deferred(functools.partial):
     """A field value not built yet: calling it builds the value."""

@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, report shape, determinism, config."""
 
 import argparse
+import ast
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -206,8 +208,11 @@ def test_a_lambda_of_1_exits_3(capsys):
          "argument --grid-count/--count: grid_count must be at least 8, got 4"),
         (["apply-l", "1", "--x", "10", "--max-evals", "14"],
          "argument --max-evals: max_evals must be at least 15, got 14"),
+        (["apply-l", "1", "--x", "10", "--max-evals", str(2**63)],
+         f"argument --max-evals: max_evals must be at most {2**63 - 1:,}, got {2**63}"),
     ],
-    ids=["int", "float", "ratio-in-integer-mode", "tolerance", "count", "budget"],
+    ids=["int", "float", "ratio-in-integer-mode", "tolerance", "count", "budget",
+         "budget-ceiling"],
 )
 def test_a_flag_is_checked_where_it_is_converted(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -719,6 +724,86 @@ def test_console_script_is_installed():
     assert proc.returncode == 0
     (point,) = json.loads(proc.stdout)["results"]["points"]
     assert point["value"] == pytest.approx(7.0)
+
+
+# ---------------------------------------------------------------------------
+# the commands that compute nothing import no numpy
+
+def _fresh_python(script, cwd):
+    """The stdout lines of ``script`` run by a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=_cli_env(), cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (None, None),
+        (["--help"], 0),
+        (["--version"], 0),
+        (["uct", "scan", "--help"], 0),
+        (["apply-l", "x", "--x", "nan"], 2),
+        (["apply-l", "@missing.args"], 2),
+    ],
+    ids=["import", "help", "version", "command-help", "bad-flag", "missing-args-file"],
+)
+def test_help_and_flag_errors_import_no_numpy(tmp_path, argv, code):
+    run = "" if argv is None else f"from karamata_kit.cli import main; print(main({argv!r}))\n"
+    lines = _fresh_python(f"import sys, karamata_kit\n{run}print('numpy' in sys.modules)", tmp_path)
+    assert lines[-1] == "False"
+    if argv is not None:
+        assert lines[-2] == str(code)
+
+
+def _imports(module):
+    """``(level, name)`` of every module that ``module``'s source imports
+    from: ``level`` 0 for an absolute import, 1 for ``from .name``."""
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.level, node.module
+
+
+def test_the_rules_import_only_the_stdlib_and_config_only_the_rules():
+    from karamata_kit import rules
+
+    for level, name in _imports(rules):
+        assert level == 0 and name.partition(".")[0] in sys.stdlib_module_names, name
+    package = {(level, name) for level, name in _imports(config)
+               if level or name.partition(".")[0] == "karamata_kit"}
+    assert package == {(1, "rules")}
+
+
+def test_the_package_binds_each_export_to_its_defining_module():
+    namespace = {}
+    exec("from karamata_kit import *", namespace)
+    modules = [importlib.import_module(f"karamata_kit.{name}") for name in
+               ("exprlang", "quad", "karamata", "asymptotics", "uniformity", "rules")]
+    for name in karamata_kit.__all__[1:]:
+        homes = [module for module in modules if name in module.__all__]
+        assert homes and all(namespace[name] is getattr(m, name) for m in homes), name
+    source = Path(karamata_kit.__file__).read_text()
+    assert [name for name in karamata_kit.__all__ if source.count(f'"{name}"') != 1] == []
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        karamata_kit.nope  # noqa: B018
+
+
+def test_an_import_error_inside_a_module_reaches_the_caller(tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"  # so that importing numpy raises ImportError
+        "import karamata_kit\n"
+        "try:\n"
+        "    karamata_kit.parse\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__, exc.name)\n"
+    )
+    assert _fresh_python(script, tmp_path) == ["ModuleNotFoundError numpy"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ the drawn value and every other argument valid.  The call must return, or
 raise ``PreconditionError``, an ``ExprError`` or ``ConfigError``; a
 ``TypeError``, a numpy warning or any other error fails the property.  A
 non-finite number (an int past the float range among them, for a setting
-that is not a count), and a count that is not an integer, must raise.  The
+that is not a count), and a count that is not an integer or is past
+``sys.maxsize``, must raise.  The
 draws are the values that have slipped past a check before: nan, +-inf, 0,
 negatives, non-integers, numpy integers, values near the float range and
 ints past it.
@@ -158,14 +159,6 @@ _COUNTS = {
     "interval_expand.n", "halton_points.count", "halton_points.dims", "halton_points.skip",
 }
 
-# the counts that a positive int past the float range still gets past, left
-# out of that draw: a scan window's count reaches numpy's linspace, which
-# raises ValueError, and a budget takes it
-_UNBOUNDED_COUNTS = {
-    "QuadTolerance.max_evals", "uct_scan.u_count", "karamata_uct_check.lambda_count",
-    "condition_scan_310.lambda_count", "guct_diagnose.u_count",
-}
-
 _VALUES = st.one_of(
     st.floats(),
     st.integers(-3, 40),
@@ -208,11 +201,10 @@ def test_every_public_function_that_takes_a_setting_is_drawn():
 def test_a_setting_ends_in_a_result_or_a_documented_error(name, value):
     event(name)
     past_floats = isinstance(value, int) and abs(value) > sys.float_info.max
-    if past_floats and value > 0 and name in _UNBOUNDED_COUNTS:
-        return
     rejected = (
         (isinstance(value, float) and not math.isfinite(value))
         or (name in _COUNTS and not isinstance(value, numbers.Integral))
+        or (name in _COUNTS and value > sys.maxsize)
         or (name not in _COUNTS and past_floats)
     )
     with warnings.catch_warnings():
