@@ -36,10 +36,11 @@ verdict is present.
 ``main`` may be called repeatedly in one process: each call parses only its
 own arguments, and the parser is built once, at the first call.
 
-The parser needs only ``config`` and the stdlib-only ``rules``; the numeric
-modules, and numpy with them, are imported by ``main`` once a command line
-has parsed and by each runner, so ``--help``, ``--version`` and every
-rejected flag exit without them.
+The parser needs only ``config`` and the stdlib-only ``rules``.  Everything
+else is read off the package (``kit.<name>``), which imports a module at its
+first name, so the numeric modules, and numpy with them, load once a command
+line has parsed: ``--help``, ``--version`` and every rejected flag exit
+without them.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ import math
 import os
 import sys
 import time
+
+import karamata_kit as kit
 
 from . import __version__
 from .config import _KINDS, CONVERTERS, FORMATS, RunConfig, lambda_values, merge_config
@@ -63,20 +66,15 @@ def _expr(cfg: RunConfig, key: str = "expr"):
     """The expression of config key ``key``, parsed, and its echo ``{key:
     text, "<prefix>canonical": ...}``: ``h_expr`` echoes as
     ``h_canonical``."""
-    from .exprlang import format_expr, parse
-
     text = getattr(cfg, key)
-    expr = parse(text)
-    return expr, {key: text, key.removesuffix("expr") + "canonical": format_expr(expr)}
+    expr = kit.parse(text)
+    return expr, {key: text, key.removesuffix("expr") + "canonical": kit.format_expr(expr)}
 
 
-def _grid(cfg: RunConfig, default=None):
+def _grid(cfg: RunConfig, default: kit.GeometricGrid) -> kit.GeometricGrid:
     """The x grid of the grid flags: each flag not given takes its field
-    from ``default``, ``DEFAULT_GRID`` if None."""
-    from .asymptotics import DEFAULT_GRID, GeometricGrid
-
-    default = DEFAULT_GRID if default is None else default
-    return GeometricGrid(
+    from ``default``."""
+    return kit.GeometricGrid(
         cfg.grid_start if cfg.grid_start is not None else default.start,
         cfg.grid_ratio if cfg.grid_ratio is not None else default.ratio,
         cfg.grid_count if cfg.grid_count is not None else default.count,
@@ -84,10 +82,8 @@ def _grid(cfg: RunConfig, default=None):
     )
 
 
-def _quad_tol(cfg: RunConfig):
-    from .quad import QuadTolerance
-
-    return QuadTolerance(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
+def _quad_tol(cfg: RunConfig) -> kit.QuadTolerance:
+    return kit.QuadTolerance(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
 
 
 def _tols(cfg: RunConfig, *keys: str) -> dict:
@@ -95,7 +91,6 @@ def _tols(cfg: RunConfig, *keys: str) -> dict:
     arguments: a flag not given leaves the library's default, which its
     help names."""
     return {key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None}
-
 
 
 def _budget(converged: bool) -> dict:
@@ -113,16 +108,14 @@ def _scan(report) -> tuple:
 
 
 def _run_apply_l(cfg: RunConfig):
-    from .karamata import apply_L_detailed, apply_L_points
-
     h, inputs = _expr(cfg)
     tol = _quad_tol(cfg)
     if cfg.x is not None:
-        points = [apply_L_detailed(h, cfg.x, tol, var=cfg.var)]
+        points = [kit.apply_L_detailed(h, cfg.x, tol, var=cfg.var)]
         inputs["x"] = cfg.x
     else:
-        grid = _grid(cfg)
-        points = apply_L_points(h, grid.points(), tol, var=cfg.var)
+        grid = _grid(cfg, kit.asymptotics.DEFAULT_GRID)
+        points = kit.apply_L_points(h, grid.points(), tol, var=cfg.var)
         inputs["grid"] = grid
     rows = ((p.x, None, p.value) for p in points)
     verdicts = _budget(all(p.quad is None or p.quad.converged for p in points))
@@ -130,33 +123,21 @@ def _run_apply_l(cfg: RunConfig):
 
 
 def _run_invert_l(cfg: RunConfig):
-    from .exprlang import format_expr
-    from .karamata import invert_L
-
     f, inputs = _expr(cfg)
-    g = invert_L(f, var=cfg.var)
+    g = kit.invert_L(f, var=cfg.var)
     inputs["var"] = cfg.var
-    return inputs, {"inverse": format_expr(g)}, {}, []
+    return inputs, {"inverse": kit.format_expr(g)}, {}, []
 
 
 def _run_classify(cfg: RunConfig):
-    from .asymptotics import (
-        DEFAULT_INTEGER_GRID,
-        DEFAULT_LAMBDAS,
-        class_preservation_check,
-        exponent_profile,
-        rv_index,
-        sv_test,
-    )
-
     F, inputs = _expr(cfg)
-    lams = DEFAULT_LAMBDAS if cfg.lambdas is None else lambda_values(cfg.lambdas)
+    lams = kit.asymptotics.DEFAULT_LAMBDAS if cfg.lambdas is None else lambda_values(cfg.lambdas)
     # the library's per-operation default grids unless the user pinned one;
     # a bare --integer-mode selects the integer ladder
     if cfg.integer_mode:
-        grid = _grid(cfg, DEFAULT_INTEGER_GRID)
+        grid = _grid(cfg, kit.asymptotics.DEFAULT_INTEGER_GRID)
     elif (cfg.grid_start, cfg.grid_ratio, cfg.grid_count) != (None, None, None):
-        grid = _grid(cfg)
+        grid = _grid(cfg, kit.asymptotics.DEFAULT_GRID)
     else:
         grid = None
 
@@ -164,8 +145,8 @@ def _run_classify(cfg: RunConfig):
     if grid is not None:
         kwargs["grid"] = grid
 
-    index = rv_index(F, lams, **kwargs)
-    sv = sv_test(F, lams, **kwargs, **_tols(cfg, "value_tol"))
+    index = kit.rv_index(F, lams, **kwargs)
+    sv = kit.sv_test(F, lams, **kwargs, **_tols(cfg, "value_tol"))
     inputs.update(lambdas=list(lams), grid="defaults" if grid is None else grid)
     results = {"index": index, "sv": sv}
     verdicts = {"index": index.verdict, "sv": sv.verdict}
@@ -173,12 +154,12 @@ def _run_classify(cfg: RunConfig):
             for x, est in zip(track.xs, track.estimates))
 
     if cfg.profile:
-        prof = exponent_profile(F, **kwargs)
+        prof = kit.exponent_profile(F, **kwargs)
         results["profile"] = prof
         verdicts["profile"] = prof.verdict.kind
     if cfg.claim is not None:
         claimed = ClaimedClass.parse(cfg.claim)
-        check = class_preservation_check(
+        check = kit.class_preservation_check(
             F, claimed, lambdas=lams, tol=_quad_tol(cfg), **kwargs, **_tols(cfg, "value_tol")
         )
         results["preservation"] = check
@@ -190,21 +171,17 @@ def _run_classify(cfg: RunConfig):
 
 
 def _run_uct_scan(cfg: RunConfig):
-    from .uniformity import uct_scan
-
     G, inputs = _expr(cfg)
-    grid = _grid(cfg)
-    report = uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, **_tols(cfg, *_TOLS))
+    grid = _grid(cfg, kit.asymptotics.DEFAULT_GRID)
+    report = kit.uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, **_tols(cfg, *_TOLS))
     inputs.update(u=[cfg.u_lo, cfg.u_hi], grid=grid)
     return inputs, *_scan(report)
 
 
 def _run_uct_karamata(cfg: RunConfig):
-    from .uniformity import karamata_uct_check
-
     F, inputs = _expr(cfg)
-    grid = _grid(cfg)
-    report = karamata_uct_check(
+    grid = _grid(cfg, kit.asymptotics.DEFAULT_GRID)
+    report = kit.karamata_uct_check(
         F, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, var=cfg.var,
         **_tols(cfg, *_TOLS),
     )
@@ -213,12 +190,10 @@ def _run_uct_karamata(cfg: RunConfig):
 
 
 def _run_uct_guct(cfg: RunConfig):
-    from .uniformity import guct_diagnose
-
     H, inputs = _expr(cfg, "h_expr")
     m, m_inputs = _expr(cfg, "m_expr")
-    grid = _grid(cfg)
-    report = guct_diagnose(
+    grid = _grid(cfg, kit.asymptotics.DEFAULT_GRID)
+    report = kit.guct_diagnose(
         H, m, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, cfg.samples, **_tols(cfg, *_TOLS)
     )
     inputs.update(m_inputs, u=[cfg.u_lo, cfg.u_hi], grid=grid, samples=cfg.samples)
@@ -232,26 +207,22 @@ def _run_uct_guct(cfg: RunConfig):
 
 
 def _run_uct_hi(cfg: RunConfig):
-    from .uniformity import Region, hi_check
-
     H, inputs = _expr(cfg)
-    xs = _grid(cfg).points()
+    xs = _grid(cfg, kit.asymptotics.DEFAULT_GRID).points()
     v_lo = cfg.v_lo if cfg.v_lo is not None else cfg.u_lo
     v_hi = cfg.v_hi if cfg.v_hi is not None else cfg.u_hi
-    region = Region(x=(xs[0], xs[-1]), u=(cfg.u_lo, cfg.u_hi), v=(v_lo, v_hi))
-    report = hi_check(H, cfg.samples, region)
+    region = kit.Region(x=(xs[0], xs[-1]), u=(cfg.u_lo, cfg.u_hi), v=(v_lo, v_hi))
+    report = kit.hi_check(H, cfg.samples, region)
     inputs.update(region=region, samples=cfg.samples)
     rows = ((v.x, v.u, v.lhs - v.rhs) for v in report.violations)
     return inputs, {"hi": report}, {"hi": "ok" if report.ok else "violated"}, rows
 
 
 def _run_uct_cond310(cfg: RunConfig):
-    from .asymptotics import DEFAULT_INTEGER_GRID
-    from .uniformity import condition_scan_310
-
     xi, inputs = _expr(cfg)
-    grid = _grid(cfg, DEFAULT_INTEGER_GRID if cfg.integer_mode else None)
-    report = condition_scan_310(
+    defaults = kit.asymptotics
+    grid = _grid(cfg, defaults.DEFAULT_INTEGER_GRID if cfg.integer_mode else defaults.DEFAULT_GRID)
+    report = kit.condition_scan_310(
         xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, grid.integer_mode,
         var=cfg.var, **_tols(cfg, *_TOLS),
     )
@@ -260,12 +231,10 @@ def _run_uct_cond310(cfg: RunConfig):
 
 
 def _run_uct_mult_closure(cfg: RunConfig):
-    from .uniformity import mult_closure_residual
-
     f, inputs = _expr(cfg)
     lam, mu = cfg.lam, cfg.mu
-    grid = _grid(cfg)
-    report = mult_closure_residual(f, lam, mu, grid, var=cfg.var, **_tols(cfg, "classify_tol"))
+    grid = _grid(cfg, kit.asymptotics.DEFAULT_GRID)
+    report = kit.mult_closure_residual(f, lam, mu, grid, var=cfg.var, **_tols(cfg, "classify_tol"))
     inputs.update({"lambda": lam, "mu": mu, "grid": grid})
     verdicts = {"identity": "ok" if report.identity_ok else "broken"}
     if report.verdicts is not None:
@@ -278,21 +247,16 @@ def _run_uct_mult_closure(cfg: RunConfig):
 
 
 def _run_uct_expand_interval(cfg: RunConfig):
-    from .uniformity import interval_expand
-
-    lo, hi = interval_expand(cfg.a, cfg.b, cfg.n)
+    lo, hi = kit.interval_expand(cfg.a, cfg.b, cfg.n)
     return {"a": cfg.a, "b": cfg.b, "n": cfg.n}, {"interval": {"lo": lo, "hi": hi}}, {}, []
 
 
 def _run_uct_asym(cfg: RunConfig):
-    from .asymptotics import GeometricGrid
-    from .uniformity import integral_asym_residual
-
     h, inputs = _expr(cfg)
     lam = cfg.lam
     # this command's default x grid, an e-ladder from e^9
-    grid = _grid(cfg, GeometricGrid(math.exp(9), math.e, 8))
-    report = integral_asym_residual(
+    grid = _grid(cfg, kit.GeometricGrid(math.exp(9), math.e, 8))
+    report = kit.integral_asym_residual(
         h, lam, grid, cfg.bound, _quad_tol(cfg), var=cfg.var, **_tols(cfg, "classify_tol")
     )
     inputs.update({"lambda": lam, "bound": cfg.bound, "grid": grid})
@@ -415,13 +379,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    # numpy loads from here on: help and every flag error have returned above
-    from .exprlang import EvalError, ExprSyntaxError
-    from .quad import thread_count
 
     try:
         cfg = merge_config(None, vars(args))
-        thread_count()  # validates KARAMATA_KIT_THREADS before any work
+        kit.quad.thread_count()  # validates KARAMATA_KIT_THREADS before any work
         t0 = time.perf_counter()
         inputs, results, verdicts, rows = args.runner(cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -438,13 +399,13 @@ def main(argv=None) -> int:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)
             return 2
         return 4 if "budget" in verdicts else 0
-    except (ExprSyntaxError, ConfigError) as exc:
+    except (kit.ExprSyntaxError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: the expression nests too deeply", file=sys.stderr)
         return 2
-    except (EvalError, PreconditionError) as exc:
+    except (kit.EvalError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive

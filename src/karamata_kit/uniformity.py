@@ -80,6 +80,7 @@ __all__ = [
     "halton_points",
 ]
 
+
 class _Deferred(functools.partial):
     """A field value not built yet: calling it builds the value."""
 

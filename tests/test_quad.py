@@ -892,7 +892,8 @@ def test_single_block_waves_never_touch_the_pool(three_cores):
 
 def test_import_does_not_load_the_pool_module():
     src = os.path.dirname(os.path.dirname(quad_mod.__file__))
-    code = "import sys, karamata_kit.quad; print('concurrent.futures' in sys.modules)"
+    # the star import loads every module the package exports from
+    code = "import sys; from karamata_kit import *; print('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
