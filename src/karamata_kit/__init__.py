@@ -22,7 +22,9 @@ _EXPORTS = {
         "variables", "ExprSyntaxError", "EvalError", "DomainError", "UnboundVariableError",
     ),
     # quadrature
-    "quad": ("QuadTolerance", "QuadResult", "IntegralCache", "integrate_log", "PreconditionError"),
+    "quad": ("QuadTolerance", "QuadResult", "IntegralCache", "integrate_log"),
+    # the input rules' exceptions and class claims, which need no numpy
+    "rules": ("PreconditionError", "ClaimedClass"),
     # operator
     "karamata": (
         "apply_L", "apply_L_detailed", "apply_L_points", "apply_L_grid", "invert_L",
@@ -31,8 +33,8 @@ _EXPORTS = {
     # asymptotic classification
     "asymptotics": (
         "GeometricGrid", "LimitVerdict", "classify_limit", "classify_rows", "IndexEstimate",
-        "rv_index", "SvReport", "sv_test", "ProfileReport", "exponent_profile", "ClaimedClass",
-        "ClassCheckReport", "class_preservation_check",
+        "rv_index", "SvReport", "sv_test", "ProfileReport", "exponent_profile", "ClassCheckReport",
+        "class_preservation_check",
     ),
     # uniformity and residual diagnostics
     "uniformity": (

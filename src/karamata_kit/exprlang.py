@@ -129,149 +129,17 @@ TWO = Const(2.0)
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# parser
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one token per match: whitespace, then a number, an identifier, an operator,
+# bracket or comma, or any other character, which is an error
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])|(?P<bad>\S))"
+)
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _UNARY_PREC = 3
-_RIGHT_ASSOC = {"^"}
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | lparen | rparen | comma | end
-    text: str
-    pos: int  # character offset into the source
-
-
-def _byte_offset(src: str, pos: int) -> int:
-    return len(src[:pos].encode("utf-8"))
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(src, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, i))
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", _byte_offset(src, i))
-        i += 1
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token) -> None:
-        raise ExprSyntaxError(message, _byte_offset(self.src, tok.pos))
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.text else "end of input"
-            self.fail(f"expected {what}, found {found}", tok)
-        return self.advance()
-
-    def parse_expression(self, min_prec: int = 1) -> Expr:
-        left = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op" or tok.text == "" or _PREC.get(tok.text, 0) < min_prec:
-                return left
-            op = self.advance().text
-            next_min = _PREC[op] + (0 if op in _RIGHT_ASSOC else 1)
-            right = self.parse_expression(next_min)
-            left = Bin(op, left, right)
-
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.parse_expression(_UNARY_PREC))
-        return self.parse_primary()
-
-    def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            value = float(tok.text)
-            if math.isinf(value):
-                # an infinite constant would print as ``inf``, a variable name
-                self.fail(f"number {tok.text!r} is out of range", tok)
-            self.advance()
-            return Const(value)
-        if tok.kind == "ident":
-            self.advance()
-            if self.peek().kind == "lparen":
-                return self.parse_call(tok)
-            if tok.text in _CONSTANTS:
-                return Const(_CONSTANTS[tok.text], tok.text)
-            if tok.text in FUNCTIONS:
-                self.fail(f"function {tok.text!r} needs an argument list", tok)
-            return Var(tok.text)
-        if tok.kind == "lparen":
-            self.advance()
-            inner = self.parse_expression()
-            self.expect("rparen", "')'")
-            return inner
-        found = repr(tok.text) if tok.text else "end of input"
-        self.fail(f"expected a value, found {found}", tok)
-        raise AssertionError("unreachable")
-
-    def parse_call(self, name_tok: _Token) -> Expr:
-        name = name_tok.text
-        if name not in FUNCTIONS:
-            raise UnknownFunctionError(
-                f"unknown function {name!r}", _byte_offset(self.src, name_tok.pos)
-            )
-        self.advance()  # consume '('
-        args = [self.parse_expression()]
-        while self.peek().kind == "comma":
-            self.advance()
-            args.append(self.parse_expression())
-        self.expect("rparen", "')'")
-        arity = FUNCTIONS[name]
-        if len(args) != arity:
-            self.fail(
-                f"{name!r} expects {arity} argument{'s' if arity != 1 else ''},"
-                f" got {len(args)}",
-                name_tok,
-            )
-        return Call(name, tuple(args))
 
 
 def parse(text: str) -> Expr:
@@ -282,12 +150,83 @@ def parse(text: str) -> Expr:
     :class:`UnknownFunctionError` for a call to a name outside the
     supported function set.
     """
-    parser = _Parser(text)
-    expr = parser.parse_expression()
-    tok = parser.peek()
-    if tok.kind != "end":
-        parser.fail(f"unexpected trailing input {tok.text!r}", tok)
-    return expr
+    # (kind, text, character offset) of each token, then an empty end token
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(text)]
+    tokens.append(("end", "", len(text)))
+    i = 0
+
+    def fail(message: str, pos: int, error: type = ExprSyntaxError):
+        raise error(message, len(text[:pos].encode("utf-8")))
+
+    def found(tok: str) -> str:
+        return repr(tok) if tok else "end of input"
+
+    def close() -> None:
+        nonlocal i
+        _, tok, pos = tokens[i]
+        if tok != ")":
+            fail(f"expected ')', found {found(tok)}", pos)
+        i += 1
+
+    def expression(min_prec: int) -> Expr:
+        # unary minus binds looser than ^ and tighter than * /; ^ is
+        # right-associative, so its right operand takes ^ again
+        nonlocal i
+        if tokens[i][1] == "-":
+            i += 1
+            left = Neg(expression(_UNARY_PREC))
+        else:
+            left = primary()
+        while _PREC.get(op := tokens[i][1], 0) >= min_prec:
+            i += 1
+            left = Bin(op, left, expression(_PREC[op] + (op != "^")))
+        return left
+
+    def primary() -> Expr:
+        nonlocal i
+        kind, tok, pos = tokens[i]
+        i += 1
+        if kind == "num":
+            value = float(tok)
+            if math.isinf(value):
+                # an infinite constant would print as ``inf``, a variable name
+                fail(f"number {tok!r} is out of range", pos)
+            return Const(value)
+        if kind == "ident" and tokens[i][1] != "(":
+            if tok in _CONSTANTS:
+                return Const(_CONSTANTS[tok], tok)
+            if tok in FUNCTIONS:
+                fail(f"function {tok!r} needs an argument list", pos)
+            return Var(tok)
+        if kind == "ident":
+            if tok not in FUNCTIONS:
+                fail(f"unknown function {tok!r}", pos, UnknownFunctionError)
+            i += 1
+            args = [expression(1)]
+            while tokens[i][1] == ",":
+                i += 1
+                args.append(expression(1))
+            close()
+            arity = FUNCTIONS[tok]
+            if len(args) != arity:
+                fail(f"{tok!r} expects {arity} argument{'s' if arity != 1 else ''},"
+                     f" got {len(args)}", pos)
+            return Call(tok, tuple(args))
+        if tok == "(":
+            inner = expression(1)
+            close()
+            return inner
+        fail(f"expected a value, found {found(tok)}", pos)
+
+    for kind, tok, pos in tokens:
+        if kind == "bad":
+            fail(f"unexpected character {tok!r}", pos)
+    tree = expression(1)
+    kind, tok, pos = tokens[i]
+    if kind != "end":
+        fail(f"unexpected trailing input {tok!r}", pos)
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,16 @@ def test_too_deep_expression_exits_2(capsys, argv):
     assert err == "error: the expression nests too deeply\n"
 
 
+def test_an_expression_nested_400_deep_parses(capsys):
+    # the parser takes two frames a level, so invert-l follows about 490
+    # parentheses under the default recursion limit; 400 leave room for the
+    # test runner's frames
+    text = "(" * 400 + "x" + ")" * 400
+    report = run_json(capsys, ["invert-l", text])
+    assert report["inputs"]["canonical"] == "x"
+    assert report["results"]["inverse"] == "x + (x * ln(x))"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -752,7 +762,9 @@ def _fresh_python(script, cwd):
     ids=["import", "help", "version", "command-help", "bad-flag", "missing-args-file"],
 )
 def test_help_and_flag_errors_import_no_numpy(tmp_path, argv, code):
-    run = "" if argv is None else f"from karamata_kit.cli import main; print(main({argv!r}))\n"
+    # the package's names of the stdlib-only rules module come without numpy
+    run = ("karamata_kit.PreconditionError, karamata_kit.ClaimedClass\n" if argv is None
+           else f"from karamata_kit.cli import main; print(main({argv!r}))\n")
     lines = _fresh_python(f"import sys, karamata_kit\n{run}print('numpy' in sys.modules)", tmp_path)
     assert lines[-1] == "False"
     if argv is not None:

@@ -1,6 +1,7 @@
 """Parser, evaluator, derivative and fold tests for the expression language."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from karamata_kit.exprlang import (
 
 from eval_oracle import reference_evaluate
 from expr_corpus import CORPUS
+from parse_oracle import reference_parse
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,69 @@ def test_unknown_function_is_syntax_error():
         parse("foo(2)")
     with pytest.raises(ExprSyntaxError):
         parse("pow(2)")  # wrong arity
+
+
+# the differential test draws from these: numbers, numbers that run into a
+# name, an out-of-range literal, constants, functions, a variable, an unknown
+# name, every operator and bracket, three kinds of space and two characters
+# the language has no use for
+_TOKENS = ("0", "1", "7", "42", ".5", "1.", "1e400", "2e", "e", "pi", "ln", "pow", "foo", "x",
+           "+", "-", "*", "/", "^", "(", ")", ",", " ", "\t", "\xa0", "α", "?")
+_ATOMS = ("0", "1", "7", "42", ".5", "1.", "1e400", "2e", "e", "pi", "x", "foo")
+
+
+def _well_formed(rng, depth):
+    """The tokens of a random expression: an atom, a negation, a binary
+    operation, parentheses, or a call of one to three arguments."""
+    pick = rng.randrange(5 if depth < 4 else 1)
+    if pick == 0:
+        return [rng.choice(_ATOMS)]
+    if pick == 1:
+        return ["-", *_well_formed(rng, depth + 1)]
+    if pick == 2:
+        return [*_well_formed(rng, depth + 1), rng.choice("+-*/^"), *_well_formed(rng, depth + 1)]
+    if pick == 3:
+        return ["(", *_well_formed(rng, depth + 1), ")"]
+    tokens = [rng.choice(("ln", "pow", "foo")), "("]
+    for k in range(rng.randint(1, 3)):
+        tokens += [","] * (k > 0) + _well_formed(rng, depth + 1)
+    return [*tokens, ")"]
+
+
+def _token_text(rng):
+    """Half the texts are tokens drawn at random; the other half are
+    expressions with up to two tokens inserted, replaced or deleted.
+    Tokens are joined with or without a space, so some run together."""
+    if rng.random() < 0.5:
+        tokens = rng.choices(_TOKENS, k=rng.randint(0, 12))
+    else:
+        tokens = _well_formed(rng, 0)
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randrange(len(tokens) + 1)
+            tokens[at:at + rng.randint(0, 1)] = rng.choices(_TOKENS, k=rng.randint(0, 1))
+    return "".join(rng.choice(("", " ")) + token for token in tokens)
+
+
+def _parsed(parser, text):
+    """The tree's ``repr``, or the error's class, message and byte offset."""
+    try:
+        return repr(parser(text))
+    except ExprSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def test_parse_matches_its_frozen_oracle():
+    rng = random.Random(32)
+    texts = [_token_text(rng) for _ in range(20_000)]
+    outcomes = [_parsed(parse, text) for text in texts]
+    assert [t for t, o in zip(texts, outcomes) if o != _parsed(reference_parse, t)] == []
+    messages = " ".join(o[1] for o in outcomes if isinstance(o, tuple))
+    for message in ("unexpected character", "expected a value, found '", "found end of input",
+                    "unexpected trailing input", "needs an argument list", "unknown function",
+                    "expects 1 argument,", "expects 2 arguments", "expected ')'",
+                    "out of range"):
+        assert message in messages, message
+    assert sum(isinstance(o, str) for o in outcomes) > 2_000
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ compared, with ``timing_ms`` masked.  The commands are:
   integrals that overflow, pooled and wide quadrature waves, Halton
   samples, full-size scans as JSON and as CSV, ``--format both``, every
   ``--help``, settings the parser rejects (exit 2), range rules the library
-  rejects (exit 3), expressions that nest too deeply, the point rule,
+  rejects (exit 3), every message of the expression parser, expressions
+  that nest too deeply or just deep enough, the point rule,
   missing required arguments, args files, and ``--out`` into a missing
   directory;
 - each ``--command``, split like a shell line.
@@ -171,9 +172,25 @@ _PATH_COMMANDS = [
     ["uct", "karamata", "--f", "ln(x)", "--a", "0", "--b", "2"],
     ["uct", "scan", "--g", "x*u", "--u-lo", "1", "--u-hi", "1"],
     ["classify", "x", "--claim", "bounded:0,inf"],
-    # expressions that nest deeper than the recursion limit: exit 2
+    # every message of the expression parser (exit 2): an unexpected
+    # character after a two-byte space and a two-byte one, a missing ')', a
+    # missing value, trailing input, an unknown function, a wrong arity, a
+    # function with no argument list, an out-of-range literal, an empty text
+    ["invert-l", "x\xa0# 1"],
+    ["apply-l", "2 + α?", "--x", "10"],
+    ["invert-l", "ln(x"],
+    ["apply-l", "2+*3", "--x", "10"],
+    ["invert-l", "1 2"],
+    ["invert-l", "foo(x)"],
+    ["invert-l", "pow(x)"],
+    ["classify", "ln"],
+    ["uct", "scan", "--g", "x*2e400"],
+    ["invert-l", ""],
+    # expressions that nest deeper than the recursion limit: exit 2; 400
+    # parentheses parse (exit 0) with two parser frames a level
     ["invert-l", "(" * 1200 + "x" + ")" * 1200],
     ["apply-l", "+".join(["x"] * 5000), "--x", "10"],
+    ["invert-l", "(" * 400 + "x" + ")" * 400],
     # the operator's point rule (exit 3): a point below 1, and one inside
     # the near-one band below 1
     ["apply-l", "1", "--x", "0.5"],
