@@ -88,7 +88,9 @@ DEFAULT_LAMBDAS: tuple[float, ...] = (2.0, 10.0, math.pi, 0.5)
 
 @dataclass(frozen=True)
 class GeometricGrid:
-    """Sampling grid ``start * ratio**k``; integer mode walks n, n+1, ..."""
+    """Sampling grid ``start * ratio**k``; integer mode walks n, n+1, ...
+    The fields keep the numbers given; the points are computed in Python
+    floats, whatever number types those are."""
 
     start: float
     ratio: float
@@ -96,16 +98,13 @@ class GeometricGrid:
     integer_mode: bool = False
 
     def __post_init__(self):
-        _check_above(self.start, 1.0, "grid start")
-        _check_count(self.count, 1, "grid count")
-        if not self.integer_mode:
-            _check_above(self.ratio, 1.0, "grid ratio")
-        k = self.count - 1
+        start = _check_above(self.start, 1.0, "grid start")
+        k = _check_count(self.count, 1, "grid count") - 1
         try:
             if self.integer_mode:
-                last = float(round(self.start) + k)
+                last = float(round(start) + k)
             else:
-                last = self.start * self.ratio**k
+                last = start * _check_above(self.ratio, 1.0, "grid ratio") ** k
         except OverflowError:
             last = math.inf
         if not math.isfinite(last):
@@ -113,16 +112,18 @@ class GeometricGrid:
                 f"grid points overflow: the last point is not finite "
                 f"(start {self.start!r}, ratio {self.ratio!r}, count {self.count!r})"
             )
-        if self.integer_mode and not round(self.start) > 1:
+        if self.integer_mode and not round(start) > 1:
             raise PreconditionError(
                 f"integer grid start must round to an integer > 1, got {self.start!r}"
             )
 
     def points(self) -> list[float]:
+        start = float(self.start)
         if self.integer_mode:
-            base = round(self.start)
+            base = round(start)
             return [float(base + k) for k in range(self.count)]
-        return [self.start * self.ratio**k for k in range(self.count)]
+        ratio = float(self.ratio)
+        return [start * ratio**k for k in range(self.count)]
 
 
 DEFAULT_GRID = GeometricGrid(10.0, 10.0, 8)
@@ -186,10 +187,8 @@ def _row_numbers(values, tol: float) -> tuple:
     own their memory, so they keep no (m, n) array alive.
 
     A step writes in place only into an array this pass made: the
-    increments, the centred tail when it is a copy (never when it is a view
-    of ``values``, as the tail of one contiguous row is), the spread and the
-    shrink bound.  ``values`` itself, the caller's array or not, is never
-    written."""
+    increments, the centred tail, the spread and the shrink bound.
+    ``values`` itself, the caller's array or not, is never written."""
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2:
         raise PreconditionError(f"classify_rows needs an (m, n) array, got shape {values.shape}")
@@ -229,22 +228,19 @@ def _row_numbers(values, tol: float) -> tuple:
         )
 
         # the tests below do not apply to a diverging row, whose tail may
-        # not even have a finite sum; a contiguous row sums in numpy's
-        # pairwise order, exactly as a 1-D array does
+        # not even have a finite sum; the tail is a contiguous copy, whose
+        # rows sum in numpy's pairwise order, exactly as a 1-D array does
         tail = values[:, n // 2 :]
         if np.count_nonzero(diverging):
             tail = np.where(diverging[:, None], 0.0, tail)
-        tail = np.ascontiguousarray(tail)
+        else:
+            tail = tail.copy()
         tail_lo = np.minimum.reduce(tail, axis=1)
         tail_hi = np.maximum.reduce(tail, axis=1)
-        # centred in place once its range is taken, unless it is a view of
-        # values, which the tests below still read
-        own_tail = not np.may_share_memory(tail, values)
         try:
+            # centred in place once its range is taken
             centered = np.subtract(
-                tail,
-                (np.add.reduce(tail, axis=1) / tail.shape[1])[:, None],
-                out=tail if own_tail else None,
+                tail, (np.add.reduce(tail, axis=1) / tail.shape[1])[:, None], out=tail
             )
         except FloatingPointError:
             raise PreconditionError(

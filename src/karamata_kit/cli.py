@@ -223,7 +223,7 @@ def _run_uct_cond310(cfg: RunConfig):
     defaults = kit.asymptotics
     grid = _grid(cfg, defaults.DEFAULT_INTEGER_GRID if cfg.integer_mode else defaults.DEFAULT_GRID)
     report = kit.condition_scan_310(
-        xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, grid.integer_mode,
+        xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count,
         var=cfg.var, **_tols(cfg, *_TOLS),
     )
     inputs.update({"lambda": [cfg.lambda_lo, cfg.lambda_hi], "grid": grid})

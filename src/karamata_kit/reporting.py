@@ -3,9 +3,10 @@
 Every CLI run produces one report dict with a fixed top-level shape:
 version, command, config, inputs, results, verdicts, timing_ms.  Its
 values are the library's own objects; ``render_json`` turns them into text
-in one walk.  It writes dataclasses as objects of their fields, numpy
-scalars and arrays through ``tolist()``, nan and the infinities as the
-strings ``"nan"``, ``"inf"`` and ``"-inf"``, and every dict key as
+in one walk.  It writes values of the exact types dict, list, tuple, str,
+int, float and bool, and None; dataclasses as objects of their fields; and
+numpy scalars and arrays through ``tolist()``.  nan and the infinities are
+the strings ``"nan"``, ``"inf"`` and ``"-inf"``, and every dict key is
 ``str(key)``.  Keys are sorted and floats take Python's shortest round-trip
 repr, so identical runs serialize byte-identically.  CSV output flattens
 whatever the command exposes as (x, param, residual) rows.
@@ -42,7 +43,10 @@ def render_json(report) -> str:
     Those conversions aside, the text is what ``json.dumps(..., indent=2,
     sort_keys=True)`` writes.  With ``indent`` set, json.dumps runs its
     pure-Python encoder, a generator per container; this takes about half
-    the time.  A value that JSON has no form for raises TypeError."""
+    the time.  Any value of another type raises TypeError, a subclass of a
+    JSON type included.  The one exception is a float subclass, numpy's
+    float64 among them, past the head of a list that a float leads: it is
+    written as its float."""
     return _render(report, "\n") + "\n"
 
 
@@ -67,19 +71,8 @@ def _render(obj, newline: str) -> str:
     names = _field_names(kind)
     if names is not None:  # a dataclass instance; a dataclass type falls through
         return _render_object([(name, getattr(obj, name)) for name in names], newline)
-    if isinstance(obj, dict):
-        return _render_dict(obj, newline)
-    if isinstance(obj, (list, tuple)):
-        return _render_list(obj, newline)
     if hasattr(obj, "tolist"):  # a numpy scalar or array of any shape
         return _render(obj.tolist(), newline)
-    # subclasses of the leaf types, as json.dumps takes them
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _render_float(obj)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -88,7 +88,7 @@ def _check_point(x: float, frontier: float = 1.0) -> float:
     try:
         if frontier <= x < math.inf:
             return float(x)
-    except OverflowError:  # an int past the float range
+    except (OverflowError, TypeError, ValueError):  # an int past the float range, or not one number
         pass
     raise PreconditionError(f"x must be finite, >= 1 and >= the x before it, got {x!r}")
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -335,6 +336,32 @@ def test_eval_array_raises_on_any_bad_element():
         eval_array(parse("ln(x)"), {"x": np.array([2.0, 1.0, 0.0])})
 
 
+_PERCENT = Bin("%", Var("x"), Const(2.0))
+_TAN = Call("tan", (Var("x"),))
+_WALKS = {
+    "eval_array": lambda tree: eval_array(tree, {"x": np.ones(2)}),
+    "differentiate": lambda tree: differentiate(tree, "x"),
+    "format_expr": format_expr,
+}
+
+
+@pytest.mark.parametrize(
+    "walk, tree, message",
+    [
+        ("eval_array", _PERCENT, "unknown operator '%'"),
+        ("eval_array", _TAN, "unknown function 'tan'"),
+        ("eval_array", "x", "not an expression node: 'x'"),
+        ("differentiate", _PERCENT, "unknown operator '%'"),
+        ("differentiate", _TAN, "unknown function 'tan'"),
+        ("differentiate", "x", "not an expression node: 'x'"),
+        ("format_expr", "x", "not an expression node: 'x'"),
+    ],
+)
+def test_a_hand_built_tree_outside_the_grammar_raises_eval_error(walk, tree, message):
+    with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+        _WALKS[walk](tree)
+
+
 # ---------------------------------------------------------------------------
 # round trip
 
@@ -371,6 +398,8 @@ _trees = st.recursive(_leaves, _compound, max_leaves=12)
 
 @given(_trees)
 @settings(max_examples=200)
+@example(parse("(-x)^2"))  # a negated power base keeps its parentheses
+@example(parse("(-(x+1))^3"))
 def test_format_parse_is_identity_on_trees(tree):
     assert parse(format_expr(tree)) == tree
 

@@ -1,9 +1,11 @@
 """Report rendering: that ``render_json`` writes exactly what ``json.dumps``
 does, and on report objects exactly what ``json.dumps`` wrote of the tree
 that ``to_jsonable``, the frozen oracle in ``report_oracle``, makes of them.
-The first tests pin the oracle itself.  Then come checks that ``render_csv``
-writes what the ``csv.writer`` it replaced wrote, and that ``emit`` writes
-one format at a time and reads the rows only for a CSV."""
+The one departure is a subclass of a JSON type, which no report holds:
+``render_json`` raises TypeError for it.  The first tests pin the oracle
+itself.  Then come checks that ``render_csv`` writes what the
+``csv.writer`` it replaced wrote, and that ``emit`` writes one format at a
+time and reads the rows only for a CSV."""
 
 import json
 import math
@@ -175,6 +177,26 @@ def test_render_json_raises_what_json_dumps_raises(tree):
     assert _outcome(render_json, tree) == _outcome(oracle_json, tree)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
 @pytest.mark.parametrize(
     "tree",
     [
@@ -190,6 +212,7 @@ def test_render_json_raises_what_json_dumps_raises(tree):
         [1.5, math.nan],
         (0.5, np.float64(0.25)),
         [np.float64(0.25), 0.5],
+        [0.25, _Float(0.5)],  # past a float head, a float subclass is written as its float
         [[], {}, ()],
         "top-level string",
         5e-324,
@@ -197,6 +220,17 @@ def test_render_json_raises_what_json_dumps_raises(tree):
 )
 def test_render_json_matches_json_dumps_on_odd_inputs(tree):
     assert _outcome(render_json, tree) == _outcome(oracle_json, tree)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [_Str("a"), _Int(1), _Float(0.5), _Dict(a=1), _List([1.0]), [_Float(0.5)], {"a": _Int(1)}],
+    ids=["str", "int", "float", "dict", "list", "float-in-list", "int-in-dict"],
+)
+def test_a_subclass_of_a_json_type_raises_type_error(value):
+    # json.dumps, and so the oracle, would write these; no report holds one
+    with pytest.raises(TypeError, match="_[A-Z][a-z]+ is not JSON serializable$"):
+        render_json(value)
 
 
 # report objects: dataclasses, numpy values, nan/inf and keys that are not str

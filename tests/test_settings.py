@@ -6,12 +6,13 @@ Each entry of ``SETTINGS`` calls one public function (of
 the drawn value and every other argument valid.  The call must return, or
 raise ``PreconditionError``, an ``ExprError`` or ``ConfigError``; a
 ``TypeError``, a numpy warning or any other error fails the property.  A
-non-finite number (an int past the float range among them, for a setting
-that is not a count), and a count that is not an integer or is past
-``sys.maxsize``, must raise.  The
-draws are the values that have slipped past a check before: nan, +-inf, 0,
-negatives, non-integers, numpy integers, values near the float range and
-ints past it.
+value that is not a number (None, a string, a list, an array of two), a
+non-finite number (a numpy float or a 0-d array among them, and an int past
+the float range, for a setting that is not a count), and a count that is
+not an integer or is past ``sys.maxsize``, must raise.  The draws are the
+values that have slipped past a check before: nan, +-inf, 0, negatives,
+non-integers, numpy integers and floats, 0-d arrays, values near the float
+range, ints past it, None, a string, a list and an array of two.
 """
 
 import math
@@ -165,6 +166,10 @@ _VALUES = st.one_of(
     st.integers(-3, 40).map(np.int64),
     st.integers(0, 40).map(np.int32),
     st.sampled_from([1e300, -1e300, 5e-324, 1.7976931348623157e308]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.array),  # 0-d
+    st.sampled_from([None, "1"]),
 )
 
 
@@ -198,11 +203,25 @@ def test_every_public_function_that_takes_a_setting_is_drawn():
 @example(value=np.int32(2))
 @example(value=10**400)
 @example(value=-(10**400))
+@example(value=np.float64(1e300))
+@example(value=np.float64(1.7e308))
+@example(value=np.float32(3e38))
+@example(value=np.float32(math.nan))
+@example(value=np.array(5.0))
+@example(value=np.array(-math.inf))
+@example(value=None)
+@example(value="1")
+@example(value=[2.0])
+@example(value=np.array([2.0, 3.0]))
 def test_a_setting_ends_in_a_result_or_a_documented_error(name, value):
     event(name)
     past_floats = isinstance(value, int) and abs(value) > sys.float_info.max
+    real = isinstance(value, (float, np.floating, np.ndarray))
     rejected = (
-        (isinstance(value, float) and not math.isfinite(value))
+        value is None
+        or isinstance(value, str)
+        or np.ndim(value) > 0
+        or (real and not math.isfinite(value))
         or (name in _COUNTS and not isinstance(value, numbers.Integral))
         or (name in _COUNTS and value > sys.maxsize)
         or (name not in _COUNTS and past_floats)

@@ -578,7 +578,8 @@ def test_importing_the_package_builds_no_halton_table():
 
 @pytest.mark.parametrize(
     "count, dims, skip",
-    [(5, 0, 20), (5, 7, 20), (5, -1, 20), (-1, 3, 20), (5, 3, -1), (5, 3, 2**63)],
+    [(5, 0, 20), (5, 7, 20), (5, -1, 20), (-1, 3, 20), (5, 3, -1), (5, 3, 2**63),
+     (sys.maxsize, 1, 1)],  # count + skip past int64, raised before the array is sized
 )
 def test_halton_points_reject_bad_arguments(count, dims, skip):
     with pytest.raises(PreconditionError):
