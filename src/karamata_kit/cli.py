@@ -170,23 +170,25 @@ def _run_classify(cfg: RunConfig):
     return inputs, results, verdicts, rows
 
 
-def _run_uct_scan(cfg: RunConfig):
-    G, inputs = _expr(cfg)
-    grid = _grid(cfg, kit.asymptotics.DEFAULT_GRID)
-    report = kit.uct_scan(G, (cfg.u_lo, cfg.u_hi), grid, cfg.u_count, **_tols(cfg, *_TOLS))
-    inputs.update(u=[cfg.u_lo, cfg.u_hi], grid=grid)
+def _run_window_scan(cfg: RunConfig, scan, key: str, default=None, **kwargs):
+    """``scan`` of the expression over the ``key`` window (the flags
+    ``<key>_lo``, ``<key>_hi`` and ``<key>_count``) and the x grid flags,
+    whose unset fields come from ``default``, else the library's grid."""
+    expr, inputs = _expr(cfg)
+    grid = _grid(cfg, default or kit.asymptotics.DEFAULT_GRID)
+    window = [getattr(cfg, f"{key}_lo"), getattr(cfg, f"{key}_hi")]
+    count = getattr(cfg, f"{key}_count")
+    report = scan(expr, window, grid, count, **kwargs, **_tols(cfg, *_TOLS))
+    inputs.update({key: window, "grid": grid})
     return inputs, *_scan(report)
+
+
+def _run_uct_scan(cfg: RunConfig):
+    return _run_window_scan(cfg, kit.uct_scan, "u")
 
 
 def _run_uct_karamata(cfg: RunConfig):
-    F, inputs = _expr(cfg)
-    grid = _grid(cfg, kit.asymptotics.DEFAULT_GRID)
-    report = kit.karamata_uct_check(
-        F, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count, var=cfg.var,
-        **_tols(cfg, *_TOLS),
-    )
-    inputs.update({"lambda": [cfg.lambda_lo, cfg.lambda_hi], "grid": grid})
-    return inputs, *_scan(report)
+    return _run_window_scan(cfg, kit.karamata_uct_check, "lambda", var=cfg.var)
 
 
 def _run_uct_guct(cfg: RunConfig):
@@ -219,15 +221,8 @@ def _run_uct_hi(cfg: RunConfig):
 
 
 def _run_uct_cond310(cfg: RunConfig):
-    xi, inputs = _expr(cfg)
-    defaults = kit.asymptotics
-    grid = _grid(cfg, defaults.DEFAULT_INTEGER_GRID if cfg.integer_mode else defaults.DEFAULT_GRID)
-    report = kit.condition_scan_310(
-        xi, (cfg.lambda_lo, cfg.lambda_hi), grid, cfg.lambda_count,
-        var=cfg.var, **_tols(cfg, *_TOLS),
-    )
-    inputs.update({"lambda": [cfg.lambda_lo, cfg.lambda_hi], "grid": grid})
-    return inputs, *_scan(report)
+    ladder = kit.asymptotics.DEFAULT_INTEGER_GRID if cfg.integer_mode else None
+    return _run_window_scan(cfg, kit.condition_scan_310, "lambda", ladder, var=cfg.var)
 
 
 def _run_uct_mult_closure(cfg: RunConfig):

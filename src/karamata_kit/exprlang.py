@@ -68,7 +68,7 @@ class UnknownFunctionError(ExprSyntaxError):
 
 
 class EvalError(ExprError):
-    """Evaluation failed."""
+    """Evaluation failed, or a walker met a hand-built node ``parse`` does not build."""
 
 
 class UnboundVariableError(EvalError):
@@ -126,6 +126,19 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 ZERO = Const(0.0)
 ONE = Const(1.0)
 TWO = Const(2.0)
+
+
+def _outside_grammar(expr) -> EvalError:
+    """The error for a hand-built ``expr`` that ``parse`` does not build."""
+    if isinstance(expr, Bin):
+        return EvalError(f"unknown operator {expr.op!r}")
+    if not isinstance(expr, Call):
+        return EvalError(f"not an expression node: {expr!r}")
+    if expr.func not in FUNCTIONS:
+        return EvalError(f"unknown function {expr.func!r}")
+    arity = FUNCTIONS[expr.func]
+    return EvalError(f"{expr.func!r} expects {arity} argument{'s' if arity != 1 else ''},"
+                     f" got {len(expr.args)}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +221,10 @@ def parse(text: str) -> Expr:
                 i += 1
                 args.append(expression(1))
             close()
-            arity = FUNCTIONS[tok]
-            if len(args) != arity:
-                fail(f"{tok!r} expects {arity} argument{'s' if arity != 1 else ''},"
-                     f" got {len(args)}", pos)
-            return Call(tok, tuple(args))
+            call = Call(tok, tuple(args))
+            if len(args) != FUNCTIONS[tok]:
+                fail(str(_outside_grammar(call)), pos)
+            return call
         if tok == "(":
             inner = expression(1)
             close()
@@ -283,7 +295,7 @@ def _eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"], owned):
         if ufunc is None:
             if expr.op == "^":
                 return _pow_array(lhs, rhs, expr), True
-            raise EvalError(f"unknown operator {expr.op!r}")
+            raise _outside_grammar(expr)
         if ufunc is np.divide and np.any(rhs == 0.0):
             raise DomainError(f"division by zero in '{format_expr(expr)}'")
         if lhs_fresh and lhs.ndim and (rhs.ndim == 0 or rhs.shape == lhs.shape):
@@ -291,13 +303,11 @@ def _eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"], owned):
         if rhs_fresh and rhs.ndim and (lhs.ndim == 0 or lhs.shape == rhs.shape):
             return ufunc(lhs, rhs, out=rhs), True
         return ufunc(lhs, rhs), True
-    if isinstance(expr, Call):
+    if isinstance(expr, Call) and len(expr.args) == FUNCTIONS.get(expr.func):
         args = [_eval_array(a, env, owned) for a in expr.args]
-        ufunc = _CALL_UFUNCS.get(expr.func)
-        if ufunc is None:
-            if expr.func == "pow":
-                return _pow_array(args[0][0], args[1][0], expr), True
-            raise EvalError(f"unknown function {expr.func!r}")
+        if expr.func == "pow":
+            return _pow_array(args[0][0], args[1][0], expr), True
+        ufunc = _CALL_UFUNCS[expr.func]
         ((arg, fresh),) = args
         if ufunc is np.log and np.any(arg <= 0.0):
             raise DomainError(f"ln of non-positive value in '{format_expr(expr)}'")
@@ -310,7 +320,7 @@ def _eval_array(expr: Expr, env: Mapping[str, "np.ndarray | float"], owned):
     if isinstance(expr, Neg):
         arg, fresh = _eval_array(expr.arg, env, owned)
         return (np.negative(arg, out=arg) if fresh and arg.ndim else np.negative(arg)), True
-    raise EvalError(f"not an expression node: {expr!r}")
+    raise _outside_grammar(expr)
 
 
 # np.power computes these powers exactly (x*x, sqrt(x), 1/x) when the exponent
@@ -407,7 +417,7 @@ def _diff(expr: Expr, var: str) -> Expr:
         a, b = expr.lhs, expr.rhs
         da, db = _diff(a, var), _diff(b, var)
         op = expr.op
-        if op in "+-":
+        if op in ("+", "-"):
             return Bin(op, da, db)
         if op == "*":
             return Bin("+", Bin("*", da, b), Bin("*", a, db))
@@ -416,8 +426,8 @@ def _diff(expr: Expr, var: str) -> Expr:
             return Bin("/", num, Bin("^", b, TWO))
         if op == "^":
             return _diff_power(a, b, da, db)
-        raise EvalError(f"unknown operator {op!r}")
-    if isinstance(expr, Call):
+        raise _outside_grammar(expr)
+    if isinstance(expr, Call) and len(expr.args) == FUNCTIONS.get(expr.func):
         name = expr.func
         if name == "pow":
             a, b = expr.args
@@ -434,11 +444,9 @@ def _diff(expr: Expr, var: str) -> Expr:
             return Neg(Bin("*", Call("sin", (u,)), du))
         if name == "sqrt":
             return Bin("/", du, Bin("*", TWO, Call("sqrt", (u,))))
-        if name == "abs":
-            # derivative of |u| away from u = 0
-            return Bin("*", Bin("/", u, Call("abs", (u,))), du)
-        raise EvalError(f"unknown function {name!r}")
-    raise EvalError(f"not an expression node: {expr!r}")
+        # abs: the derivative of |u| away from u = 0
+        return Bin("*", Bin("/", u, Call("abs", (u,))), du)
+    raise _outside_grammar(expr)
 
 
 def _diff_power(a: Expr, b: Expr, da: Expr, db: Expr) -> Expr:
@@ -461,6 +469,8 @@ def fold(expr: Expr) -> Expr:
     Semantic caveat: the cancellations assume the shared subterm is nonzero,
     which holds on the domains this toolkit works on (x >= 1 style ranges).
     """
+    if isinstance(expr, (Const, Var)):
+        return expr
     if isinstance(expr, Neg):
         arg = fold(expr.arg)
         if isinstance(arg, Const):
@@ -469,14 +479,13 @@ def fold(expr: Expr) -> Expr:
             return arg.arg
         return Neg(arg)
     if isinstance(expr, Bin):
-        lhs, rhs = fold(expr.lhs), fold(expr.rhs)
-        return _fold_bin(expr.op, lhs, rhs)
-    if isinstance(expr, Call):
+        return _fold_bin(expr.op, fold(expr.lhs), fold(expr.rhs))
+    if isinstance(expr, Call) and len(expr.args) == FUNCTIONS.get(expr.func):
         args = tuple(fold(a) for a in expr.args)
         if expr.func == "pow":
             return _fold_bin("^", args[0], args[1], prefer_call=True)
         return Call(expr.func, args)
-    return expr
+    raise _outside_grammar(expr)
 
 
 def _fold_bin(op: str, lhs: Expr, rhs: Expr, prefer_call: bool = False) -> Expr:
@@ -524,6 +533,8 @@ def _fold_bin(op: str, lhs: Expr, rhs: Expr, prefer_call: bool = False) -> Expr:
             return ONE
         if lhs == ONE:
             return ONE
+    else:
+        raise _outside_grammar(Bin(op, lhs, rhs))
     if prefer_call:
         return Call("pow", (lhs, rhs))
     return Bin(op, lhs, rhs)
@@ -553,13 +564,13 @@ def _format(expr: Expr, top: bool = False) -> str:
         if isinstance(expr.arg, (Bin, Neg)):
             return f"-({inner})" if not inner.startswith("(") else f"-{inner}"
         return f"-{inner}"
-    if isinstance(expr, Bin):
+    if isinstance(expr, Bin) and expr.op in _PREC:
         lhs = _format(expr.lhs)
         if expr.op == "^" and isinstance(expr.lhs, Neg):
             lhs = f"({lhs})"  # ^ binds tighter than unary minus
         text = f"{lhs} {expr.op} {_format(expr.rhs)}"
         return text if top else f"({text})"
-    if isinstance(expr, Call):
+    if isinstance(expr, Call) and len(expr.args) == FUNCTIONS.get(expr.func):
         args = ", ".join(_format(a, top=True) for a in expr.args)
         return f"{expr.func}({args})"
-    raise EvalError(f"not an expression node: {expr!r}")
+    raise _outside_grammar(expr)

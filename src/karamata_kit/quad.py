@@ -45,6 +45,7 @@ raising.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -164,34 +165,26 @@ def thread_count() -> int:
     return max(1, min(wanted, cores))
 
 
-# one pool per worker count, built at first use, of one thread fewer: the caller works too
-_pools: dict = {}
+# the process's one pool, of one thread fewer than the usable cores (the caller
+# works too), built at first use; a pool that loses a first-use race ends after its wave
+@functools.cache
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _pool(workers: int):
-    pool = _pools.get(workers)
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # a pool starts its threads with its first tasks, so a pool that
-        # loses this race is dropped without having started any
-        pool = _pools.setdefault(
-            workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="karamata-quad")
-        )
-    return pool
+    return ThreadPoolExecutor(_usable_cores() - 1, thread_name_prefix="karamata-quad")
 
 
 if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pools but none of their threads
-    os.register_at_fork(after_in_child=_pools.clear)
+    # a forked child inherits the pool but none of its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray, workers: int):
     """Kronrod value and QUADPACK-style error per panel.
 
     A wave is measured ``_BLOCK`` panels at a time, so that the arrays of a
-    block stay in cache.  The caller and up to ``workers - 1`` pool
-    threads, each under its own copy of the caller's context (numpy's
+    block stay in cache.  The caller and up to ``workers - 1`` threads of
+    the one pool, each under its own copy of the caller's context (numpy's
     ``errstate`` among it), take a larger wave's blocks in order from one
     iterator.  A failing block ends the hand-out, and once every block handed
     out is done the lowest failing block's error is raised, as in serial."""
@@ -217,7 +210,7 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray, workers: int):
                 errors[start] = exc
 
     helpers = [
-        _pool(workers).submit(contextvars.copy_context().run, drain)
+        _pool().submit(contextvars.copy_context().run, drain)
         for _ in range(min(workers, len(blocks)) - 1)
     ]
     drain()

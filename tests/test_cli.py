@@ -1229,7 +1229,7 @@ def _canonical(report_text):
 
 
 @pytest.fixture
-def block_threads(monkeypatch):
+def block_threads(monkeypatch, fresh_pool):
     """The threads that measured a quadrature block.  Three usable cores, so
     that KARAMATA_KIT_THREADS=8 really runs three workers.
 
@@ -1250,8 +1250,8 @@ def block_threads(monkeypatch):
         return rule_block(f, lo, hi)
 
     class WaitingPool:
-        def __init__(self, workers):
-            self.pool = make_pool(workers)
+        def __init__(self):
+            self.pool = make_pool()
 
         def submit(self, fn, *args):
             future = self.pool.submit(fn, *args)

@@ -336,26 +336,30 @@ def test_eval_array_raises_on_any_bad_element():
         eval_array(parse("ln(x)"), {"x": np.array([2.0, 1.0, 0.0])})
 
 
-_PERCENT = Bin("%", Var("x"), Const(2.0))
-_TAN = Call("tan", (Var("x"),))
+_X = Var("x")
+# hand-built nodes that parse never builds, and the error each walker raises
+_OUTSIDE_GRAMMAR = [
+    (Bin("%", _X, Const(2.0)), "unknown operator '%'"),
+    (Call("tan", (_X,)), "unknown function 'tan'"),
+    (Bin("+-", _X, _X), "unknown operator '+-'"),
+    (Call("sin", (_X, _X)), "'sin' expects 1 argument, got 2"),
+    (Call("ln", ()), "'ln' expects 1 argument, got 0"),
+    (Call("pow", (_X,)), "'pow' expects 2 arguments, got 1"),
+    (Call("pow", (_X, _X, _X)), "'pow' expects 2 arguments, got 3"),
+    ("x", "not an expression node: 'x'"),
+    # a bad node below good ones
+    (Neg(Bin("+", _X, Call("sin", (_X, _X)))), "'sin' expects 1 argument, got 2"),
+]
 _WALKS = {
     "eval_array": lambda tree: eval_array(tree, {"x": np.ones(2)}),
     "differentiate": lambda tree: differentiate(tree, "x"),
+    "fold": fold,
     "format_expr": format_expr,
 }
 
 
 @pytest.mark.parametrize(
-    "walk, tree, message",
-    [
-        ("eval_array", _PERCENT, "unknown operator '%'"),
-        ("eval_array", _TAN, "unknown function 'tan'"),
-        ("eval_array", "x", "not an expression node: 'x'"),
-        ("differentiate", _PERCENT, "unknown operator '%'"),
-        ("differentiate", _TAN, "unknown function 'tan'"),
-        ("differentiate", "x", "not an expression node: 'x'"),
-        ("format_expr", "x", "not an expression node: 'x'"),
-    ],
+    "walk, tree, message", [(walk, *case) for walk in _WALKS for case in _OUTSIDE_GRAMMAR]
 )
 def test_a_hand_built_tree_outside_the_grammar_raises_eval_error(walk, tree, message):
     with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):

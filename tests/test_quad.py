@@ -659,8 +659,9 @@ def test_bisect_keeps_sorted_order_for_ulp_wide_panels():
 # the block pool: worker count, bit identity, errors, fork, errstate
 
 @pytest.fixture
-def three_cores(monkeypatch):
-    # three usable cores, so that KARAMATA_KIT_THREADS=3 really runs three
+def three_cores(monkeypatch, fresh_pool):
+    # three usable cores, so that KARAMATA_KIT_THREADS=3 really runs three,
+    # and a pool of two threads built for them
     monkeypatch.setattr(quad_mod, "_usable_cores", lambda: 3)
     return monkeypatch
 
@@ -722,8 +723,26 @@ def test_pooled_oscillatory_integral_is_bit_identical(three_cores):
     # pooled: the caller measures blocks next to a pool of workers - 1 threads
     assert main in runs[2][1] and main in runs[3][1]
     assert len(runs[3][1] - {main}) >= 2
-    assert quad_mod._pools[2]._max_workers == 1
-    assert quad_mod._pools[3]._max_workers == 2
+
+
+def test_every_worker_count_takes_the_one_pool(three_cores):
+    # 2 and 3 workers in one process: every helper is submitted to one pool
+    # of _usable_cores() - 1 threads, and only its threads measure blocks
+    # next to the caller
+    make_pool, pools = quad_mod._pool, []
+
+    def spy():
+        pools.append(make_pool())
+        return pools[-1]
+
+    three_cores.setattr(quad_mod, "_pool", spy)
+    h, tol = parse("sin(x)"), QuadTolerance(max_evals=5_000_000)
+    runs = _pooled_runs(three_cores, lambda: [integrate_log(h, 1e5, tol)])
+    pool = pools[0]
+    assert all(p is pool for p in pools)
+    assert pool._max_workers == quad_mod._usable_cores() - 1 == 2
+    helpers = (runs[2][1] | runs[3][1]) - {threading.get_ident()}
+    assert helpers and helpers <= {t.ident for t in pool._threads}
 
 
 @pytest.mark.parametrize("text", ["sin(x)", "cos(3*x) * ln(x)"])
@@ -805,7 +824,7 @@ def test_pooled_wave_keeps_the_callers_errstate(three_cores):
     assert strict["1"] == strict["2"] == strict["3"]
 
 
-def test_pooled_waves_from_many_callers_lose_no_block(monkeypatch):
+def test_pooled_waves_from_many_callers_lose_no_block(monkeypatch, fresh_pool):
     # more workers than cores, four callers at once, each building the pool
     # if it is not there yet, and a thread switch every few microseconds; a
     # block whose write were lost would leave np.empty garbage in its slice
@@ -842,19 +861,25 @@ def test_pooled_waves_from_many_callers_lose_no_block(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_finishes_a_pooled_integral(three_cores):
-    # the parent's pool has running threads; the child inherits none of them
+    # the parent's pool has running threads; the child inherits none of them,
+    # so it builds its own pool, whose threads measure blocks next to it
     three_cores.setenv("KARAMATA_KIT_THREADS", "2")
     h = parse("sin(x)")
     tol = QuadTolerance(max_evals=5_000_000)
-    want = repr(_hexes([integrate_log(h, 1e5, tol)])).encode()
-    assert 2 in quad_mod._pools
+    result = _hexes([integrate_log(h, 1e5, tol)])
+    want = repr((result, True, True)).encode()
+    parent_pool = quad_mod._pool()
+    assert parent_pool._threads
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: report the result, then leave at once
         code = 1
         try:
             os.close(read_end)
-            os.write(write_end, repr(_hexes([integrate_log(h, 1e5, tol)])).encode())
+            runs = _pooled_runs(three_cores, lambda: [integrate_log(h, 1e5, tol)])
+            own_pool = quad_mod._pool() is not parent_pool
+            on_helpers = bool((runs[2][1] | runs[3][1]) - {threading.get_ident()})
+            os.write(write_end, repr((runs[2][0], own_pool, on_helpers)).encode())
             code = 0
         finally:
             os._exit(code)
@@ -877,7 +902,7 @@ def test_forked_child_finishes_a_pooled_integral(three_cores):
 
 
 def test_single_block_waves_never_touch_the_pool(three_cores):
-    def no_pool(workers):
+    def no_pool():
         raise AssertionError("the pool was used")
 
     three_cores.setattr(quad_mod, "_pool", no_pool)

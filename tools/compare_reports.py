@@ -19,8 +19,9 @@ compared, with ``timing_ms`` masked.  The commands are:
   ``--help``, settings the parser rejects (exit 2), range rules the library
   rejects (exit 3), every message of the expression parser, expressions
   that nest too deeply or just deep enough, the point rule,
-  missing required arguments, args files, and ``--out`` into a missing
-  directory;
+  missing required arguments, error and edge paths of the scans, checks
+  and classifiers that no other command takes, args files, and ``--out``
+  into a missing directory;
 - each ``--command``, split like a shell line.
 
 Every JSON report CHANGE prints must also be in canonical form: exactly
@@ -200,6 +201,29 @@ _PATH_COMMANDS = [
     ["uct", "mult-closure", "--f", "ln(x)"],
     ["uct", "guct", "--h-expr", "x*u"],
     ["uct", "expand-interval", "--a", "2", "--b", "4"],
+    # error and edge paths no other command takes: a pinned geometric grid
+    # for classify; a scan row that fails, named by its x (exit 3); a G that
+    # returns its own parameters; F not positive on the lambda window, an
+    # overflowing residual, tail sum and Halton sample point (exit 3); an m
+    # that decreases; a zero-fold and two overflowing interval expansions
+    # (exit 3); both bound details of uct asym (exit 0 and 4); an exp that
+    # overflows and a non-finite value (exit 3); an unasserted conclusion
+    ["classify", "ln(x)", "--grid-count", "9"],
+    ["uct", "scan", "--g", "ln(u)"],
+    ["uct", "scan", "--g", "u"],
+    ["uct", "karamata", "--f", "25-x", "--grid-start", "10", "--ratio", "1.1"],
+    ["uct", "cond310", "--xi", "1e307*sin(x)"],
+    ["uct", "scan", "--g", "1.5e308*sin(x*u)", "--u-lo", "0.5"],
+    ["uct", "hi", "--h", "x", "--u-lo", "1e308", "--u-hi", "1.7e308"],
+    ["uct", "guct", "--h-expr", "x*u", "--m-expr", "1/x"],
+    ["uct", "expand-interval", "--a", "2", "--b", "4", "--n", "0"],
+    ["uct", "expand-interval", "--a", "1", "--b", "1e200", "--n", "2"],
+    ["uct", "expand-interval", "--a", "1e-200", "--b", "1e200", "--n", "2"],
+    ["uct", "asym", "--h", "2", "--lambda", "2"],
+    ["uct", "asym", "--h", "sin(x)", "--lambda", "2"],
+    ["classify", "exp(x^0.5)"],
+    ["uct", "mult-closure", "--f", "1e300*x", "--lambda", "1e7", "--mu", "2"],
+    ["classify", "x^-0.5", "--claim", "r_alpha:-0.5"],
 ]
 
 
