@@ -72,13 +72,6 @@ def apply_L_detailed(
     return apply_L_points(h, [x], tol, var)[0]
 
 
-def _operator_value(cache: IntegralCache, x: float) -> OperatorValue:
-    if abs(x - 1.0) <= NEAR_ONE_DELTA:
-        return OperatorValue(x, evaluate(cache.integrand, {cache.var: 1.0}), None)
-    quad = cache.extend(x)
-    return OperatorValue(x, quad.value / math.log(x), quad)
-
-
 def invert_L(f: Expr, var: str = "x") -> Expr:
     """Symbolic ``g`` with ``L(g) = f``, namely ``f + x * f' * ln x``."""
     derivative = differentiate(f, var)
@@ -96,19 +89,28 @@ def apply_L_points(
     shared cache.  Every point is checked against the one before it (the
     first against 1) by the cache's own point rule before any is
     integrated, so a bad point raises ``PreconditionError`` before the
-    near-one shortcut or the quadrature runs."""
-    frontier = 1.0
+    near-one shortcut or the quadrature runs.  The points in the near-one
+    band, which come first, take ``h(1)``; the others are one
+    :meth:`IntegralCache.sweep`."""
+    checked, frontier = [], 1.0
     for x in points:
         frontier = _check_point(x, frontier)
-    cache = IntegralCache(h, var=var, tol=tol)
-    return [_operator_value(cache, x) for x in points]
+        checked.append(frontier)
+    near = sum(abs(x - 1.0) <= NEAR_ONE_DELTA for x in checked)
+    values = [OperatorValue(x, evaluate(h, {var: 1.0}), None) for x in points[:near]]
+    quads = IntegralCache(h, var=var, tol=tol).sweep(checked[near:])
+    return values + [
+        OperatorValue(x, quad.value / math.log(x), quad) for x, quad in zip(points[near:], quads)
+    ]
 
 
 def apply_L_grid(h: Expr, grid, tol: QuadTolerance = QuadTolerance(), var: str = "x"):
     """``L(h)`` along ``grid`` (a GeometricGrid); returns ``[(x, value)]``.
 
     The integral over [1, x_k] is reused when extending to x_{k+1}, so the
-    whole sweep costs a single pass over [1, max x].
+    whole sweep costs a single pass over [1, max x].  Its segments are
+    measured in the same waves; a spent budget or a failing integrand
+    measures them again one at a time.
     """
     detailed = apply_L_points(h, list(grid.points()), tol, var)
     return [(v.x, v.value) for v in detailed]

@@ -7,15 +7,16 @@ Gauss(7)/Kronrod(15) pair and accepted once the Kronrod-vs-Gauss error
 estimate meets the tolerance share allocated proportionally to the panel's
 length.  All pending panels of a refinement wave are evaluated together,
 in fixed blocks of ``_BLOCK`` panels whose work arrays stay in cache, so
-oscillatory integrands stay affordable.  Every panel is measured on its own,
-so the results do not depend on the block size.  The calling thread and a
-thread pool measure the blocks of a larger wave together (numpy's ufuncs and
-reductions release the GIL), each block writing into its own slice of the
-wave, so the results do not depend on the worker count either.  That holds
-for one numpy build at one CPU dispatch level: across levels (numpy's
-AVX-512 kernels against its AVX2 ones, say) ``exp``, ``log`` and ``pow`` may
-move the last bit of a node or of an integrand value, and with it the
-evaluation counts.
+oscillatory integrands stay affordable; the new segments of a cache sweep
+share their waves.  Every panel is measured on its own, so the results do
+not depend on the block size or on which panels share a wave.  The calling
+thread and a thread pool measure the blocks of a larger wave together
+(numpy's ufuncs and reductions release the GIL), each block writing into its
+own slice of the wave, so the results do not depend on the worker count
+either.  That holds for one numpy build at one CPU dispatch level: across
+levels (numpy's AVX-512 kernels against its AVX2 ones, say) ``exp``, ``log``
+and ``pow`` may move the last bit of a node or of an integrand value, and
+with it the evaluation counts.
 
 A block is measured by one of two rules, which give the same bits.  The
 row rule, for blocks of at most ``_SMALL_BLOCK`` panels, takes numpy's row
@@ -327,80 +328,147 @@ def _bisect(lo: np.ndarray, hi: np.ndarray):
     return new_lo, new_hi
 
 
-def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> QuadResult:
-    """Bisection-adaptive Gauss-Kronrod over [a, b], batched per wave.
+def _overflowed(resk: np.ndarray, err: np.ndarray):
+    """Mask of the panels whose ``resk + err`` is not finite, or None where
+    there is none; the sums are taken ``_BLOCK`` panels at a time."""
+    mask = None
+    for start in range(0, resk.size, _BLOCK):
+        total = resk[start : start + _BLOCK] + err[start : start + _BLOCK]
+        if not math.isfinite(np.add.reduce(total)):  # finite only if every panel's is
+            bad = ~np.isfinite(total)
+            if bad.any():
+                if mask is None:
+                    mask = np.zeros(resk.size, dtype=bool)
+                mask[start : start + _BLOCK] = bad
+    return mask
 
-    ``max_evals`` (at least 15) caps the evaluations of this call.  The
-    worker count is read once, before the first wave.  The
+
+def _waves(f, edges: list[float], tol: QuadTolerance, max_evals: int) -> list[QuadResult] | None:
+    """Bisection-adaptive Gauss-Kronrod over the segments ``[edges[k],
+    edges[k + 1]]`` of an ascending list, all measured in the same waves.
+
+    A wave holds the pending panels of every segment in ascending order, so
+    each segment's panels form one slice of it, found by ``searchsorted``
+    on ``lo``.  Each segment keeps its own value estimate, tolerance,
+    accepted sums and evaluation count, each taken over its slice, and
+    every panel is measured on its own: each segment's result is that of
+    a call for it alone.  A segment of zero width gets no panel and the
+    result 0.  The worker count is read once, before the first wave.  The
     waves run with numpy's overflow and invalid warnings off, which the
     blocks on the pool inherit through their copied contexts.  A panel
     whose value or error estimate is not finite is measured again on
-    ``h * 2**-4``, 15 more evaluations while the budget has them, and
-    scaled back by ``2**4``.  One still not finite is never accepted, only
-    split, so a result that the budget cut short keeps an error of inf.
+    ``h * 2**-4``, 15 more evaluations, and scaled back by ``2**4``.  One
+    still not finite is never accepted, only split.
 
-    One wave is held at a time: while a wave is measured, its ``lo``,
-    ``hi``, ``resk`` and ``err`` are the only arrays of its size, so the
-    working memory is four float64 arrays per panel of the widest wave,
-    plus about 1.5 MB of block work per thread.  The tolerance test after
-    the wave adds a fifth array and a mask, 41 bytes a panel in all.
-    ``L(sin)`` peaks (tracemalloc) at 6.3 MB serially and 8.1-8.3 MB on two
-    threads at x = 1e6 (150,070 panels), and at 17.1 MB at 3e6 (416,522)."""
-    if b <= a:
-        return QuadResult(0.0, 0.0, 0, True)
+    One segment: ``max_evals`` (at least 15) caps its evaluations.  A panel
+    is measured again only while the budget has its 15 evaluations, and
+    when splitting the pending panels would pass the budget, their current
+    measurements are kept and the result is not converged; one still not
+    finite keeps an error of inf.
+
+    Several segments share the budget: segment k gets what segments
+    1 ... k-1 left.  Their results are returned only if the total stays
+    within ``max_evals``, where no budget check of one segment at a time
+    could have failed.  Otherwise the loop returns None, and the caller
+    measures the segments one at a time.  It does so too when a bisection
+    tie falls on a segment boundary, where ``_bisect``'s stable sort would
+    mix two segments' panels.
+
+    One wave is held at a time: while it is measured, its ``lo``, ``hi``,
+    ``resk`` and ``err`` are the only arrays of its size, four float64
+    arrays a panel, plus about 1.5 MB of block work per thread.  The tests
+    after it add two masks and work on ``_BLOCK`` panels at a time, and the
+    pending panels' ``lo`` and ``hi`` are taken before the accepted values
+    are copied to be summed.  ``L(sin)`` peaks (tracemalloc) at 6.3 MB
+    serially, while its widest wave is measured, and 8.0-8.3 MB on two
+    threads at x = 1e6 (150,070 panels), and at 15.5 MB serially and
+    16.2 MB on two threads at 3e6 (416,522)."""
     workers = thread_count()
-    span = b - a
-    lo = np.array([a])
-    hi = np.array([b])
-    done_value = 0.0
-    done_error = 0.0
-    evals = 0
+    batch = len(edges) > 2
+    values = [0.0] * (len(edges) - 1)
+    errors = [0.0] * (len(edges) - 1)
+    evals = [0] * (len(edges) - 1)
+    live = [k for k in range(len(edges) - 1) if edges[k] < edges[k + 1]]
+    lo = np.array([edges[k] for k in live])
+    hi = np.array([edges[k + 1] for k in live])
+    total = 0
     converged = True
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+        while live:
             resk, err = _panel_rule(f, lo, hi, workers)
-            evals += 15 * lo.size
-            local_tol = resk + err  # its sum is finite only if every panel's is
-            if not math.isfinite(float(local_tol.sum())):
-                overflowed = ~np.isfinite(local_tol)
-                rescue = np.count_nonzero(overflowed)
-                if rescue and evals + 15 * rescue <= max_evals:
-                    # |h| near the float range: measure again on h * 2**-4,
-                    # whose sums are exactly 2**-4 times the unbounded ones
-                    # unless a value becomes subnormal
-                    resk[overflowed], err[overflowed] = _panel_rule(
-                        lambda points: f(points) * 0.0625, lo[overflowed], hi[overflowed], workers
-                    )
-                    resk[overflowed] *= 16.0
-                    err[overflowed] *= 16.0
-                    evals += 15 * rescue
-                    overflowed = ~np.isfinite(resk + err)
-                resk[overflowed] = 0.0  # past the float range even so: split
+            cuts = [0]
+            if len(live) > 1:
+                cuts = np.searchsorted(lo, [edges[k] for k in live]).tolist()
+            cuts.append(lo.size)
+            total += 15 * lo.size
+            overflowed = _overflowed(resk, err)
+            if overflowed is not None and (
+                batch or total + 15 * np.count_nonzero(overflowed) <= max_evals
+            ):
+                # |h| near the float range: measure again on h * 2**-4,
+                # whose sums are exactly 2**-4 times the unbounded ones
+                # unless a value becomes subnormal
+                resk[overflowed], err[overflowed] = _panel_rule(
+                    lambda points: f(points) * 0.0625, lo[overflowed], hi[overflowed], workers
+                )
+                resk[overflowed] *= 16.0
+                err[overflowed] *= 16.0
+                for k, i, j in zip(live, cuts, cuts[1:]):
+                    evals[k] += 15 * np.count_nonzero(overflowed[i:j])
+                total += 15 * np.count_nonzero(overflowed)
+                overflowed = _overflowed(resk, err)
+            if overflowed is not None:  # past the float range even so: split
+                resk[overflowed] = 0.0
                 err[overflowed] = math.inf
-                del overflowed
-            value_estimate = done_value + float(resk.sum())
-            tol_total = max(tol.abs_tol, tol.rel_tol * abs(value_estimate))
-            np.subtract(hi, lo, out=local_tol)  # then tol_total * (hi - lo) / span
-            local_tol *= tol_total
-            ok = err <= np.divide(local_tol, span, out=local_tol)
-            del local_tol
-            done_value += float(resk[ok].sum())
-            done_error += float(err[ok].sum())
-            keep = np.logical_not(ok, out=ok)
-            lo, hi = lo[keep], hi[keep]
-            if not lo.size:
-                break
-            if evals + 30 * lo.size > max_evals:
-                # splitting the pending panels would blow the budget: keep
-                # their current measurements and report non-convergence.
-                # evaluations never exceeds max_evals.
-                done_value += float(resk[keep].sum())
-                done_error += float(err[keep].sum())
+            del overflowed
+            ok = np.empty(lo.size, dtype=bool)
+            for k, i, j in zip(live, cuts, cuts[1:]):
+                evals[k] += 15 * (j - i)
+                estimate = values[k] + float(np.add.reduce(resk[i:j]))
+                tol_total = max(tol.abs_tol, tol.rel_tol * abs(estimate))
+                span = edges[k + 1] - edges[k]
+                for start in range(i, j, _BLOCK):
+                    c = slice(start, min(start + _BLOCK, j))
+                    np.less_equal(err[c], (hi[c] - lo[c]) * tol_total / span, out=ok[c])
+            # the pending panels are taken before the sums copy the accepted
+            # values, so that the wave's lo and hi are freed first
+            keep = ~ok
+            lo = lo[keep]
+            hi = hi[keep]
+            # splitting the pending panels would pass the budget; a batch's
+            # first wave or rescue may have passed it already
+            spent = total + 30 * lo.size > max_evals
+            if spent and batch:
+                return None
+            for k, i, j in zip(live, cuts, cuts[1:]):
+                values[k] += float(np.add.reduce(resk[i:j][ok[i:j]]))
+                errors[k] += float(np.add.reduce(err[i:j][ok[i:j]]))
+            if spent:
+                # keep the pending panels' current measurements and report
+                # non-convergence: evaluations never exceeds max_evals
+                values[0] += float(resk[keep].sum())
+                errors[0] += float(err[keep].sum())
                 converged = False
+            if spent or not lo.size:
                 break
-            del resk, err, ok, keep
+            del resk, err, ok
+            if batch:
+                live = [k for k, i, j in zip(live, cuts, cuts[1:]) if keep[i:j].any()]
+                # a segment's last panel split at a tie on its right edge
+                # would give a child that sorts among the next segment's
+                rights = [edges[k + 1] for k in live if k + 2 < len(edges)]
+                last = np.searchsorted(lo, rights) - 1
+                if (0.5 * (lo[last] + hi[last]) == rights).any():
+                    return None
+            del keep
             lo, hi = _bisect(lo, hi)
-    return QuadResult(done_value, done_error, evals, converged)
+    return [QuadResult(*result, converged) for result in zip(values, errors, evals)]
+
+
+def _adaptive(f, a: float, b: float, tol: QuadTolerance, max_evals: int) -> QuadResult:
+    """Bisection-adaptive Gauss-Kronrod over [a, b]: the one-segment case of
+    :func:`_waves`, whose evaluations ``max_evals`` (at least 15) caps."""
+    return _waves(f, [a, b], tol, max_evals)[0]
 
 
 def integrate_log(
@@ -421,14 +489,17 @@ def integrate_log(
 class IntegralCache:
     """Incremental evaluation of ``int_1^x h(t)/t dt`` along ascending x.
 
-    ``extend`` integrates only the new segment past the current frontier and
-    accumulates, so walking a grid costs one pass over [1, max x].
+    ``sweep`` integrates only the new segments past the current frontier and
+    accumulates, so walking a grid costs one pass over [1, max x].  Those
+    segments are measured in the same waves; if that would spend more than
+    the budget left, or the integrand raises, they are measured again one
+    at a time.
     """
 
     integrand: Expr
     var: str = "x"
     tol: QuadTolerance = field(default_factory=QuadTolerance)
-    # the sweep's state, which only ``extend`` moves
+    # the sweep's state, which only ``sweep`` moves
     frontier: float = field(default=1.0, init=False)
     value: float = field(default=0.0, init=False)
     error_estimate: float = field(default=0.0, init=False)
@@ -436,41 +507,68 @@ class IntegralCache:
     converged: bool = field(default=True, init=False)
 
     def extend(self, x_next: float) -> QuadResult:
-        """Advance the frontier to ``x_next``, finite and not below it (else
-        ``PreconditionError``), and return the integral over [1, x_next].
+        """Advance the frontier to ``x_next`` and return the integral over
+        [1, x_next]: the one-point case of :meth:`sweep`."""
+        return self.sweep([x_next])[0]
+
+    def sweep(self, points) -> list[QuadResult]:
+        """Advance the frontier along ascending ``points`` and return the
+        integral over [1, x] at each.  Every point must be finite and not
+        below the one before it, the first not below the frontier; all are
+        checked before any is integrated (else ``PreconditionError``).
 
         ``tol.max_evals`` caps the whole sweep: each segment gets only the
         budget the earlier ones left.  With less than one panel (15
         evaluations) left, the frontier moves without integrating, the
         cache is marked not converged and its error estimate becomes
-        ``inf``: nothing bounds the skipped segment."""
-        x_next = _check_point(x_next, self.frontier)
-        if x_next > self.frontier:
-            remaining = self.tol.max_evals - self.evaluations
-            if remaining < 15:
-                self.converged = False
-                self.error_estimate = math.inf
-            else:
-                a = math.log(self.frontier)
-                b = math.log(x_next)
-                # the walk may compute in the fresh exp(points)
-                owned = _owned(self.integrand, self.var)
+        ``inf``: nothing bounds the skipped segment.
 
-                def f(points: np.ndarray) -> np.ndarray:
-                    return eval_array(self.integrand, {self.var: np.exp(points)}, owned)
+        The new segments are measured in the same waves (``_waves``), with
+        the results of one segment at a time.  Where that loop gives up,
+        or the integrand raises in it, the segments are measured one at a
+        time from the same state, which raises any error in its place."""
+        xs, frontier = [], self.frontier
+        for x in points:
+            frontier = _check_point(x, frontier)
+            xs.append(frontier)
+        # the walk may compute in the fresh exp(points)
+        owned = _owned(self.integrand, self.var)
 
-                seg = _adaptive(f, a, b, self.tol, remaining)
-                value = self.value + seg.value
-                if not (math.isfinite(value) and math.isfinite(seg.error_estimate)):
-                    raise PreconditionError(
-                        f"int_1^x h(t)/t dt overflows on the segment "
-                        f"[{self.frontier!r}, {x_next!r}]"
+        def f(points: np.ndarray) -> np.ndarray:
+            return eval_array(self.integrand, {self.var: np.exp(points)}, owned)
+
+        ends = sorted(set(xs) - {self.frontier})
+        remaining = self.tol.max_evals - self.evaluations
+        measured = {}
+        if len(ends) > 1 and remaining >= 15:
+            edges = [math.log(x) for x in (self.frontier, *ends)]
+            try:
+                measured = dict(zip(ends, _waves(f, edges, self.tol, remaining) or ()))
+            except Exception:  # raised again in its place below
+                pass
+        results = []
+        for x in xs:
+            if x > self.frontier:
+                remaining = self.tol.max_evals - self.evaluations
+                if remaining < 15:
+                    self.converged = False
+                    self.error_estimate = math.inf
+                else:
+                    seg = measured.get(x) or _adaptive(
+                        f, math.log(self.frontier), math.log(x), self.tol, remaining
                     )
-                self.value = value
-                self.error_estimate += seg.error_estimate
-                self.evaluations += seg.evaluations
-                self.converged = self.converged and seg.converged
-            self.frontier = x_next
-        return QuadResult(
-            self.value, self.error_estimate, self.evaluations, self.converged
-        )
+                    value = self.value + seg.value
+                    if not (math.isfinite(value) and math.isfinite(seg.error_estimate)):
+                        raise PreconditionError(
+                            f"int_1^x h(t)/t dt overflows on the segment "
+                            f"[{self.frontier!r}, {x!r}]"
+                        )
+                    self.value = value
+                    self.error_estimate += seg.error_estimate
+                    self.evaluations += seg.evaluations
+                    self.converged = self.converged and seg.converged
+                self.frontier = x
+            results.append(
+                QuadResult(self.value, self.error_estimate, self.evaluations, self.converged)
+            )
+        return results

@@ -709,9 +709,7 @@ def integral_asym_residual(
 
     points = sorted({float(x) for x in xs} | {lam * float(x) for x in xs})
     cache = IntegralCache(h, var=var, tol=tol)
-    integral_at = {}
-    for p in points:
-        integral_at[p] = cache.extend(p).value
+    integral_at = {p: quad.value for p, quad in zip(points, cache.sweep(points))}
 
     rows = []
     for x in (float(v) for v in xs):

@@ -73,10 +73,11 @@ def test_non_finite_x_is_rejected(x):
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.5, 1.0 - 5e-9])
 def test_every_operator_entry_rejects_a_bad_point_before_integrating(x, monkeypatch):
-    # 1 - 5e-9 lies in the near-one band, whose shortcut would return h(1)
+    # 1 - 5e-9 lies in the near-one band, whose shortcut would return h(1);
+    # every quadrature, one segment or a sweep's batch, runs the one wave loop
     calls = []
-    monkeypatch.setattr(quad, "_adaptive", lambda *args: calls.append(args))
-    monkeypatch.setattr(karamata, "_operator_value", lambda *args: calls.append(args))
+    monkeypatch.setattr(quad, "_waves", lambda *args: calls.append(args))
+    monkeypatch.setattr(karamata, "evaluate", lambda *args: calls.append(args))
     h = parse("sin(x)")
     entries = {
         "integrate_log": lambda: integrate_log(h, x),
@@ -93,6 +94,20 @@ def test_every_operator_entry_rejects_a_bad_point_before_integrating(x, monkeypa
         messages[name] = str(exc.value)
     assert len(set(messages.values())) == 1, messages
     assert calls == []
+
+
+def test_near_one_points_come_before_one_cache_sweep():
+    # h(1) at the points of the near-one band, then one sweep of the rest,
+    # duplicates and a point one ulp up included, with the results of a
+    # cache extended one point at a time
+    h = parse("1/(1+ln(x))")
+    points = [1.0, 1.000000001, 2.0, 4.0, 4.0, math.nextafter(4.0, 5.0), 1e8]
+    cache = IntegralCache(h)
+    want = [karamata.OperatorValue(x, 1.0, None) for x in points[:2]]
+    for x in points[2:]:
+        quad_result = cache.extend(x)
+        want.append(karamata.OperatorValue(x, quad_result.value / math.log(x), quad_result))
+    assert apply_L_points(h, points) == want
 
 
 def test_quad_diagnostics_attached_away_from_one():

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karamata_kit import (
+    GeometricGrid,
     IntegralCache,
     PreconditionError,
     QuadTolerance,
@@ -426,6 +427,169 @@ def test_cache_with_less_than_one_panel_left_evaluates_nothing():
     assert second == quad_mod.QuadResult(first.value, math.inf, first.evaluations, False)
     assert cache.frontier == 1e4
     assert cache.extend(1e5) == second
+
+
+# ---------------------------------------------------------------------------
+# a sweep's new segments, measured in the same waves
+
+def _one_at_a_time(cache, f, points, workers):
+    """The sweep of ``cache`` along ``points`` with one ``quad_oracle.adaptive``
+    call per new segment, on the budget the earlier segments left: its
+    results and its state, or the exception it raised and its state then."""
+    tol = cache.tol
+    state = [cache.frontier, cache.value, cache.error_estimate, cache.evaluations, cache.converged]
+    results = []
+    try:
+        for x in points:
+            frontier, value, error, evals, converged = state
+            if x > frontier:
+                remaining = tol.max_evals - evals
+                if remaining < 15:
+                    state[2], state[4] = math.inf, False
+                else:
+                    seg = quad_oracle.adaptive(
+                        f, math.log(frontier), math.log(x), tol, remaining, workers
+                    )
+                    if not (math.isfinite(value + seg.value)
+                            and math.isfinite(seg.error_estimate)):
+                        raise PreconditionError(
+                            f"int_1^x h(t)/t dt overflows on the segment [{frontier!r}, {x!r}]"
+                        )
+                    state[1:] = [value + seg.value, error + seg.error_estimate,
+                                 evals + seg.evaluations, converged and seg.converged]
+                state[0] = x
+            results.append(quad_mod.QuadResult(*state[1:]))
+    except Exception as exc:
+        return repr(exc), [float(v).hex() for v in state]
+    return _hexes(results), [float(v).hex() for v in state]
+
+
+def _swept(cache, points):
+    """``cache.sweep(points)`` as ``_one_at_a_time`` reports it."""
+    try:
+        results = _hexes(cache.sweep(points))
+    except Exception as exc:
+        results = repr(exc)
+    state = (cache.frontier, cache.value, cache.error_estimate, cache.evaluations, cache.converged)
+    return results, [float(v).hex() for v in state]
+
+
+def _sweep_points(lo, hi):
+    # a point in the near-one band, duplicates, a point one ulp up whose log
+    # moves and one whose log does not, and the corpus interval
+    return [1.0 + 5e-9, lo, lo, math.nextafter(lo, math.inf), (lo * hi) ** 0.5, hi, hi,
+            100.0 * hi, math.nextafter(100.0 * hi, math.inf)]
+
+
+def _check_sweep(text, points, tol, first=None):
+    """The sweep of ``text`` along ``points`` against ``_one_at_a_time``, from
+    a fresh cache or one first extended to ``first``; returns how often the
+    wave loop gave up."""
+    h = parse(text)
+    f = _log_integrand(text)
+    gave_up = []
+    waves = quad_mod._waves
+
+    def spy(*args):
+        got = None
+        try:
+            got = waves(*args)
+        finally:
+            if len(args[1]) > 2:
+                gave_up.append(got is None)
+        return got
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning would raise
+        caches = [IntegralCache(h, tol=tol), IntegralCache(h, tol=tol)]
+        if first is not None:
+            for cache in caches:
+                cache.extend(first)
+        want = _one_at_a_time(caches[0], f, points, quad_mod.thread_count())
+        quad_mod._waves = spy
+        try:
+            got = _swept(caches[1], points)
+        finally:
+            quad_mod._waves = waves
+    assert got == want, (text, points, tol.max_evals, first)
+    return gave_up
+
+
+@pytest.mark.parametrize("max_evals", [100, 3_000, 30_000])
+def test_a_sweep_equals_one_segment_at_a_time_on_the_corpus(max_evals):
+    # budgets that bind in the batch's first wave, inside it and (for most
+    # integrands) not at all; each from a fresh cache and from one whose
+    # first segment spent part of the budget before the batch
+    tol = QuadTolerance(max_evals=max_evals)
+    gave_up = []
+    for text, lo, hi in CORPUS:
+        points = _sweep_points(lo, hi)
+        gave_up += _check_sweep(text, points, tol)
+        gave_up += _check_sweep(text, points[2:], tol, first=points[1])
+    # both the batch's results and its fallback are checked
+    assert False in gave_up and True in gave_up
+
+
+@pytest.mark.parametrize("a", [1.0, 3.0, 10.0])
+@pytest.mark.parametrize("max_evals", [15, 450, 20_000, 400_000, 5_000_000])
+def test_an_oscillatory_sweep_equals_one_segment_at_a_time(a, max_evals):
+    points = [float(p) for p in np.geomspace(10.0, 3e4, 8)]
+    _check_sweep(f"sin({a!r}*x)", points, QuadTolerance(max_evals=max_evals))
+    _check_sweep(f"sin({a!r}*x)", points[1:], QuadTolerance(max_evals=max_evals), points[0])
+
+
+@pytest.mark.parametrize("max_evals", [29, 120, 1_000, 1_000_000])
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        # a later segment raises, at sqrt of a negative number
+        ("sqrt(50-x)", [10.0 * 2.0**k for k in range(8)]),
+        # the overflow rescue fires in the last segment only
+        ("x*5e305", [2.0**k for k in range(1, 9)]),
+        # each segment is finite, their sum is not
+        ("5e307", [10.0, 100.0, 1000.0]),
+        # segments of one panel each, all accepted in the first wave
+        ("5", [2.0**k for k in range(1, 9)]),
+        # ulp-wide segments, whose logs are equal or one ulp apart
+        ("1/(1+ln(x))", [1.5, math.nextafter(1.5, 2.0), 1e4, math.nextafter(1e4, 2e4), 2e4]),
+    ],
+)
+def test_a_sweep_that_raises_or_rescues_equals_one_segment_at_a_time(text, points, max_evals):
+    _check_sweep(text, points, QuadTolerance(max_evals=max_evals))
+
+
+def test_a_sweep_within_its_budget_takes_one_wave_loop(monkeypatch):
+    waves, calls = quad_mod._waves, []
+
+    def spy(f, edges, tol, max_evals):
+        calls.append(len(edges) - 1)
+        return waves(f, edges, tol, max_evals)
+
+    monkeypatch.setattr(quad_mod, "_waves", spy)
+    xs = GeometricGrid(10.0, 10.0, 8).points()
+    assert IntegralCache(parse("1/(1+ln(x))")).sweep(xs)[-1].converged
+    assert calls == [8]
+    # a budget that the batch's first wave passes: one segment at a time
+    calls.clear()
+    IntegralCache(parse("1/(1+ln(x))"), tol=QuadTolerance(max_evals=100)).sweep(xs)
+    assert calls[0] == 8 and set(calls[1:]) == {1}
+
+
+def test_a_bisection_tie_on_a_segment_boundary_gives_up_the_batch():
+    # [a, 1] is two ulps wide and never meets its tolerance: in the second
+    # wave its last panel, one ulp wide, has a midpoint that rounds to 1,
+    # and the child [1, 1] would sort after the first panel of [1, 2]
+    a = math.nextafter(math.nextafter(1.0, 0.0), 0.0)
+    seen = []
+
+    def f(points):
+        seen.append(points.size)
+        return np.ones(points.shape)
+
+    tol = QuadTolerance(abs_tol=1e-40, rel_tol=1e-40, max_evals=1_000_000)
+    assert quad_mod._waves(f, [a, 1.0, 2.0], tol, tol.max_evals) is None
+    # it gives up there, long before the budget runs out
+    assert sum(seen) == 15 * (2 + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -979,8 +1143,8 @@ def test_wave_loop_rescues_overflowing_panels_as_its_frozen_oracle(text, x, max_
 
 def test_wave_loop_holds_one_wave_at_a_time(monkeypatch):
     # while a wave is measured only its lo, hi, resk and err are alive, 32
-    # bytes a panel, next to one block's work; the tolerance test after it
-    # adds a fifth array and a mask
+    # bytes a panel, next to one block's work; the tests after it add two
+    # masks and block-sized work
     monkeypatch.setenv("KARAMATA_KIT_THREADS", "1")
     h = parse("sin(x)")
     tol = QuadTolerance(max_evals=50_000_000)

@@ -14,7 +14,8 @@ compared, with ``timing_ms`` masked.  The commands are:
   reach paths that neither of the above takes.  A comment in the table
   says what each group reaches: the class checks and verdicts of
   ``classify``, the operator next to x = 1, spent budgets (exit 4),
-  integrals that overflow, pooled and wide quadrature waves, Halton
+  integrals that overflow, the fallback paths of a sweep whose segments
+  share their waves, pooled and wide quadrature waves, Halton
   samples, full-size scans as JSON and as CSV, ``--format both``, every
   ``--help``, settings the parser rejects (exit 2), range rules the library
   rejects (exit 3), every message of the expression parser, expressions
@@ -106,6 +107,12 @@ _PATH_COMMANDS = [
     # integrals whose panels overflow although the integral does not: exit 0
     ["apply-l", "1e308", "--x", "1.5"],
     ["apply-l", "1e308*sin(x)", "--x", "1000"],
+    # a sweep whose segments share their waves, past its fallback paths: a
+    # later segment raises (exit 3), the overflow rescue fires in the last
+    # segment (exit 0), and a near-one point comes before the batch (exit 0)
+    ["apply-l", "sqrt(50-x)", "--grid-start", "10", "--ratio", "2", "--count", "8"],
+    ["apply-l", "x*5e305", "--grid-start", "2", "--ratio", "2", "--count", "8"],
+    ["apply-l", "1/(1+ln(x))", "--grid-start", "1.000000001", "--ratio", "2", "--count", "8"],
     # an exponent array that holds 0.5 and 2
     ["uct", "scan", "--g", "x^u"],
     # pooled waves of integrands that name x twice, one through the powers
